@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UsageError
+from .errors import IntegrityError, UsageError
 from .rootdatum import Coords, RootDatum, weyl_orbit
 
 _character_memo: dict[tuple, "Character"] = {}
@@ -50,7 +50,8 @@ def weyl_dimension(datum: RootDatum, lam) -> int:
         num *= sum((l + 1) * c for l, c in zip(lam, co))
         den *= sum(co)
     q, r = divmod(num, den)
-    assert r == 0 and q > 0, "Weyl dimension must be a positive integer"
+    if r != 0 or q <= 0:
+        raise IntegrityError("Weyl dimension must be a positive integer")
     return q
 
 
@@ -127,14 +128,17 @@ def irrep_character(datum: RootDatum, lam) -> Character:
                 c * (lam[i] + mu[i] + 2) * datum.halfnorms[i]
                 for i, c in enumerate(off)
             )
-            assert den > 0, "Freudenthal denominator vanishes only at the highest weight"
+            if den <= 0:
+                raise IntegrityError("Freudenthal denominator vanishes only at the highest weight")
             m, rem = divmod(2 * num, den)
-            assert rem == 0 and m > 0, "Freudenthal recursion must yield positive integers"
+            if rem != 0 or m <= 0:
+                raise IntegrityError("Freudenthal recursion must yield positive integers")
         for w in weyl_orbit(datum, mu):
             mult[w] = m
 
     char = Character(datum=datum, highest=lam, mult=mult)
-    assert char.dim == weyl_dimension(datum, lam), "character size disagrees with the Weyl dimension"
+    if char.dim != weyl_dimension(datum, lam):
+        raise IntegrityError("character size disagrees with the Weyl dimension")
     _character_memo[key] = char
     return char
 

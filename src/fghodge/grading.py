@@ -173,7 +173,8 @@ def exponents(datum: RootDatum) -> list[int]:
     char = irrep_character(datum, adjoint_weight(datum))
     part = partition_from_grading(rho_grading(char))
     exps = sorted((b - 1) // 2 for b in part.blocks)
-    assert all(b % 2 == 1 for b in part.blocks), "adjoint strings have odd length"
+    if any(b % 2 == 0 for b in part.blocks):
+        raise IntegrityError("adjoint strings have odd length")
     return exps
 
 

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, IntegrityError, UsageError
 
 Coords = tuple[int, ...]
 
@@ -148,7 +148,8 @@ def _symmetrizer(cartan) -> tuple[int, ...]:
                 # symmetry of cartan[i][j] d[j]: d[j]/d[i] = cartan[j][i]/cartan[i][j]
                 d[j] = d[i] * cartan[j][i] / cartan[i][j]
                 todo.append(j)
-    assert all(x is not None for x in d), "Dynkin graph must be connected"
+    if any(x is None for x in d):
+        raise IntegrityError("Dynkin graph must be connected")
     scale = math.lcm(*(x.denominator for x in d))
     ints = [int(x * scale) for x in d]
     g = math.gcd(*ints)
@@ -259,7 +260,8 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     )
     for i in range(n):
         for j in range(n):
-            assert form[i][j] == form[j][i], "symmetrizer failed"
+            if form[i][j] != form[j][i]:
+                raise IntegrityError("symmetrizer failed")
 
     simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
@@ -295,7 +297,8 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
         co = []
         for i in range(n):
             c = Fraction(2 * r[i] * halfnorms[i], ns)
-            assert c.denominator == 1, "coroot coefficients must be integral"
+            if c.denominator != 1:
+                raise IntegrityError("coroot coefficients must be integral")
             co.append(int(c))
         coroot_of[r] = tuple(co)
 
@@ -304,14 +307,16 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     # <alpha_i, rho^vee> = 1 characterizes rho^vee
     for i in range(n):
         s = sum(cartan[i][j] * rho_cov[j] for j in range(n))
-        assert s == 1, "rho covector must pair to 1 with every simple root"
+        if s != 1:
+            raise IntegrityError("rho covector must pair to 1 with every simple root")
 
     theta = positive[-1]  # unique root of maximal height
     coxeter = sum(theta) + 1
     if coxeter != _COXETER[stype.family](n):
         raise ConfigurationError(f"{stype}: Coxeter number mismatch")
     theta_wt = tuple(sum(theta[i] * cartan[i][j] for i in range(n)) for j in range(n))
-    assert sum(t * c for t, c in zip(theta_wt, two_rho_cov)) == 2 * (coxeter - 1)
+    if sum(t * c for t, c in zip(theta_wt, two_rho_cov)) != 2 * (coxeter - 1):
+        raise IntegrityError("<theta, 2 rho^vee> must equal 2 (h - 1)")
 
     # Fundamental weights in root coordinates: rows of cartan^{-1} transposed,
     # i.e. omega_k = sum_i (C^{-1})[k][i] alpha_i with m = c*C for weights.
@@ -322,7 +327,8 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     # rho really is the half sum of positive roots: check in root coordinates.
     half_sum = [Fraction(sum(r[i] for r in positive), 2) for i in range(n)]
     rho_root_coords = [sum(fundamental[k][i] for k in range(n)) for i in range(n)]
-    assert half_sum == rho_root_coords, "rho must equal the sum of fundamental weights"
+    if half_sum != rho_root_coords:
+        raise IntegrityError("rho must equal the sum of fundamental weights")
 
     return RootDatum(
         stype=stype,

@@ -10,10 +10,17 @@ from fghodge.chevalley import (
     adjoint_rep,
     classical_std_rep,
     jordan_type,
+    StructureConstants,
     principal_triple,
     structure_constants,
+    verify_jacobi,
 )
-from fghodge.errors import ResourceLimitError, UnsupportedRepresentationError, UsageError
+from fghodge.errors import (
+    IntegrityError,
+    ResourceLimitError,
+    UnsupportedRepresentationError,
+    UsageError,
+)
 from fghodge.grading import partition_from_grading, rho_grading
 from fghodge.linalg import SparseMatrix
 from conftest import datum, fw
@@ -62,6 +69,38 @@ def test_structure_constants_mixed_signs_consistent():
             if a != b and diff in sc.root_set:
                 val = sc.constant(a, neg(b))
                 assert isinstance(val, int) and val != 0
+
+
+def _flipped(sc, pick):
+    """A copy of sc with N_{a,b} (and N_{b,a}) negated for the first pair pick accepts.
+
+    Only pairs whose sum has at least two decompositions are eligible: a
+    root with a single decomposition can absorb the flip as a change of
+    basis vector, which is not a fault.
+    """
+    def root_sum(ab):
+        return tuple(x + y for x, y in zip(*ab))
+
+    # n_pos holds both orders of each pair, so two decompositions count 4.
+    decompositions = Counter(map(root_sum, sc.n_pos))
+    a, b = next(ab for ab in sorted(sc.n_pos) if decompositions[root_sum(ab)] >= 4 and pick(*ab))
+    n_pos = dict(sc.n_pos)
+    n_pos[(a, b)] = -n_pos[(a, b)]
+    n_pos[(b, a)] = -n_pos[(b, a)]
+    return StructureConstants(datum=sc.datum, n_pos=n_pos,
+                              root_set=sc.root_set, norm2=sc.norm2)
+
+
+@pytest.mark.parametrize("name", ["G2", "B4", "F4", "E6"])
+@pytest.mark.parametrize("slot", ["derived", "simple"])
+def test_jacobi_check_catches_a_flipped_constant(name, slot):
+    sc = structure_constants(datum(name))
+    if slot == "derived":
+        pick = lambda a, b: sum(a) > 1 and sum(b) > 1
+    else:
+        pick = lambda a, b: sum(a) == 1
+    with pytest.raises(IntegrityError):
+        verify_jacobi(_flipped(sc, pick))
 
 
 def test_resource_guard():

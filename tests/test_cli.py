@@ -160,6 +160,26 @@ def test_cli_as_subprocess(tmp_path):
     assert bad.returncode == 2  # argparse: missing --weight
 
 
+def test_verify_runs_without_numpy_or_scipy(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["verify", "--type", "G2", "--rep", "adjoint", "--cache-dir", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-m", "fghodge", *argv],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and out.stdout.startswith("PASS")
+    probe = ("import sys; from fghodge.cli import main; code = main(sys.argv[1:]); "
+             "print(sorted({'numpy', 'scipy'} & set(sys.modules))); sys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", probe, *argv],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_cache_dir_env_var(tmp_path, monkeypatch):
     from fghodge.cache import default_cache_dir
 
