@@ -39,6 +39,7 @@ from .grading import (
     hodge_from_partition,
     hodge_numbers,
     partition_from_grading,
+    principal_grading,
     rho_grading,
     tensor_grading,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "hodge_from_partition",
     "hodge_numbers",
     "partition_from_grading",
+    "principal_grading",
     "rho_grading",
     "tensor_grading",
     "BettiTable",

@@ -146,10 +146,3 @@ def irrep_character(datum: RootDatum, lam) -> Character:
 def adjoint_weight(datum: RootDatum) -> Coords:
     """Highest weight of the adjoint representation (theta in weight coordinates)."""
     return datum.weight_of_root(datum.theta)
-
-
-def character_from_payload(datum: RootDatum, highest, entries) -> Character:
-    """Rebuild a Character from serialized (weight, multiplicity) pairs."""
-    highest = datum.check_weight(highest)
-    mult = {datum.check_weight(w): int(m) for w, m in entries}
-    return Character(datum=datum, highest=highest, mult=mult)

@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import chevalley, connection, grading, kkp
-from .cache import cached_character
-from .character import weyl_dimension
+from .character import adjoint_weight, weyl_dimension
 from .errors import (
     ConfigurationError,
     FghodgeError,
@@ -27,9 +26,9 @@ from .grading import (
     HodgeTable,
     distinct_blocks,
     partition_from_grading,
-    rho_grading,
+    principal_grading,
 )
-from .rootdatum import RootDatum, SimpleType, build_root_datum
+from .rootdatum import RootDatum, SimpleType, build_root_datum, check_size
 
 DEFAULT_MAX_DIM = 10**6
 
@@ -63,10 +62,6 @@ def _guard_dim(datum: RootDatum, lam, max_dim: int) -> int:
     return dim
 
 
-def _character(datum, lam, args):
-    return cached_character(datum, lam, cache_dir=args.cache_dir)
-
-
 def _alpha_str(k: int) -> str:
     return str(Fraction(k, 2))
 
@@ -82,8 +77,7 @@ def cmd_hodge(args) -> int:
     datum = _parse_type(args.type)
     lam = _parse_weight(datum, args.weight)
     _guard_dim(datum, lam, args.max_dim)
-    g = rho_grading(_character(datum, lam, args))
-    table = HodgeTable(dims=g.dims, dim=g.total)
+    table = grading.hodge_numbers(datum, lam)
     if args.json:
         print(json.dumps(table.to_json_dict(str(datum.stype), lam), separators=(",", ":")))
     else:
@@ -95,7 +89,7 @@ def cmd_jordan(args) -> int:
     datum = _parse_type(args.type)
     lam = _parse_weight(datum, args.weight)
     _guard_dim(datum, lam, args.max_dim)
-    part = partition_from_grading(rho_grading(_character(datum, lam, args)))
+    part = partition_from_grading(principal_grading(datum, lam))
     payload = {
         "type": str(datum.stype),
         "weight": list(lam),
@@ -111,12 +105,8 @@ def cmd_jordan(args) -> int:
 
 def cmd_exponents(args) -> int:
     datum = _parse_type(args.type)
-    # go through the disk cache: the adjoint character is the slow step once
-    from .character import adjoint_weight
-
-    char = _character(datum, adjoint_weight(datum), args)
-    part = partition_from_grading(rho_grading(char))
-    exps = sorted((b - 1) // 2 for b in part.blocks)
+    _guard_dim(datum, adjoint_weight(datum), args.max_dim)
+    exps = grading.exponents(datum)
     if args.json:
         print(json.dumps({"type": str(datum.stype), "exponents": exps}, separators=(",", ":")))
     else:
@@ -126,6 +116,10 @@ def cmd_exponents(args) -> int:
 
 def cmd_verify(args) -> int:
     datum = _parse_type(args.type)
+    if args.rep == "adjoint":
+        _guard_dim(datum, adjoint_weight(datum), args.max_dim)
+    elif datum.stype.family in "ABCD":  # the standard representation is V(omega_1)
+        _guard_dim(datum, (1,) + (0,) * (datum.rank - 1), args.max_dim)
     rep = chevalley.get_rep(datum, args.rep)
     triple = chevalley.principal_triple(rep)
     a, b = connection.rmodule_pair(triple, datum.coxeter)
@@ -151,6 +145,7 @@ def cmd_verify(args) -> int:
 def cmd_kkp(args) -> int:
     datum = _parse_type(args.type)
     case = kkp.minuscule_case(datum, args.node)
+    _guard_dim(datum, case.lam, args.max_dim)  # the Weyl orbit has dim V weights
     verdict = kkp.kkp_check(case)
     payload = {
         "type": str(datum.stype),
@@ -198,13 +193,15 @@ def _dominant_weights_up_to(datum: RootDatum, max_dim: int):
 def cmd_sweep(args) -> int:
     """Sum rule + grading/partition roundtrip over every small case, plus the
     minuscule mirror checks and the classical functoriality identities."""
+    if args.max_rank >= 2:  # B_r has the most positive roots of the swept rank-r types
+        check_size(SimpleType("B", args.max_rank))
     failures = []
     checked = 0
     for stype in _sweep_types(args.max_rank):
         datum = build_root_datum(stype)
         for lam in _dominant_weights_up_to(datum, args.max_dim):
             checked += 1
-            g = rho_grading(_character(datum, lam, args))
+            g = principal_grading(datum, lam)
             ok_sum = g.total == weyl_dimension(datum, lam)
             part = partition_from_grading(g)
             ok_round = grading.hodge_from_partition(part).dims == g.dims
@@ -250,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
                        help="resource guard on dim V (default 10^6)")
-        p.add_argument("--cache-dir", default=None, help="character cache directory")
+        # accepted and ignored (nothing is cached on disk), so scripts passing it still run
+        p.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
 
     p = sub.add_parser("hodge", help="irregular Hodge table of (type, weight)")
     common(p, weight=True)
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="aggregate checks over all small types and weights")
     p.add_argument("--max-rank", type=int, default=4)
     p.add_argument("--max-dim", type=int, default=200)
-    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep)
     return parser
 

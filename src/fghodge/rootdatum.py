@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigurationError, IntegrityError, UsageError
+from .errors import ConfigurationError, IntegrityError, ResourceLimitError, UsageError
 
 Coords = tuple[int, ...]
 
@@ -63,6 +63,20 @@ _COXETER = {
     "F": lambda n: 12,
     "G": lambda n: 6,
 }
+
+# Largest |Phi^+| = n h / 2 that build_root_datum accepts; the reflection
+# closure and every later layer grow with it, and a parsed rank is unbounded.
+# The largest types in the tests and the benchmark (A15, D12) have <= 132.
+MAX_POSITIVE_ROOTS = 500
+
+
+def check_size(stype: "SimpleType") -> None:
+    """Refuse a type with more than MAX_POSITIVE_ROOTS positive roots."""
+    count = _POSITIVE_COUNT[stype.family](stype.rank)
+    if count > MAX_POSITIVE_ROOTS:
+        raise ResourceLimitError(
+            f"{stype} has {count} positive roots, above the guard of {MAX_POSITIVE_ROOTS}"
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -251,7 +265,9 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     Positive roots come from the reflection closure of the simple roots;
     the invariants (root count, height(theta)+1 = h, <theta, rho^vee> = h-1)
     are asserted against the classical closed forms before returning.
+    Types above MAX_POSITIVE_ROOTS raise ResourceLimitError before any work.
     """
+    check_size(stype)
     n = stype.rank
     cartan = _cartan_matrix(stype)
     halfnorms = _symmetrizer(cartan)

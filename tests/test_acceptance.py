@@ -18,6 +18,7 @@ from fghodge.chevalley import (
     jordan_type,
     principal_triple,
 )
+from fghodge.cli import _dominant_weights_up_to
 from fghodge.connection import (
     LaurentMatrix,
     integrability_residual,
@@ -128,23 +129,6 @@ def test_criterion_03_exponents():
 
 def _rank6_types():
     return [t for t in ALL_TYPES_RANK8 if int(t[1:]) <= 6]
-
-
-def _dominant_weights_up_to(d, max_dim):
-    found, seen, frontier = [], {(0,) * d.rank}, [(0,) * d.rank]
-    while frontier:
-        nxt = []
-        for lam in frontier:
-            if weyl_dimension(d, lam) > max_dim:
-                continue
-            found.append(lam)
-            for i in range(d.rank):
-                up = tuple(c + (1 if j == i else 0) for j, c in enumerate(lam))
-                if up not in seen:
-                    seen.add(up)
-                    nxt.append(up)
-        frontier = nxt
-    return sorted(found)
 
 
 def test_criterion_04_sum_rule_sweep():

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
-from fghodge.cache import cache_key, cached_character, load_character, store_character
+import pytest
+
+from fghodge import rootdatum
 from fghodge.character import irrep_character
 from fghodge.cli import main
 
 from conftest import datum
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -108,46 +117,78 @@ def test_sweep_small(capsys):
     assert "FAIL" not in out
 
 
-def test_cache_roundtrip(tmp_path):
-    d = datum("B3")
-    lam = (0, 0, 1)
-    char = irrep_character(d, lam)
-    store_character(char, tmp_path)
-    loaded = load_character(d, lam, tmp_path)
-    assert loaded is not None and loaded.mult == char.mult
-    assert cache_key(d, lam) == "B:3:0,0,1"
-    # version mismatch invalidates
-    path = tmp_path / "B_3_0,0,1.json"
-    payload = json.loads(path.read_text())
-    payload["version"] = 999
-    path.write_text(json.dumps(payload))
-    assert load_character(d, lam, tmp_path) is None
-    assert cached_character(d, lam, tmp_path).mult == char.mult  # recomputed + restored
-
-
-def test_cache_cold_vs_warm_identical(capsys, tmp_path):
-    args = ["hodge", "--type", "D4", "--weight", "0,0,0,1", "--json",
-            "--cache-dir", str(tmp_path)]
+def test_two_runs_are_byte_identical(capsys, tmp_path):
+    # --cache-dir is accepted for compatibility and ignored
+    args = ["hodge", "--type", "D4", "--weight", "0,0,0,1", "--json"]
     code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args, "--cache-dir", str(tmp_path))
     assert code1 == code2 == 0
     assert out1 == out2
-    assert any(tmp_path.iterdir())  # the cache file exists and was reused
+    assert not any(tmp_path.iterdir())
 
 
-def test_corrupt_cache_entry_is_ignored(tmp_path):
-    d = datum("A2")
-    (tmp_path / "A_2_1,0.json").write_text("{not json")
-    char = cached_character(d, (1, 0), tmp_path)
-    assert char.dim == 3
+def test_poisoned_cache_file_is_never_read(capsys, tmp_path, monkeypatch):
+    # A well-formed character file with the zero-weight multiplicity of the
+    # A2 adjoint changed from 2 to 3, in both places a disk cache could look.
+    mult = dict(irrep_character(datum("A2"), (1, 1)).mult)
+    mult[(0, 0)] = 3
+    entry = {"version": 1, "key": "A:2:1,1", "highest": [1, 1],
+             "mult": [[list(w), m] for w, m in sorted(mult.items())]}
+    for sub in ("flag", "env"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "A_2_1,1.json").write_text(json.dumps(entry))
+    monkeypatch.setenv("FGHODGE_CACHE_DIR", str(tmp_path / "env"))
+    for extra in ([], ["--cache-dir", str(tmp_path / "flag")]):
+        code, out, _ = run(capsys, "hodge", "--type", "A2", "--weight", "1,1", *extra)
+        assert code == 0 and out.splitlines()[0].endswith("dim 8")
+        code, out, _ = run(capsys, "jordan", "--type", "A2", "--weight", "1,1", *extra)
+        assert code == 0 and out.strip() == "5 3"
 
 
-def test_cli_as_subprocess(tmp_path):
-    import os
-    import subprocess
-    import sys
+def test_cli_writes_nothing_under_home(tmp_path):
+    home, xdg = tmp_path / "home", tmp_path / "xdg"
+    home.mkdir()
+    xdg.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "FGHODGE_CACHE_DIR"}
+    env.update(HOME=str(home), XDG_CACHE_HOME=str(xdg), PYTHONPATH=SRC)
+    for argv in (["hodge", "--type", "A2", "--weight", "1,1"], ["sweep", "--max-rank", "2"]):
+        out = subprocess.run([sys.executable, "-m", "fghodge", *argv],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+    assert list(home.iterdir()) == [] and list(xdg.iterdir()) == []
 
-    env = {**os.environ, "FGHODGE_CACHE_DIR": str(tmp_path)}
+
+@pytest.mark.parametrize("argv,dim", [
+    (["exponents", "--type", "E8"], 248),
+    (["verify", "--type", "B3", "--rep", "adjoint"], 21),
+    (["verify", "--type", "B3", "--rep", "std"], 7),
+    (["kkp", "--type", "A5", "--node", "3"], 20),
+])
+def test_max_dim_guards_every_subcommand(capsys, argv, dim):
+    code, out, err = run(capsys, *argv, "--max-dim", str(dim - 1))
+    assert code == 3 and out == "" and "max-dim" in err
+    code, out, _ = run(capsys, *argv, "--max-dim", str(dim))
+    assert code == 0 and out
+
+
+def test_rank_guard_refuses_huge_types_before_building(capsys, monkeypatch):
+    real = rootdatum._cartan_matrix
+
+    def small_only(stype):
+        if stype.rank > 64:
+            raise AssertionError(f"built {stype}")
+        return real(stype)
+
+    monkeypatch.setattr(rootdatum, "_cartan_matrix", small_only)
+    for argv in (["exponents", "--type", "A100000"], ["sweep", "--max-rank", "100000"]):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "positive roots" in err
+        assert time.monotonic() - t0 < 1.0
+
+
+def test_cli_as_subprocess():
+    env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run(
         [sys.executable, "-m", "fghodge.cli", "exponents", "--type", "F4"],
         capture_output=True, text=True, env=env,
@@ -161,13 +202,7 @@ def test_cli_as_subprocess(tmp_path):
 
 
 def test_verify_runs_without_numpy_or_scipy(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     argv = ["verify", "--type", "G2", "--rep", "adjoint", "--cache-dir", str(tmp_path)]
     out = subprocess.run([sys.executable, "-m", "fghodge", *argv],
                          capture_output=True, text=True, env=env)
@@ -179,12 +214,3 @@ def test_verify_runs_without_numpy_or_scipy(tmp_path):
     assert out.returncode == 0
     assert out.stdout.splitlines()[-1] == "[]"
 
-
-def test_cache_dir_env_var(tmp_path, monkeypatch):
-    from fghodge.cache import default_cache_dir
-
-    monkeypatch.setenv("FGHODGE_CACHE_DIR", str(tmp_path / "boxes"))
-    assert default_cache_dir() == tmp_path / "boxes"
-    monkeypatch.delenv("FGHODGE_CACHE_DIR")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    assert default_cache_dir() == tmp_path / "xdg" / "fghodge"

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fghodge import grading
 from fghodge.character import adjoint_weight, irrep_character, weyl_dimension
+from fghodge.cli import _dominant_weights_up_to
 from fghodge.errors import IntegrityError
 from fghodge.grading import (
     HodgeTable,
@@ -18,6 +20,7 @@ from fghodge.grading import (
     hodge_from_partition,
     hodge_numbers,
     partition_from_grading,
+    principal_grading,
     product_character_grading,
     rho_grading,
     tensor_grading,
@@ -66,6 +69,40 @@ def e8_adjoint_table() -> dict[int, int]:
         for k in range(-2 * m, 2 * m + 1, 2):
             table[k] = table.get(k, 0) + 1
     return table
+
+
+RANK4_TYPES = [t for t in ALL_TYPES_RANK8 if int(t[1:]) <= 4]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(name=st.sampled_from(RANK4_TYPES), data=st.data())
+def test_principal_grading_matches_freudenthal(name, data):
+    d = datum(name)
+    lam = data.draw(st.sampled_from(_dominant_weights_up_to(d, 300)))
+    assert principal_grading(d, lam).dims == rho_grading(irrep_character(d, lam)).dims
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("E8", (0, 0, 0, 0, 0, 0, 0, 1)),  # adjoint
+    ("E8", (0, 1, 0, 0, 0, 0, 0, 0)),
+    ("E7", (0, 0, 0, 0, 0, 0, 1)),
+    ("E6", (1, 0, 0, 0, 0, 0)),
+    ("B4", (1, 2, 0, 1)),
+    ("G2", (3, 1)),
+    ("A5", (2, 0, 1, 0, 3)),
+])
+def test_principal_grading_anchors(name, lam):
+    d = datum(name)
+    g = principal_grading(d, lam)
+    assert g.dims == rho_grading(irrep_character(d, lam)).dims
+    assert g.total == weyl_dimension(d, lam)
+
+
+def test_principal_grading_checks_the_weyl_dimension(monkeypatch):
+    real = grading.weyl_dimension
+    monkeypatch.setattr(grading, "weyl_dimension", lambda d, lam: real(d, lam) + 1)
+    with pytest.raises(IntegrityError):
+        principal_grading(datum("B3"), (0, 1, 1))
 
 
 def test_rho_grading_basics():

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fghodge.errors import ConfigurationError, UsageError
-from fghodge.rootdatum import SimpleType, pair, weyl_orbit
+from fghodge.errors import ConfigurationError, ResourceLimitError, UsageError
+from fghodge.rootdatum import (
+    SimpleType,
+    build_root_datum,
+    check_size,
+    pair,
+    weyl_orbit,
+)
 
 from conftest import ALL_TYPES_RANK8, SMALL_TYPES, datum, fw
 
@@ -115,6 +121,18 @@ def test_type_parsing_and_constraints():
         SimpleType.parse("A")
     with pytest.raises(ConfigurationError):
         SimpleType.parse("8A")
+
+
+def test_size_guard_bound():
+    # B22 (484 positive roots) is the largest B type under the guard; the
+    # largest types the tests and the benchmark build are A15 and D12.
+    for name in ("B22", "A31", "A15", "D12", "E8"):
+        check_size(SimpleType.parse(name))
+    for name in ("B23", "A32", "D100000"):
+        with pytest.raises(ResourceLimitError):
+            check_size(SimpleType.parse(name))
+    with pytest.raises(ResourceLimitError):
+        build_root_datum(SimpleType("A", 10**6))
 
 
 def test_pair_examples():
