@@ -16,7 +16,6 @@ from .chevalley import (
 )
 from .connection import (
     LaurentMatrix,
-    LaurentPoly,
     fg_matrix,
     integrability_residual,
     rmodule_pair,
@@ -68,7 +67,6 @@ __all__ = [
     "principal_triple",
     "structure_constants",
     "LaurentMatrix",
-    "LaurentPoly",
     "fg_matrix",
     "integrability_residual",
     "rmodule_pair",

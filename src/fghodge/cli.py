@@ -195,10 +195,21 @@ def cmd_sweep(args) -> int:
     minuscule mirror checks and the classical functoriality identities."""
     if args.max_rank >= 2:  # B_r has the most positive roots of the swept rank-r types
         check_size(SimpleType("B", args.max_rank))
-    failures = []
-    checked = 0
+    swept = []
     for stype in _sweep_types(args.max_rank):
         datum = build_root_datum(stype)
+        cases = kkp.all_minuscule_cases(datum)
+        for case in cases:  # each KKP check walks a Weyl orbit of dim V weights
+            dim = weyl_dimension(datum, case.lam)
+            if dim > DEFAULT_MAX_DIM:
+                raise ResourceLimitError(
+                    f"the kkp check of {stype} node {case.node} walks {dim} weights, "
+                    f"over the kkp limit of {DEFAULT_MAX_DIM}; lower --max-rank"
+                )
+        swept.append((stype, datum, cases))
+    failures = []
+    checked = 0
+    for stype, datum, cases in swept:
         for lam in _dominant_weights_up_to(datum, args.max_dim):
             checked += 1
             g = principal_grading(datum, lam)
@@ -209,12 +220,12 @@ def cmd_sweep(args) -> int:
             if not (ok_sum and ok_round):
                 failures.append((str(stype), lam))
             print(f"{status} {stype} weight {','.join(map(str, lam))} dim {g.total}")
-        for node in kkp.minuscule_nodes(datum):
+        for case in cases:
             checked += 1
-            verdict = kkp.kkp_check(kkp.minuscule_case(datum, node))
+            verdict = kkp.kkp_check(case)
             if not verdict.passed:
-                failures.append((str(stype), f"kkp node {node}"))
-            print(f"{'ok' if verdict.passed else 'FAIL'} {stype} kkp node {node}")
+                failures.append((str(stype), f"kkp node {case.node}"))
+            print(f"{'ok' if verdict.passed else 'FAIL'} {stype} kkp node {case.node}")
     for n in range(2, args.max_rank):
         checked += 1
         verdict = grading.functoriality_check("so_pair", n)

@@ -1,5 +1,11 @@
 """The rigid irregular connection matrix and its two-variable extension.
 
+Connection coefficients are matrix-valued Laurent polynomials in t and z.
+A LaurentMatrix stores one exact scalar SparseMatrix per monomial t^a z^b
+and never stores a zero coefficient.  Sums, scalings and derivatives act
+on each coefficient; a product adds exponents and multiplies coefficients
+with SparseMatrix's matmul.
+
 fg_matrix returns the dt/t-coefficient A(t) = N/t + E of the connection
 d + (N + E t) dt/t on the trivial bundle over the punctured line; for the
 standard A_n representation this is exactly the classical Bessel matrix
@@ -12,7 +18,7 @@ rmodule_pair returns the coefficient pair of the two-variable connection
 namely A = (N + tE)/(tz) and B = -h (N + tE)/z^2 + RHO/z, with h the
 Coxeter number.  Flatness is the algebraic identity dA/dz - dB/dt = [A, B],
 certified by integrability_residual returning the zero matrix; derivatives
-are formal on Laurent exponents and every product is canonicalized, so
+are formal on Laurent exponents and every coefficient is canonical, so
 "is zero" is a structural test on exact rationals.
 """
 
@@ -29,136 +35,49 @@ Q = Fraction
 Monomial = tuple[int, int]  # (t-exponent, z-exponent)
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Bivariate Laurent polynomial in t and z with exact rational coefficients."""
-
-    coeffs: dict[Monomial, Q] = field(default_factory=dict)
-
-    @classmethod
-    def make(cls, coeffs) -> "LaurentPoly":
-        clean = {}
-        for mono, c in dict(coeffs).items():
-            c = Q(c)
-            if c != 0:
-                clean[(int(mono[0]), int(mono[1]))] = c
-        return cls(clean)
-
-    @classmethod
-    def term(cls, c, dt: int = 0, dz: int = 0) -> "LaurentPoly":
-        return cls.make({(dt, dz): c})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = out.get(mono, 0) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[Monomial, Q] = {}
-        for (t1, z1), c1 in self.coeffs.items():
-            for (t2, z2), c2 in other.coeffs.items():
-                mono = (t1 + t2, z1 + z2)
-                s = out.get(mono, 0) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return LaurentPoly(out)
-
-    def scale(self, c) -> "LaurentPoly":
-        c = Q(c)
-        if c == 0:
-            return LaurentPoly({})
-        return LaurentPoly({m: v * c for m, v in self.coeffs.items()})
-
-    def d_t(self) -> "LaurentPoly":
-        return LaurentPoly({(a - 1, b): c * a for (a, b), c in self.coeffs.items() if a != 0})
-
-    def d_z(self) -> "LaurentPoly":
-        return LaurentPoly({(a, b - 1): c * b for (a, b), c in self.coeffs.items() if b != 0})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.coeffs):
-            c = self.coeffs[(a, b)]
-            factors = [str(c)]
-            if a:
-                factors.append(f"t^{a}" if a != 1 else "t")
-            if b:
-                factors.append(f"z^{b}" if b != 1 else "z")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+def _accumulate(out: dict[Monomial, SparseMatrix], mono: Monomial, m: SparseMatrix) -> None:
+    s = out[mono] + m if mono in out else m
+    if s.is_zero():
+        out.pop(mono, None)
+    else:
+        out[mono] = s
 
 
-_ZERO = LaurentPoly({})
+def _term(c, a: int, b: int) -> str:
+    factors = [str(c)]
+    if a:
+        factors.append(f"t^{a}" if a != 1 else "t")
+    if b:
+        factors.append(f"z^{b}" if b != 1 else "z")
+    return "*".join(factors)
 
 
 @dataclass(frozen=True)
 class LaurentMatrix:
-    """Square matrix of Laurent polynomials; zero entries are never stored."""
+    """Square matrix-valued Laurent polynomial: sum of t^a z^b * coeffs[(a, b)]."""
 
     dim: int
-    entries: dict[tuple[int, int], LaurentPoly] = field(repr=False)
+    coeffs: dict[Monomial, SparseMatrix] = field(repr=False)
 
     @classmethod
     def zero(cls, dim: int) -> "LaurentMatrix":
         return cls(dim, {})
 
     @classmethod
-    def build(cls, dim: int, entries) -> "LaurentMatrix":
-        clean = {}
-        for (r, c), p in dict(entries).items():
-            if not isinstance(p, LaurentPoly):
-                p = LaurentPoly.make(p)
-            if not p.is_zero():
-                clean[(r, c)] = p
-        return cls(dim, clean)
-
-    @classmethod
     def from_scalar_matrix(cls, m: SparseMatrix, dt: int = 0, dz: int = 0,
                            factor=1) -> "LaurentMatrix":
         """Lift an exact scalar matrix to factor * t^dt z^dz * m."""
-        return cls.build(
-            m.dim,
-            {(r, c): LaurentPoly.term(Q(factor) * Q(v), dt, dz) for (r, c), v in m.entries.items()},
-        )
-
-    def get(self, r: int, c: int) -> LaurentPoly:
-        return self.entries.get((r, c), _ZERO)
+        m = m.scale(Q(factor))
+        return cls(m.dim, {} if m.is_zero() else {(dt, dz): m})
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.coeffs
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._match(other)
-        out = dict(self.entries)
-        for k, p in other.entries.items():
-            s = out.get(k, _ZERO) + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+        out = dict(self.coeffs)
+        for mono, m in other.coeffs.items():
+            _accumulate(out, mono, m)
         return LaurentMatrix(self.dim, out)
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
@@ -167,51 +86,42 @@ class LaurentMatrix:
     def scale(self, c) -> "LaurentMatrix":
         if c == 0:
             return LaurentMatrix.zero(self.dim)
-        return LaurentMatrix(self.dim, {k: p.scale(c) for k, p in self.entries.items()})
+        return LaurentMatrix(self.dim, {mono: m.scale(c) for mono, m in self.coeffs.items()})
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._match(other)
-        rows_b: dict[int, list[tuple[int, LaurentPoly]]] = {}
-        for (r, c), p in other.entries.items():
-            rows_b.setdefault(r, []).append((c, p))
-        out: dict[tuple[int, int], LaurentPoly] = {}
-        for (r, k), pa in self.entries.items():
-            row = rows_b.get(k)
-            if row is None:
-                continue
-            for c, pb in row:
-                key = (r, c)
-                s = out.get(key, _ZERO) + pa * pb
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+        out: dict[Monomial, SparseMatrix] = {}
+        for (t1, z1), m1 in self.coeffs.items():
+            for (t2, z2), m2 in other.coeffs.items():
+                _accumulate(out, (t1 + t2, z1 + z2), m1 @ m2)
         return LaurentMatrix(self.dim, out)
 
     def commutator(self, other: "LaurentMatrix") -> "LaurentMatrix":
         return (self @ other) - (other @ self)
 
     def d_t(self) -> "LaurentMatrix":
-        return LaurentMatrix.build(self.dim, {k: p.d_t() for k, p in self.entries.items()})
+        return LaurentMatrix(self.dim, {(a - 1, b): m.scale(a)
+                                        for (a, b), m in self.coeffs.items() if a != 0})
 
     def d_z(self) -> "LaurentMatrix":
-        return LaurentMatrix.build(self.dim, {k: p.d_z() for k, p in self.entries.items()})
+        return LaurentMatrix(self.dim, {(a, b - 1): m.scale(b)
+                                        for (a, b), m in self.coeffs.items() if b != 0})
 
     def first_nonzero(self):
-        """(row, col, poly) of the first nonzero entry in row-major order."""
+        """(row, col, text) of the first nonzero entry in row-major order.
+
+        text lists the entry's terms sorted by (t, z) exponents, each written
+        c*t^a*z^b with unit exponents bare and zero exponents dropped.
+        """
         if self.is_zero():
             return None
-        r, c = min(self.entries)
-        return r, c, self.entries[(r, c)]
+        r, c = min(k for m in self.coeffs.values() for k in m.entries)
+        entry = {mono: m.get(r, c) for mono, m in sorted(self.coeffs.items())}
+        return r, c, " + ".join(_term(v, *mono) for mono, v in entry.items() if v != 0)
 
     def _match(self, other: "LaurentMatrix") -> None:
         if self.dim != other.dim:
             raise UsageError("matrix dimensions differ")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
 
 
 def fg_matrix(triple: PrincipalTriple) -> LaurentMatrix:

@@ -8,10 +8,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fghodge import rootdatum
+from fghodge import connection, kkp, rootdatum
 from fghodge.character import irrep_character
-from fghodge.cli import main
+from fghodge.cli import DEFAULT_MAX_DIM, main
 
 from conftest import datum
 
@@ -92,6 +94,23 @@ def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--type", "C2", "--rep", "std", "--json")
     payload = json.loads(out)
     assert payload == {"type": "C2", "rep": "std", "pass": True, "residual_entry": None}
+
+
+def test_verify_fail_output(capsys, monkeypatch):
+    # Without RHO/z in B the A1 std residual is -N/(t z^2) + E/z^2.
+    real = connection.rmodule_pair
+
+    def drop_rho(triple, h):
+        a, b = real(triple, h)
+        return a, b - connection.LaurentMatrix.from_scalar_matrix(triple.RHO, dz=-1)
+
+    monkeypatch.setattr(connection, "rmodule_pair", drop_rho)
+    code, out, err = run(capsys, "verify", "--type", "A1", "--rep", "std")
+    assert (code, out, err) == (1, "FAIL A1 std: residual[0][1] = 1*z^-2\n", "")
+    code, out, err = run(capsys, "verify", "--type", "A1", "--rep", "std", "--json")
+    assert code == 1 and err == ""
+    assert out == ('{"type":"A1","rep":"std","pass":false,'
+                   '"residual_entry":{"row":0,"col":1,"poly":"1*z^-2"}}\n')
 
 
 def test_verify_rejects_std_for_exceptional(capsys):
@@ -185,6 +204,55 @@ def test_rank_guard_refuses_huge_types_before_building(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and "positive roots" in err
         assert time.monotonic() - t0 < 1.0
+
+
+def test_sweep_guards_every_kkp_orbit_before_building_one(capsys, monkeypatch):
+    def no_orbit(datum, lam):
+        raise AssertionError(f"built the Weyl orbit of {datum.stype} {lam}")
+
+    monkeypatch.setattr(kkp, "weyl_orbit", no_orbit)
+    # B20 spin has 2^20 > 10^6 weights: refused before anything is printed
+    code, out, err = run(capsys, "sweep", "--max-rank", "20")
+    assert code == 3 and out == "" and "B20 node 20" in err and str(DEFAULT_MAX_DIM) in err
+    # B19 spin has 2^19 weights: the guard passes and the sweep reaches its first orbit
+    with pytest.raises(AssertionError, match="Weyl orbit of A1"):
+        main(["sweep", "--max-rank", "19", "--max-dim", "1"])
+
+
+MALFORMED = ["", "1,,2", "1e3", "-1", "0,-2", "A0", "E9", "X3", "A" + "1" * 30, "x"]
+RANK4_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+               "D3", "D4", "F4", "G2"]
+
+
+@st.composite
+def argvs(draw):
+    def token(valid):  # one slot in five gets a malformed token
+        return draw(st.sampled_from(MALFORMED)) if draw(st.integers(0, 4)) == 4 else draw(valid)
+
+    command = draw(st.sampled_from(["hodge", "jordan", "exponents", "verify", "kkp", "sweep"]))
+    if command == "sweep":
+        argv = [command, "--max-rank", token(st.sampled_from(["1", "2", "3"]))]
+    else:
+        argv = [command, "--type", token(st.sampled_from(RANK4_TYPES))]
+    if command in ("hodge", "jordan"):
+        rank = int(argv[2][1:]) if argv[2] in RANK4_TYPES else 2
+        coords = st.lists(st.integers(0, 2).map(str), min_size=rank, max_size=rank)
+        argv += ["--weight", token(coords.map(",".join))]
+    if command == "verify":
+        argv += ["--rep", draw(st.sampled_from(["adjoint", "std", "spin"]))]
+    if command == "kkp":
+        argv += ["--node", token(st.sampled_from(["1", "2", "4", "0", "9"]))]
+    argv += ["--max-dim", token(st.sampled_from(["1", "7", "30", "60", "300"]))]
+    if command != "sweep" and draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    # argparse writes its own usage errors to stderr; nothing may escape main
+    assert main(argv) in (0, 1, 2, 3)
 
 
 def test_cli_as_subprocess():

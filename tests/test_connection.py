@@ -12,78 +12,81 @@ from fghodge.chevalley import (
 )
 from fghodge.connection import (
     LaurentMatrix,
-    LaurentPoly,
     fg_matrix,
     integrability_residual,
     rmodule_pair,
 )
 from fghodge.errors import UsageError
+from fghodge.linalg import SparseMatrix
 
 from conftest import datum
 
 
-def test_laurent_poly_arithmetic():
-    p = LaurentPoly.make({(1, 0): 2, (0, -1): Q(1, 2)})
-    q = LaurentPoly.make({(1, 0): -2})
-    assert (p + q).coeffs == {(0, -1): Q(1, 2)}
+def scalar(dim, entries, dt=0, dz=0):
+    return LaurentMatrix.from_scalar_matrix(SparseMatrix.from_entries(dim, entries), dt, dz)
+
+
+def test_laurent_matrix_arithmetic_acts_on_coefficients():
+    # p = 2t + (1/2) z^-1 as a 1x1 matrix
+    p = scalar(1, {(0, 0): 2}, dt=1) + scalar(1, {(0, 0): Q(1, 2)}, dz=-1)
+    one = SparseMatrix.from_entries(1, {(0, 0): 1})
+    assert (p + scalar(1, {(0, 0): -2}, dt=1)).coeffs == {(0, -1): one.scale(Q(1, 2))}
     assert (p - p).is_zero()
-    prod = p * p
-    assert prod.coeffs == {(2, 0): 4, (1, -1): 2, (0, -2): Q(1, 4)}
-    assert p.d_t().coeffs == {(0, 0): 2}
-    assert p.d_z().coeffs == {(0, -2): Q(-1, 2)}
-    assert str(LaurentPoly.make({(-1, 2): Q(3, 2)})) == "3/2*t^-1*z^2"
-    assert str(LaurentPoly.make({})) == "0"
+    assert (p @ p).coeffs == {(2, 0): one.scale(4), (1, -1): one.scale(2),
+                              (0, -2): one.scale(Q(1, 4))}
+    assert p.d_t().coeffs == {(0, 0): one.scale(2)}
+    assert p.d_z().coeffs == {(0, -2): one.scale(Q(-1, 2))}
+    assert p.scale(0).is_zero() and p.scale(2) == p + p
+    assert scalar(1, {(0, 0): Q(3, 2)}, dt=-1, dz=2).first_nonzero() == (0, 0, "3/2*t^-1*z^2")
+    assert p.first_nonzero() == (0, 0, "1/2*z^-1 + 2*t")
+    assert LaurentMatrix.zero(1).first_nonzero() is None
 
 
-def test_laurent_poly_canonical_no_zeros():
-    p = LaurentPoly.make({(0, 0): 1, (3, 3): 0})
-    assert (3, 3) not in p.coeffs
-    assert (p + LaurentPoly.make({(0, 0): -1})).coeffs == {}
+def test_laurent_matrix_never_stores_zero_coefficients():
+    assert scalar(2, {}, dt=3, dz=3).coeffs == {}
+    assert LaurentMatrix.from_scalar_matrix(SparseMatrix.diagonal([1, 2]), factor=0).is_zero()
+    a = scalar(2, {(0, 0): 1}) + scalar(2, {(1, 1): 1}, dt=3, dz=3)
+    assert (a - scalar(2, {(1, 1): 1}, dt=3, dz=3)).coeffs == {(0, 0): SparseMatrix.diagonal([1, 0])}
+    assert (a.d_t() + a.d_z()).coeffs.keys() == {(2, 3), (3, 2)}
 
 
 def test_laurent_matrix_ops():
-    a = LaurentMatrix.build(2, {(0, 1): {(0, 0): 1}})
-    b = LaurentMatrix.build(2, {(1, 0): {(0, 0): 1}})
-    prod = a @ b
-    assert prod.entries[(0, 0)].coeffs == {(0, 0): 1}
+    a = scalar(2, {(0, 1): 1})
+    b = scalar(2, {(1, 0): 1})
+    assert (a @ b).coeffs == {(0, 0): SparseMatrix.from_entries(2, {(0, 0): 1})}
     assert (a @ a).is_zero()
     assert a.commutator(a).is_zero()
     with pytest.raises(UsageError):
         a @ LaurentMatrix.zero(3)
+    with pytest.raises(UsageError):
+        a + LaurentMatrix.zero(3)
 
 
 def test_fg_matrix_is_the_bessel_matrix_for_a_n():
     # sub-diagonal 1/t entries and a bare 1 in the upper-right corner
     for n in (1, 2, 4):
         tr = principal_triple(classical_std_rep(datum(f"A{n}")))
-        a = fg_matrix(tr)
-        expect = {(i + 1, i): LaurentPoly.make({(-1, 0): 1}) for i in range(n)}
-        expect[(0, n)] = LaurentPoly.make({(0, 0): 1})
-        assert a.entries == expect
+        sub = SparseMatrix.from_entries(n + 1, {(i + 1, i): 1 for i in range(n)})
+        corner = SparseMatrix.from_entries(n + 1, {(0, n): 1})
+        assert fg_matrix(tr).coeffs == {(-1, 0): sub, (0, 0): corner}
 
 
 def test_fg_matrix_residue_is_n():
     tr = principal_triple(adjoint_rep(datum("B2")))
-    a = fg_matrix(tr)
-    # coefficient of t^-1 is exactly N
-    res = {k: p.coeffs.get((-1, 0), 0) for k, p in a.entries.items()}
-    res = {k: v for k, v in res.items() if v}
-    assert res == dict(tr.N.entries)
+    # coefficient of t^-1 is exactly N, of t^0 exactly E
+    assert fg_matrix(tr).coeffs == {(-1, 0): tr.N, (0, 0): tr.E}
 
 
 def test_rmodule_pair_a1_matrices():
     tr = principal_triple(classical_std_rep(datum("A1")))
     a, b = rmodule_pair(tr, 2)
-    assert a.entries == {
-        (0, 1): LaurentPoly.make({(0, -1): 1}),
-        (1, 0): LaurentPoly.make({(-1, -1): 1}),
-    }
-    # with RHO = diag(-1/2, 1/2), B = -2(N+tE)/z^2 + RHO/z entrywise:
-    assert b.entries == {
-        (0, 0): LaurentPoly.make({(0, -1): Q(-1, 2)}),
-        (1, 1): LaurentPoly.make({(0, -1): Q(1, 2)}),
-        (0, 1): LaurentPoly.make({(1, -2): -2}),
-        (1, 0): LaurentPoly.make({(0, -2): -2}),
+    assert a.coeffs == {(-1, -1): SparseMatrix.from_entries(2, {(1, 0): 1}),
+                        (0, -1): SparseMatrix.from_entries(2, {(0, 1): 1})}
+    # with RHO = diag(-1/2, 1/2), B = -2(N+tE)/z^2 + RHO/z:
+    assert b.coeffs == {
+        (0, -1): SparseMatrix.diagonal([Q(-1, 2), Q(1, 2)]),
+        (1, -2): SparseMatrix.from_entries(2, {(0, 1): -2}),
+        (0, -2): SparseMatrix.from_entries(2, {(1, 0): -2}),
     }
     assert integrability_residual(a, b).is_zero()
 
@@ -95,8 +98,6 @@ def test_rmodule_pair_rejects_wrong_coxeter():
 
 
 def test_rmodule_pair_rejects_zero_dimension():
-    from fghodge.linalg import SparseMatrix
-
     d = datum("A1")
     degenerate = PrincipalTriple(datum=d, dim=0, N=SparseMatrix.zero(0),
                                  RHO=SparseMatrix.zero(0), E=SparseMatrix.zero(0),
@@ -110,14 +111,8 @@ def test_b_coefficient_of_z_minus_2_is_minus_h_n_plus_te():
     d = datum("B2")
     tr = principal_triple(classical_std_rep(d))
     _, b = rmodule_pair(tr, d.coxeter)
-    z2_part = {}
-    for (r, c), poly in b.entries.items():
-        for (dt, dz), coeff in poly.coeffs.items():
-            if dz == -2:
-                z2_part.setdefault((r, c), {})[(dt, 0)] = coeff
-    expect = (LaurentMatrix.from_scalar_matrix(tr.N, factor=-d.coxeter)
-              + LaurentMatrix.from_scalar_matrix(tr.E, dt=1, factor=-d.coxeter))
-    assert LaurentMatrix.build(b.dim, z2_part) == expect
+    z2_part = {mono: m for mono, m in b.coeffs.items() if mono[1] == -2}
+    assert z2_part == {(0, -2): tr.N.scale(-d.coxeter), (1, -2): tr.E.scale(-d.coxeter)}
 
 
 def test_residual_zero_small_sweep():
@@ -154,8 +149,19 @@ def test_wrong_h_fault_is_nonzero():
              + LaurentMatrix.from_scalar_matrix(tr.RHO, dz=-1))
     res = integrability_residual(a, b_bad)
     assert not res.is_zero()
-    row, col, poly = res.first_nonzero()
-    assert poly.coeffs  # reportable entry
+    row, col, text = res.first_nonzero()
+    assert text  # reportable entry
+
+
+def test_first_nonzero_formats_a_two_term_entry():
+    # B + (3/7) t z^-1 E - (1/5) z^-2 N adds -(3/7) z^-2 [N,E] - (1/5) z^-3 [N,E]
+    # to the residual; on A1 std [N,E] = diag(-1, 1).
+    tr = principal_triple(classical_std_rep(datum("A1")))
+    a, b = rmodule_pair(tr, 2)
+    b_bad = (b + LaurentMatrix.from_scalar_matrix(tr.E, dt=1, dz=-1, factor=Q(3, 7))
+             - LaurentMatrix.from_scalar_matrix(tr.N, dz=-2, factor=Q(1, 5)))
+    row, col, text = integrability_residual(a, b_bad).first_nonzero()
+    assert (row, col, str(text)) == (0, 0, "1/5*z^-3 + 3/7*z^-2")
 
 
 def test_scaling_e_leaves_residual_zero():

@@ -10,6 +10,7 @@ from fghodge import grading
 from fghodge.character import adjoint_weight, irrep_character, weyl_dimension
 from fghodge.cli import _dominant_weights_up_to
 from fghodge.errors import IntegrityError
+from fghodge.rootdatum import pair
 from fghodge.grading import (
     HodgeTable,
     JordanPartition,
@@ -74,12 +75,22 @@ def e8_adjoint_table() -> dict[int, int]:
 RANK4_TYPES = [t for t in ALL_TYPES_RANK8 if int(t[1:]) <= 4]
 
 
+def principal_string_levels(d, lam) -> list[int]:
+    # The principal sl2 string through the highest-weight vector has length
+    # L + 1, L = <lam, 2 rho^vee>, so every level -L, -L+2, ..., L is nonzero
+    # and the table length L + 1 is at most dim V.
+    top = pair(lam, d.two_rho_covector)
+    return list(range(-top, top + 1, 2))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(name=st.sampled_from(RANK4_TYPES), data=st.data())
 def test_principal_grading_matches_freudenthal(name, data):
     d = datum(name)
     lam = data.draw(st.sampled_from(_dominant_weights_up_to(d, 300)))
-    assert principal_grading(d, lam).dims == rho_grading(irrep_character(d, lam)).dims
+    g = principal_grading(d, lam)
+    assert g.dims == rho_grading(irrep_character(d, lam)).dims
+    assert sorted(g.dims) == principal_string_levels(d, lam)
 
 
 @pytest.mark.parametrize("name,lam", [
@@ -96,6 +107,7 @@ def test_principal_grading_anchors(name, lam):
     g = principal_grading(d, lam)
     assert g.dims == rho_grading(irrep_character(d, lam)).dims
     assert g.total == weyl_dimension(d, lam)
+    assert sorted(g.dims) == principal_string_levels(d, lam)
 
 
 def test_principal_grading_checks_the_weyl_dimension(monkeypatch):
