@@ -11,9 +11,9 @@ antisymmetry, the norm relation for zero-sum triples
     N_{x,y}/(z,z) = N_{y,z}/(x,x) = N_{z,x}/(y,y)      (x + y + z = 0),
 
 and one Jacobi identity against the extraspecial pair.  |N_{a,b}| = p+1 is
-enforced for every special pair, and at build time the adjoint action of
-each Chevalley generator e_i, f_i, h_i is checked to be a derivation, which
-implies the full Jacobi identity (see verify_jacobi).
+enforced for every special pair, and at build time the Chevalley involution
+(x_a -> -x_{-a}, h -> -h) is checked to preserve the bracket and each ad e_i
+to be a derivation, which implies the full Jacobi identity (see verify_jacobi).
 
 Matrix conventions for the principal triple (N, RHO, E):
 
@@ -27,6 +27,7 @@ brackets and the flatness of the two-variable connection all flip sign).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,15 +49,15 @@ _std_memo: dict = {}
 
 
 def _vadd(a: Coords, b: Coords) -> Coords:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _vsub(a: Coords, b: Coords) -> Coords:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _vneg(a: Coords) -> Coords:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 @dataclass(frozen=True)
@@ -84,14 +85,49 @@ class StructureConstants:
         gamma = s
         if sum(gamma) > 0:
             # triple (x, -mu, -gamma): N_{x,-mu} = (g,g)/(x,x) * N_{-mu,-g} = -(g,g)/(x,x) N_{mu,g}
-            val = Fraction(self.norm2[gamma] * -self.constant(mu, gamma), self.norm2[x])
+            num, den = self.norm2[gamma] * -self.constant(mu, gamma), self.norm2[x]
         else:
             # reduce to the previous case through N_{x,-mu} = N_{mu,-x}
             gp = _vneg(gamma)
-            val = Fraction(self.norm2[gp] * -self.constant(x, gp), self.norm2[mu])
-        if val.denominator != 1 or val == 0:
-            raise IntegrityError(f"N_{x},{y} = {val} is not a nonzero integer")
-        return int(val)
+            num, den = self.norm2[gp] * -self.constant(x, gp), self.norm2[mu]
+        val, rem = divmod(num, den)
+        if rem or val == 0:
+            raise IntegrityError(f"N_{x},{y} = {Fraction(num, den)} is not a nonzero integer")
+        return val
+
+    @functools.cached_property
+    def ad(self) -> dict[tuple, SparseMatrix]:
+        """ad(b) for every adjoint basis element b, in basis order.
+
+        The basis is ("root", r) for the positive roots by descending height,
+        then ("cartan", i), then the negative roots in the same order.  One
+        pass over ordered basis pairs writes [b_y, b_z] into column z of
+        ad(b_y), every root pair through constant().
+        """
+        datum = self.datum
+        ordered = sorted(datum.positive_roots, key=lambda r: (-sum(r), r))
+        basis = ([("root", r) for r in ordered] + [("cartan", i) for i in range(datum.rank)]
+                 + [("root", _vneg(r)) for r in ordered])
+        index = {b: i for i, b in enumerate(basis)}
+        wt = {r: datum.weight_of_root(r) for kind, r in basis if kind == "root"}
+        table = {}
+        for x in basis:
+            kind, xi = x
+            entries: dict[tuple[int, int], int] = {}
+            for col, (bkind, eta) in enumerate(basis):
+                if kind == "cartan":
+                    if bkind == "root":
+                        entries[(col, col)] = wt[eta][xi]
+                elif bkind == "cartan":  # [x_xi, h_j] = -<xi, alpha_j^vee> x_xi
+                    entries[(index[x], col)] = -wt[xi][eta]
+                elif not any(s := _vadd(xi, eta)):  # [x_xi, x_{-xi}] = xi^vee
+                    sign = 1 if sum(xi) > 0 else -1
+                    for j, c in enumerate(datum.coroot_of[xi if sign > 0 else eta]):
+                        entries[(index[("cartan", j)], col)] = sign * c
+                elif s in self.root_set:
+                    entries[(index[("root", s)], col)] = self.constant(xi, eta)
+            table[x] = SparseMatrix.from_entries(len(basis), entries)
+        return table
 
 
 def _special_pairs(datum: RootDatum, pos_index: dict[Coords, int], gamma: Coords):
@@ -184,79 +220,39 @@ def structure_constants(datum: RootDatum, max_rank: int = DEFAULT_MAX_RANK) -> S
     return sc
 
 
-# -- adjoint action ----------------------------------------------------------
-
-def _adjoint_basis(datum: RootDatum):
-    """Roots sorted by descending height then Cartan elements in the middle."""
-    positive = list(datum.positive_roots)
-    ordered = sorted(positive, key=lambda r: (-sum(r), r))
-    basis = [("root", r) for r in ordered]
-    basis += [("cartan", i) for i in range(datum.rank)]
-    basis += [("root", _vneg(r)) for r in ordered]
-    return basis
-
-
-def _ad_matrix(sc: StructureConstants, x) -> SparseMatrix:
-    """ad(x) on the adjoint basis; x is either ("root", xi) or ("cartan", i)."""
-    datum = sc.datum
-    basis = _adjoint_basis(datum)
-    index = {b: i for i, b in enumerate(basis)}
-    entries: dict[tuple[int, int], int] = {}
-    kind, payload = x
-    for col, b in enumerate(basis):
-        bkind, bpayload = b
-        if kind == "cartan":
-            i = payload
-            if bkind == "root":
-                k = sum(bpayload[j] * datum.cartan[j][i] for j in range(datum.rank))
-                entries[(col, col)] = k
-        else:
-            xi = payload
-            if bkind == "cartan":
-                # [x_xi, h_j] = -<xi, alpha_j^vee> x_xi
-                j = bpayload
-                k = sum(xi[t] * datum.cartan[t][j] for t in range(datum.rank))
-                entries[(index[("root", xi)], col)] = -k
-            else:
-                eta = bpayload
-                s = _vadd(xi, eta)
-                if all(c == 0 for c in s):
-                    # [x_xi, x_{-xi}] = xi^vee in the Cartan basis
-                    co = datum.coroot_of[xi if sum(xi) > 0 else _vneg(xi)]
-                    sign = 1 if sum(xi) > 0 else -1
-                    for j, c in enumerate(co):
-                        entries[(index[("cartan", j)], col)] = sign * c
-                elif s in sc.root_set:
-                    entries[(index[("root", s)], col)] = sc.constant(xi, eta)
-    return SparseMatrix.from_entries(len(basis), entries)
-
+# -- Jacobi check ------------------------------------------------------------
 
 def verify_jacobi(sc: StructureConstants) -> None:
-    """Jacobi check on the generators: ad e_i, ad f_i and ad h_i are derivations.
+    """Jacobi check: the Chevalley involution, then ad e_i as derivations.
 
-    Checks [ad g, ad y] = ad([g, y]) for each of the 3n Chevalley generators
-    g and every basis element y, reading [g, y] off column y of ad g:
-    ad([g, y]) = sum_k (ad g)[k, y] ad(b_k).  For a fixed g this says
-    exactly that ad g is a derivation of the bracket the constants define
-    (antisymmetric by construction).
+    omega(x_a) = -x_{-a}, omega(h) = -h.  First, each entry (k, z) = v of
+    ad(b_y) needs (omega k, omega z) = -v in ad(b_{omega y}), with as many
+    entries: omega is an automorphism of the bracket.  Mixed-sign constants
+    come from two different norm-relation evaluations in constant(), so this
+    is a real check.  Then [ad e_i, ad y] = ad([e_i, y]) for the n raising
+    generators and every basis element y, reading [e_i, y] off column y of
+    ad e_i: each ad e_i is a derivation.
 
-    That implies the full Jacobi identity.  The x with ad x a derivation
-    form a subspace closed under the bracket: for such x, ad [x, y] =
-    [ad x, ad y] is a commutator of derivations.  The generators generate
-    the whole algebra, because every x_gamma is [e_i, x_{gamma-alpha_i}] / N
-    or [f_i, x_{gamma+alpha_i}] / N with N != 0 (structure_constants
-    enforces |N| = p+1), and h_i = [e_i, f_i].  Entries are Python ints, so
-    the arithmetic is exact.
+    So are all 3n generators: ad f_i = -omega ad(e_i) omega^-1 is a
+    derivation conjugated by an automorphism, and ad h_i = [ad e_i, ad f_i]
+    (the y = f_i case).  The x with ad x a derivation form a subspace closed
+    under the bracket (ad [x, y] = [ad x, ad y]) and the generators generate
+    (each x_gamma is [e_i, x_{gamma-alpha_i}] / N or [f_i, x_{gamma+alpha_i}]
+    / N, |N| = p+1 != 0), so the full Jacobi identity holds.  The bracket is
+    antisymmetric by construction; all arithmetic is on Python ints.
     """
-    datum = sc.datum
-    basis = _adjoint_basis(datum)
+    basis = list(sc.ad)
+    ad = list(sc.ad.values())
     index = {b: i for i, b in enumerate(basis)}
-    ad = [_ad_matrix(sc, b) for b in basis]
-    generators = ([("root", a) for a in datum.simple_roots]
-                  + [("root", _vneg(a)) for a in datum.simple_roots]
-                  + [("cartan", i) for i in range(datum.rank)])
-    for g in generators:
-        ad_g = ad[index[g]]
+    omega = [index[("root", _vneg(p))] if kind == "root" else i
+             for i, (kind, p) in enumerate(basis)]
+    for y, ad_y in enumerate(ad):
+        mirror = ad[omega[y]].entries
+        if len(mirror) != ad_y.nnz or any(
+                mirror.get((omega[k], omega[z])) != -v for (k, z), v in ad_y.entries.items()):
+            raise IntegrityError(f"the Chevalley involution does not preserve ad {basis[y]}")
+    for a in sc.datum.simple_roots:
+        ad_g = sc.ad[("root", a)]
         column: dict[int, list[tuple[int, int]]] = {}
         for (k, y), v in ad_g.entries.items():
             column.setdefault(y, []).append((k, v))
@@ -265,7 +261,7 @@ def verify_jacobi(sc: StructureConstants) -> None:
             for k, v in column.get(y, ()):
                 bracket = bracket + ad[k].scale(v)
             if ad_g.commutator(ad_y) != bracket:
-                raise IntegrityError(f"Jacobi identity fails for {g}, {basis[y]}")
+                raise IntegrityError(f"Jacobi identity fails for {('root', a)}, {basis[y]}")
 
 
 # -- representation matrices --------------------------------------------------
@@ -353,20 +349,17 @@ def adjoint_rep(datum: RootDatum, max_rank: int = DEFAULT_MAX_RANK) -> RepMatric
     cached = _adjoint_memo.get(datum.stype)
     if cached is not None:
         return cached
-    sc = structure_constants(datum, max_rank=max_rank)
-    basis = _adjoint_basis(datum)
-    dim = len(basis)
+    ad = structure_constants(datum, max_rank=max_rank).ad
     zero = (0,) * datum.rank
     weights = tuple(
         datum.weight_of_root(payload) if kind == "root" else zero
-        for kind, payload in basis
+        for kind, payload in ad
     )
-
-    e = tuple(_ad_matrix(sc, ("root", datum.simple_roots[i])) for i in range(datum.rank))
-    f = tuple(_ad_matrix(sc, ("root", _vneg(datum.simple_roots[i]))) for i in range(datum.rank))
-    h = tuple(_ad_matrix(sc, ("cartan", i)) for i in range(datum.rank))
-    e_theta = _ad_matrix(sc, ("root", datum.theta))
-    rep = RepMatrices(datum=datum, dim=dim, basis_weights=weights,
+    e = tuple(ad[("root", a)] for a in datum.simple_roots)
+    f = tuple(ad[("root", _vneg(a))] for a in datum.simple_roots)
+    h = tuple(ad[("cartan", i)] for i in range(datum.rank))
+    e_theta = ad[("root", datum.theta)]
+    rep = RepMatrices(datum=datum, dim=len(ad), basis_weights=weights,
                       e=e, f=f, h=h, e_theta=e_theta, name=f"adjoint({datum.stype})")
     _check_rep(rep)
     _adjoint_memo[datum.stype] = rep

@@ -22,14 +22,14 @@ from .grading import hodge_numbers
 from .rootdatum import Coords, RootDatum, pair, weyl_orbit
 
 
+def _is_minuscule(datum: RootDatum, node: int) -> bool:
+    """<omega_node, alpha^vee> (the node's coefficient of alpha^vee) <= 1 for all alpha > 0."""
+    return all(datum.coroot_of[r][node - 1] <= 1 for r in datum.positive_roots)
+
+
 def minuscule_nodes(datum: RootDatum) -> list[int]:
     """Bourbaki indices (1-based) of the minuscule fundamental weights."""
-    out = []
-    for node in range(1, datum.rank + 1):
-        omega = tuple(1 if j == node - 1 else 0 for j in range(datum.rank))
-        if all(datum.root_pairing(omega, r) <= 1 for r in datum.positive_roots):
-            out.append(node)
-    return out
+    return [node for node in range(1, datum.rank + 1) if _is_minuscule(datum, node)]
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def minuscule_case(datum: RootDatum, node: int) -> MinusculeCase:
     """
     if not 1 <= node <= datum.rank:
         raise UsageError(f"node {node} outside 1..{datum.rank}")
-    if node not in minuscule_nodes(datum):
+    if not _is_minuscule(datum, node):
         raise UsageError(f"node {node} of {datum.stype} is not minuscule")
     lam = tuple(1 if j == node - 1 else 0 for j in range(datum.rank))
     dim_x = pair(lam, datum.two_rho_covector)

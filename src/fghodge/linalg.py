@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import UsageError
 
@@ -17,7 +18,8 @@ Entries = dict[tuple[int, int], Entry]
 
 
 def _norm(x: Entry) -> Entry:
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # type(), not isinstance(): Fraction's numbers.Rational ABC makes that slow
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
 
@@ -97,14 +99,6 @@ class SparseMatrix:
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
         return (self @ other) - (other @ self)
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
     def to_dense(self) -> list[list[Entry]]:
         m = [[0] * self.dim for _ in range(self.dim)]
         for (r, c), v in self.entries.items():
@@ -122,15 +116,22 @@ class SparseMatrix:
 
 
 def rank(matrix: SparseMatrix) -> int:
-    """Rank over Q by sparse Gaussian elimination with sparsest-row pivoting."""
+    """Rank over Q by fraction-free sparse elimination, the sparsest row as pivot.
+
+    Denominators are cleared once per row, so int and Fraction entries share
+    one path on Python ints.  A row with v in the pivot's column becomes
+    (pv/g) row - (v/g) pivot, g = gcd(pv, v), divided by its content
+    (Bareiss, Math. Comp. 22, 1968)."""
     by_row: dict[int, dict[int, Entry]] = {}
     for (r, c), v in matrix.entries.items():
         by_row.setdefault(r, {})[c] = v
-    rows = [row for row in by_row.values() if row]
+    rows = []
+    for row in by_row.values():
+        den = lcm(*(v.denominator for v in row.values()))
+        rows.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
     rk = 0
     while rows:
-        piv_idx = min(range(len(rows)), key=lambda i: len(rows[i]))
-        piv = rows.pop(piv_idx)
+        piv = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
         col = min(piv)
         pv = piv[col]
         rk += 1
@@ -138,13 +139,19 @@ def rank(matrix: SparseMatrix) -> int:
         for row in rows:
             v = row.get(col)
             if v is not None:
-                f = Fraction(v) / Fraction(pv)  # never int/int: stay exact
+                g = gcd(pv, v)
+                a, b = pv // g, v // g
+                if a != 1:
+                    row = {c: x * a for c, x in row.items()}
                 for c2, pv2 in piv.items():
-                    s = row.get(c2, 0) - f * pv2
+                    s = row.get(c2, 0) - b * pv2
                     if s == 0:
                         row.pop(c2, None)
                     else:
-                        row[c2] = _norm(s)
+                        row[c2] = s
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {c: x // content for c, x in row.items()}
             if row:
                 nxt.append(row)
         rows = nxt

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -221,3 +222,130 @@ def test_triple_dump_format():
     tr = principal_triple(classical_std_rep(datum("A1")))
     text = tr.N.dump_triplets()
     assert "1 0 1/1" in text.splitlines()[-1]
+
+
+# sha256 of the E6/E7/E8 adjoint matrices below; a rebuilt bracket table must keep it.
+GOLDEN_ADJOINT_SHA256 = "9e2c9cdbb8d7ed5bbf5de2b467115f1a5987768c82f5ba95fbb72d2b06e99e50"
+
+
+# -- an exhaustive Jacobi oracle, independent of the package's adjoint matrices --
+
+def _basis(d):
+    """The adjoint basis as ("root", r) for every root and ("cartan", i)."""
+    neg = lambda r: tuple(-x for x in r)
+    return ([("root", r) for r in d.positive_roots] + [("cartan", i) for i in range(d.rank)]
+            + [("root", neg(r)) for r in d.positive_roots])
+
+
+def _bracket_table(sc):
+    """[x, y] for every ordered pair of basis elements, as {basis element: coefficient}."""
+    d = sc.datum
+    basis = _basis(d)
+
+    def br(x, y):
+        (kx, px), (ky, py) = x, y
+        if kx == "cartan" and ky == "cartan":
+            return {}
+        if kx == "cartan":  # [h_i, x_b] = <b, alpha_i^vee> x_b
+            c = d.weight_of_root(py)[px]
+            return {y: c} if c else {}
+        if ky == "cartan":
+            c = -d.weight_of_root(px)[py]
+            return {x: c} if c else {}
+        s = tuple(a + b for a, b in zip(px, py))
+        if not any(s):  # [x_a, x_{-a}] = h_a, the coroot on the simple coroots
+            sign = 1 if sum(px) > 0 else -1
+            co = d.coroot_of[px if sign > 0 else py]
+            return {("cartan", j): sign * c for j, c in enumerate(co) if c}
+        if s in sc.root_set:
+            return {("root", s): sc.constant(px, py)}
+        return {}
+
+    return basis, {(x, y): br(x, y) for x in basis for y in basis}
+
+
+def _jacobi_holds_everywhere(sc) -> bool:
+    """Antisymmetry, and the Jacobi identity on every triple of basis elements."""
+    basis, table = _bracket_table(sc)
+
+    def br(x, combo):
+        out: dict = {}
+        for y, c in combo.items():
+            for k, v in table[(x, y)].items():
+                out[k] = out.get(k, 0) + c * v
+        return out
+
+    for x in basis:
+        for y in basis:
+            mirror = {k: -v for k, v in table[(y, x)].items()}
+            if table[(x, y)] != mirror:
+                return False
+    for i, x in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            y = basis[j]
+            for z in basis[j + 1:]:
+                total: dict = {}
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    for k, v in br(a, table[(b, c)]).items():
+                        total[k] = total.get(k, 0) + v
+                if any(total.values()):
+                    return False
+    return True
+
+
+def _sign_flips(sc):
+    """Every copy of sc with one N_{a,b} (and N_{b,a}) negated."""
+    for a, b in sorted(sc.n_pos):
+        if a < b:
+            n_pos = dict(sc.n_pos)
+            n_pos[(a, b)] = -n_pos[(a, b)]
+            n_pos[(b, a)] = -n_pos[(b, a)]
+            yield StructureConstants(datum=sc.datum, n_pos=n_pos,
+                                     root_set=sc.root_set, norm2=sc.norm2)
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "B3", "C3", "D4", "G2"])
+def test_jacobi_check_agrees_with_the_exhaustive_oracle_on_every_sign_flip(name):
+    sc = structure_constants(datum(name))
+    assert _jacobi_holds_everywhere(sc)
+    flips = list(_sign_flips(sc))
+    assert flips
+    for flipped in flips:
+        try:
+            verify_jacobi(flipped)
+            verdict = True
+        except IntegrityError:
+            verdict = False
+        assert verdict == _jacobi_holds_everywhere(flipped)
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "F4"])
+def test_a_mixed_sign_constant_that_breaks_the_chevalley_involution_is_caught(name, monkeypatch):
+    # Break N_{-a,-b} = -N_{a,b} for one pair a > 0 > b; constant() keeps
+    # N_{b,a} = -N_{a,b}, so only the involution and Jacobi can see it.
+    sc = structure_constants(datum(name))
+    a, b = next((a, b) for a in sc.datum.positive_roots for b in sc.root_set
+                if sum(b) < 0 and tuple(x + y for x, y in zip(a, b)) in sc.root_set)
+    honest = StructureConstants.constant
+
+    def broken(self, x, y):
+        value = honest(self, x, y)
+        return -value if (x, y) == (a, b) else value
+
+    monkeypatch.setattr(StructureConstants, "constant", broken)
+    fresh = StructureConstants(datum=sc.datum, n_pos=sc.n_pos, root_set=sc.root_set, norm2=sc.norm2)
+    with pytest.raises(IntegrityError):
+        verify_jacobi(fresh)
+
+
+def test_exceptional_adjoint_matrices_match_their_recorded_digest():
+    # Every entry of e_i, f_i, h_i and e_theta on the adjoint basis; a change
+    # of sign convention or basis order changes the digest.
+    digest = hashlib.sha256()
+    for name in ["E6", "E7", "E8"]:
+        rep = adjoint_rep(datum(name))
+        for mat in rep.e + rep.f + rep.h + (rep.e_theta,):
+            for (r, c) in sorted(mat.entries):
+                digest.update(f"{name} {r} {c} {mat.entries[(r, c)]};".encode())
+            digest.update(b"|")
+    assert digest.hexdigest() == GOLDEN_ADJOINT_SHA256

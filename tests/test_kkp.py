@@ -142,3 +142,15 @@ def test_dim_x_values():
     assert minuscule_case(datum("A4"), 2).dim_x == 6   # Gr(2,5)
     assert minuscule_case(datum("B3"), 3).dim_x == 6
     assert minuscule_case(datum("C3"), 1).dim_x == 5   # P^5
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_minuscule_case_accepts_exactly_the_minuscule_nodes(name):
+    d = datum(name)
+    nodes = minuscule_nodes(d)
+    for node in range(1, d.rank + 1):
+        if node in nodes:
+            assert minuscule_case(d, node).node == node
+        else:
+            with pytest.raises(UsageError, match="is not minuscule"):
+                minuscule_case(d, node)
