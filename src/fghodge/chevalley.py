@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from .errors import (
     UsageError,
 )
 from .grading import JordanPartition
-from .linalg import SparseMatrix, rank
+from .linalg import SparseMatrix, power_ranks
 from .rootdatum import Coords, RootDatum, pair
 
 DEFAULT_MAX_RANK = 8
@@ -100,34 +101,33 @@ class StructureConstants:
         """ad(b) for every adjoint basis element b, in basis order.
 
         The basis is ("root", r) for the positive roots by descending height,
-        then ("cartan", i), then the negative roots in the same order.  One
-        pass over ordered basis pairs writes [b_y, b_z] into column z of
-        ad(b_y), every root pair through constant().
+        then ("cartan", i), then the negative roots in the same order.  Column
+        z of ad(b_y) holds [b_y, b_z].  The Cartan and x_{+-a} entries are
+        written directly; each ordered positive pair (a, b) of n_pos with
+        g = a + b gives the six root pairs (a, b), (-a, -b), (g, -a), (-g, a),
+        (-a, g) and (a, -g), which are all root pairs with a root sum, every
+        value through constant().
         """
         datum = self.datum
         ordered = sorted(datum.positive_roots, key=lambda r: (-sum(r), r))
         basis = ([("root", r) for r in ordered] + [("cartan", i) for i in range(datum.rank)]
                  + [("root", _vneg(r)) for r in ordered])
-        index = {b: i for i, b in enumerate(basis)}
-        wt = {r: datum.weight_of_root(r) for kind, r in basis if kind == "root"}
-        table = {}
-        for x in basis:
-            kind, xi = x
-            entries: dict[tuple[int, int], int] = {}
-            for col, (bkind, eta) in enumerate(basis):
-                if kind == "cartan":
-                    if bkind == "root":
-                        entries[(col, col)] = wt[eta][xi]
-                elif bkind == "cartan":  # [x_xi, h_j] = -<xi, alpha_j^vee> x_xi
-                    entries[(index[x], col)] = -wt[xi][eta]
-                elif not any(s := _vadd(xi, eta)):  # [x_xi, x_{-xi}] = xi^vee
-                    sign = 1 if sum(xi) > 0 else -1
-                    for j, c in enumerate(datum.coroot_of[xi if sign > 0 else eta]):
-                        entries[(index[("cartan", j)], col)] = sign * c
-                elif s in self.root_set:
-                    entries[(index[("root", s)], col)] = self.constant(xi, eta)
-            table[x] = SparseMatrix.from_entries(len(basis), entries)
-        return table
+        col = {p: i for i, (kind, p) in enumerate(basis)}  # roots and Cartan indices
+        entries: list[dict[tuple[int, int], int]] = [{} for _ in basis]
+        for x, (kind, root) in enumerate(basis):
+            if kind == "root":
+                sign = 1 if sum(root) > 0 else -1
+                for j, w in enumerate(datum.weight_of_root(root)):
+                    entries[col[j]][(x, x)] = w  # [h_j, x_r] = <r, alpha_j^vee> x_r
+                    entries[x][(x, col[j])] = -w
+                for j, c in enumerate(datum.coroot_of[root if sign > 0 else _vneg(root)]):
+                    entries[x][(col[j], col[_vneg(root)])] = sign * c  # [x_r, x_{-r}] = r^vee
+        for a, b in self.n_pos:
+            g = _vadd(a, b)
+            na, nb, ng = _vneg(a), _vneg(b), _vneg(g)
+            for x, y, z in ((a, b, g), (na, nb, ng), (g, na, b), (ng, a, nb), (na, g, b), (a, ng, nb)):
+                entries[col[x]][(col[z], col[y])] = self.constant(x, y)
+        return {b: SparseMatrix.from_entries(len(basis), e) for b, e in zip(basis, entries)}
 
 
 def _special_pairs(datum: RootDatum, pos_index: dict[Coords, int], gamma: Coords):
@@ -230,8 +230,10 @@ def verify_jacobi(sc: StructureConstants) -> None:
     entries: omega is an automorphism of the bracket.  Mixed-sign constants
     come from two different norm-relation evaluations in constant(), so this
     is a real check.  Then [ad e_i, ad y] = ad([e_i, y]) for the n raising
-    generators and every basis element y, reading [e_i, y] off column y of
-    ad e_i: each ad e_i is a derivation.
+    generators and every basis element y, [e_i, y] = sum_k v_k b_k read off
+    column y of ad e_i: ad e_i ad y - ad y ad e_i - sum_k v_k ad b_k goes into
+    one int dict through the row and column index of ad e_i, and every value
+    must be 0.  So each ad e_i is a derivation.
 
     So are all 3n generators: ad f_i = -omega ad(e_i) omega^-1 is a
     derivation conjugated by an automorphism, and ad h_i = [ad e_i, ad f_i]
@@ -253,14 +255,21 @@ def verify_jacobi(sc: StructureConstants) -> None:
             raise IntegrityError(f"the Chevalley involution does not preserve ad {basis[y]}")
     for a in sc.datum.simple_roots:
         ad_g = sc.ad[("root", a)]
+        rows = ad_g.rows
         column: dict[int, list[tuple[int, int]]] = {}
         for (k, y), v in ad_g.entries.items():
             column.setdefault(y, []).append((k, v))
         for y, ad_y in enumerate(ad):
-            bracket = SparseMatrix.zero(len(basis))
-            for k, v in column.get(y, ()):
-                bracket = bracket + ad[k].scale(v)
-            if ad_g.commutator(ad_y) != bracket:
+            acc = defaultdict(int)
+            for (r, k), v in ad_y.entries.items():
+                for i, u in column.get(r, ()):  # ad e_i ad y
+                    acc[(i, k)] += u * v
+                for c, u in rows.get(k, ()):  # - ad y ad e_i
+                    acc[(r, c)] -= v * u
+            for k, v in column.get(y, ()):  # - ad [e_i, y]
+                for key, u in ad[k].entries.items():
+                    acc[key] -= v * u
+            if any(acc.values()):
                 raise IntegrityError(f"Jacobi identity fails for {('root', a)}, {basis[y]}")
 
 
@@ -507,22 +516,11 @@ def principal_triple(rep: RepMatrices) -> PrincipalTriple:
 def jordan_type(matrix: SparseMatrix) -> JordanPartition:
     """Jordan partition of a nilpotent matrix from its exact rank sequence.
 
-    blocks of size s number r_{s-1} - 2 r_s + r_{s+1} with r_k = rank(M^k).
-    Raises on non-nilpotent input (the rank sequence of a nilpotent matrix
-    strictly decreases to zero).
+    blocks of size s number r_{s-1} - 2 r_s + r_{s+1} with r_k = rank(M^k),
+    read off the row-space chain of power_ranks, which never forms M^k and
+    raises UsageError on non-nilpotent input.
     """
-    dim = matrix.dim
-    ranks = [dim]
-    power = matrix
-    while True:
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-        if r >= ranks[-2] or len(ranks) > dim + 1:
-            raise UsageError("matrix is not nilpotent")
-        power = power @ matrix
-    ranks.append(0)
+    ranks = [matrix.dim] + power_ranks(matrix) + [0]
     blocks = []
     for s in range(1, len(ranks) - 1):
         count = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
@@ -530,6 +528,6 @@ def jordan_type(matrix: SparseMatrix) -> JordanPartition:
             raise IntegrityError("rank sequence is not convex")
         blocks.extend([s] * count)
     part = JordanPartition(tuple(blocks))
-    if part.total != dim:
+    if part.total != matrix.dim:
         raise IntegrityError("Jordan blocks do not sum to the dimension")
     return part

@@ -2,7 +2,8 @@
 
 Subcommands: hodge, jordan, exponents, verify, kkp, sweep.  Exit codes:
 0 success / all checks pass, 1 a mathematical check failed, 2 usage or
-parse error, 3 a resource guard tripped.  JSON output is byte-deterministic
+parse error, 3 a resource guard tripped, 141 (128 + SIGPIPE) stdout was
+closed before the output was written.  JSON output is byte-deterministic
 for fixed inputs and format version.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_type(text: str) -> RootDatum:
@@ -298,7 +301,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader is gone; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -1,12 +1,14 @@
 """Exact sparse matrices over the rationals.
 
-Minimal square-matrix type used for representation matrices and for the
-rank computations behind Jordan types.  Entries are Python ints or
-Fractions; nothing here ever touches a float.
+Minimal square-matrix type for representation matrices, and the ranks behind
+Jordan types: rank and the row-space chain of power_ranks share one
+fraction-free elimination, _echelon, with one pivot row per leading column.
+Entries are Python ints or Fractions; nothing here ever touches a float.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -76,12 +78,18 @@ class SparseMatrix:
             return SparseMatrix.zero(self.dim)
         return SparseMatrix(self.dim, {k: _norm(v * c) for k, v in self.entries.items()})
 
+    @functools.cached_property
+    def rows(self) -> dict[int, list[tuple[int, Entry]]]:
+        """Row index {row: [(col, value), ...]}, built once per matrix."""
+        rows: dict[int, list[tuple[int, Entry]]] = {}
+        for (r, c), v in self.entries.items():
+            rows.setdefault(r, []).append((c, v))
+        return rows
+
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.dim != other.dim:
             raise UsageError("matrix dimensions differ")
-        rows_b: dict[int, list[tuple[int, Entry]]] = {}
-        for (r, c), v in other.entries.items():
-            rows_b.setdefault(r, []).append((c, v))
+        rows_b = other.rows
         out: Entries = {}
         for (r, k), va in self.entries.items():
             row = rows_b.get(k)
@@ -115,44 +123,65 @@ class SparseMatrix:
         return "\n".join(lines) + "\n"
 
 
-def rank(matrix: SparseMatrix) -> int:
-    """Rank over Q by fraction-free sparse elimination, the sparsest row as pivot.
+def _int_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
+    """The nonzero rows of den * matrix as {col: int}, den the lcm of all denominators."""
+    den = lcm(*(v.denominator for v in matrix.entries.values()))
+    return {r: {c: v.numerator * (den // v.denominator) for c, v in row}
+            for r, row in matrix.rows.items()}
 
-    Denominators are cleared once per row, so int and Fraction entries share
-    one path on Python ints.  A row with v in the pivot's column becomes
-    (pv/g) row - (v/g) pivot, g = gcd(pv, v), divided by its content
-    (Bareiss, Math. Comp. 22, 1968)."""
-    by_row: dict[int, dict[int, Entry]] = {}
-    for (r, c), v in matrix.entries.items():
-        by_row.setdefault(r, {})[c] = v
-    rows = []
-    for row in by_row.values():
-        den = lcm(*(v.denominator for v in row.values()))
-        rows.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
-    rk = 0
-    while rows:
-        piv = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
-        col = min(piv)
-        pv = piv[col]
-        rk += 1
+
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Echelon basis {leading column: primitive row} of the span of integer rows.
+
+    One pivot per leading column: an incoming row is reduced by the pivot at
+    its leading column, (pv/g) row - (v/g) pivot with g = gcd(pv, v), and
+    divided by its content, until it is zero or leads a free column (Bareiss,
+    Math. Comp. 22, 1968).
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while content := gcd(*row.values()):
+            row = {c: x // content for c, x in row.items() if x}
+            col = min(row)
+            piv = pivots.setdefault(col, row)
+            if piv is row:
+                break
+            g = gcd(piv[col], row[col])
+            a, b = piv[col] // g, row[col] // g
+            row = {c: x * a for c, x in row.items()}
+            for c, x in piv.items():
+                row[c] = row.get(c, 0) - b * x
+    return pivots
+
+
+def rank(matrix: SparseMatrix) -> int:
+    """Rank over Q: the number of leading columns that get a pivot when
+    _echelon eliminates the rows of matrix, whose denominators are cleared
+    once so that int and Fraction entries run on ints."""
+    return len(_echelon(_int_rows(matrix).values()))
+
+
+def power_ranks(matrix: SparseMatrix) -> list[int]:
+    """[rank M, rank M^2, ..., 0] for a nilpotent M, without forming any power.
+
+    rowspace(M^(k+1)) = rowspace(M^k) M, so an echelon basis of rowspace(M^k)
+    times M, re-echelonized, gives rank M^(k+1); the chain starts from the
+    identity.  Raises UsageError as soon as a rank fails to fall: M is then
+    not nilpotent.
+    """
+    rows = _int_rows(matrix)
+    ranks = [matrix.dim]
+    basis = {r: {r: 1} for r in range(matrix.dim)}
+    while ranks[-1]:
         nxt = []
-        for row in rows:
-            v = row.get(col)
-            if v is not None:
-                g = gcd(pv, v)
-                a, b = pv // g, v // g
-                if a != 1:
-                    row = {c: x * a for c, x in row.items()}
-                for c2, pv2 in piv.items():
-                    s = row.get(c2, 0) - b * pv2
-                    if s == 0:
-                        row.pop(c2, None)
-                    else:
-                        row[c2] = s
-                content = gcd(*row.values())
-                if content > 1:
-                    row = {c: x // content for c, x in row.items()}
-            if row:
-                nxt.append(row)
-        rows = nxt
-    return rk
+        for row in basis.values():
+            out: dict[int, int] = {}
+            for k, x in row.items():
+                for c, y in rows.get(k, {}).items():
+                    out[c] = out.get(c, 0) + x * y
+            nxt.append(out)
+        basis = _echelon(nxt)
+        if len(basis) >= ranks[-1]:
+            raise UsageError("matrix is not nilpotent")
+        ranks.append(len(basis))
+    return ranks[1:]

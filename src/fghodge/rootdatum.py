@@ -364,19 +364,23 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
 
 
 def _invert_rational(mat) -> list[list[Fraction]]:
+    """Inverse of an integer matrix: fraction-free Gauss-Jordan on ints, then one
+    Fraction per entry (row i of the result is row i of the right half / its pivot)."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        prow = aug[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            v = aug[r][col]
+            if r != col and v != 0:
+                g = math.gcd(prow[col], v)
+                a, b = prow[col] // g, v // g
+                row = [a * x - b * y for x, y in zip(aug[r], prow)]
+                content = math.gcd(*row)
+                aug[r] = [x // content for x in row]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
 def pair(mu: Coords, covector) -> Fraction | int:

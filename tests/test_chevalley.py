@@ -24,7 +24,7 @@ from fghodge.errors import (
 )
 from fghodge.grading import partition_from_grading, rho_grading
 from fghodge.linalg import SparseMatrix
-from conftest import datum, fw
+from conftest import ALL_TYPES_RANK8, datum, fw
 
 
 def test_structure_constant_magnitudes():
@@ -349,3 +349,50 @@ def test_exceptional_adjoint_matrices_match_their_recorded_digest():
                 digest.update(f"{name} {r} {c} {mat.entries[(r, c)]};".encode())
             digest.update(b"|")
     assert digest.hexdigest() == GOLDEN_ADJOINT_SHA256
+
+
+def _ad_from_every_basis_pair(sc):
+    """ad(b) for every adjoint basis element, scanning all dim^2 ordered basis pairs.
+
+    Same basis order as StructureConstants.ad; column z of ad(b_y) holds
+    [b_y, b_z], every root pair with a root sum through constant()."""
+    d = sc.datum
+    neg = lambda r: tuple(-x for x in r)
+    ordered = sorted(d.positive_roots, key=lambda r: (-sum(r), r))
+    basis = ([("root", r) for r in ordered] + [("cartan", i) for i in range(d.rank)]
+             + [("root", neg(r)) for r in ordered])
+    index = {b: i for i, b in enumerate(basis)}
+    table = {}
+    for kind, xi in basis:
+        entries = {}
+        for col, (bkind, eta) in enumerate(basis):
+            if kind == "cartan":
+                if bkind == "root":
+                    entries[(col, col)] = d.weight_of_root(eta)[xi]
+            elif bkind == "cartan":
+                entries[(index[(kind, xi)], col)] = -d.weight_of_root(xi)[eta]
+            elif not any(s := tuple(a + b for a, b in zip(xi, eta))):
+                sign = 1 if sum(xi) > 0 else -1
+                for j, c in enumerate(d.coroot_of[xi if sign > 0 else eta]):
+                    entries[(index[("cartan", j)], col)] = sign * c
+            elif s in sc.root_set:
+                entries[(index[("root", s)], col)] = sc.constant(xi, eta)
+        table[(kind, xi)] = SparseMatrix.from_entries(len(basis), entries)
+    return table
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_bracket_table_matches_the_scan_over_every_basis_pair(name):
+    sc = structure_constants(datum(name))
+    oracle = _ad_from_every_basis_pair(sc)
+    assert list(sc.ad) == list(oracle)
+    assert sc.ad == oracle
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_n_pos_holds_exactly_the_positive_pairs_with_a_root_sum(name):
+    d = datum(name)
+    sc = structure_constants(d)
+    expect = {(a, b) for a in d.positive_roots for b in d.positive_roots
+              if tuple(x + y for x, y in zip(a, b)) in sc.root_set}
+    assert set(sc.n_pos) == expect

@@ -282,3 +282,18 @@ def test_verify_runs_without_numpy_or_scipy(tmp_path):
     assert out.returncode == 0
     assert out.stdout.splitlines()[-1] == "[]"
 
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # 94 kB of output: more than the 64 kB a pipe buffers, so the writer cannot
+    # finish before the reader closes; it must hit EPIPE and report 128 + SIGPIPE.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.Popen([sys.executable, "-m", "fghodge", "sweep", "--max-rank", "4",
+                             "--max-dim", "2000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"ok ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

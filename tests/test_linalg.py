@@ -2,10 +2,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fghodge import linalg
+from fghodge.chevalley import adjoint_rep, jordan_type, principal_triple
+from fghodge.errors import UsageError
 from fghodge.linalg import SparseMatrix, rank
+from conftest import datum
 
 
 def gauss_jordan_rank(dense) -> int:
@@ -74,3 +79,58 @@ def test_rank_examples():
     assert rank(m) == 1
     big = SparseMatrix.from_entries(2, {(0, 0): 10**30, (0, 1): 1, (1, 0): 1, (1, 1): Fraction(1, 10**30)})
     assert rank(big) == 1
+
+
+def jordan_blocks_from_powers(m: SparseMatrix) -> tuple[int, ...]:
+    """Jordan blocks of a nilpotent m from the Gauss-Jordan ranks of its explicit powers."""
+    ranks = [m.dim]
+    power = m
+    while ranks[-1]:
+        ranks.append(gauss_jordan_rank(power.to_dense()))
+        power = power @ m
+    ranks.append(0)
+    blocks = []
+    for s in range(len(ranks) - 2, 0, -1):
+        blocks += [s] * (ranks[s - 1] - 2 * ranks[s] + ranks[s + 1])
+    return tuple(blocks)
+
+
+@st.composite
+def conjugated_nilpotents(draw):
+    """A sparse strictly upper-triangular matrix up to 12x12, its rows and columns permuted."""
+    dim = draw(st.integers(1, 12))
+    perm = draw(st.permutations(range(dim)))
+    upper = [(r, c) for r in range(dim) for c in range(r + 1, dim)]
+    picked = draw(st.lists(st.sampled_from(upper), max_size=2 * dim, unique=True)) if upper else []
+    return SparseMatrix.from_entries(dim, {(perm[r], perm[c]): draw(entries.filter(lambda v: v != 0))
+                                           for r, c in picked})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=conjugated_nilpotents())
+def test_jordan_type_matches_ranks_of_explicit_powers(m):
+    assert jordan_type(m).blocks == jordan_blocks_from_powers(m)
+
+
+def test_a_non_nilpotent_matrix_is_refused_after_two_echelon_passes(monkeypatch):
+    passes = []
+    echelon = linalg._echelon
+
+    def counted(rows):
+        passes.append(1)
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    with pytest.raises(UsageError, match="not nilpotent"):
+        jordan_type(SparseMatrix.from_entries(300, {(7, 7): Fraction(1, 3)}))
+    assert len(passes) <= 2
+
+
+def test_jordan_type_forms_no_matrix_product(monkeypatch):
+    n = principal_triple(adjoint_rep(datum("E6"))).N
+
+    def refuse(self, other):
+        raise AssertionError("jordan_type multiplied two matrices")
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", refuse)
+    assert jordan_type(n).blocks == (23, 17, 15, 11, 9, 3)

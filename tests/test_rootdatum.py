@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fghodge.errors import ConfigurationError, ResourceLimitError, UsageError
 from fghodge.rootdatum import (
     SimpleType,
+    _invert_rational,
     build_root_datum,
     check_size,
     pair,
@@ -193,3 +194,27 @@ def test_coroot_integrality_and_norms():
             assert all(isinstance(c, int) for c in co)
             # <alpha, alpha^vee> = 2
             assert d.root_pairing(d.weight_of_root(root), root) == 2
+
+
+def fraction_gauss_jordan_inverse(mat) -> list[list[Fraction]]:
+    """Inverse by Gauss-Jordan elimination on Fractions with row swaps."""
+    n = len(mat)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8 + ["A20", "B20", "C20", "D20"])
+def test_cartan_inverse_matches_fraction_gauss_jordan(name):
+    cartan = datum(name).cartan
+    inverse = _invert_rational(cartan)
+    assert inverse == fraction_gauss_jordan_inverse(cartan)
+    assert all(type(x) is Fraction for row in inverse for x in row)
