@@ -15,6 +15,12 @@ enforced for every special pair, and at build time the Chevalley involution
 (x_a -> -x_{-a}, h -> -h) is checked to preserve the bracket and each ad e_i
 to be a derivation, which implies the full Jacobi identity (see verify_jacobi).
 
+Representation matrices: the adjoint representation is read off that
+bracket table.  The standard representation V(omega_1) of A-D is built from
+its weights alone (_weight_rep): they have multiplicity 1, so the
+alpha_i-strings fix e_i and f_i without any structure constant or sign.
+Both pass the Chevalley-Serre check _check_rep before they are returned.
+
 Matrix conventions for the principal triple (N, RHO, E):
 
     N = sum_i f_i,  E = x_theta,  RHO = diag(-<basis weight, rho^vee>).
@@ -32,6 +38,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .character import _weight_support, weyl_dimension
 from .errors import (
     IntegrityError,
     ResourceLimitError,
@@ -42,7 +49,7 @@ from .grading import JordanPartition
 from .linalg import SparseMatrix, power_ranks
 from .rootdatum import Coords, RootDatum, pair
 
-DEFAULT_MAX_RANK = 8
+MAX_RANK = 8
 
 _sc_memo: dict = {}
 _adjoint_memo: dict = {}
@@ -153,11 +160,11 @@ def _string_length(root_set, a: Coords, b: Coords) -> int:
         p += 1
 
 
-def structure_constants(datum: RootDatum, max_rank: int = DEFAULT_MAX_RANK) -> StructureConstants:
+def structure_constants(datum: RootDatum) -> StructureConstants:
     """Consistent Chevalley structure constants for one simple type."""
-    if datum.rank > max_rank:
+    if datum.rank > MAX_RANK:
         raise ResourceLimitError(
-            f"rank {datum.rank} exceeds the structure-constant guard {max_rank}"
+            f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
         )
     cached = _sc_memo.get(datum.stype)
     if cached is not None:
@@ -353,12 +360,12 @@ def _theta_matrix(sc: StructureConstants, e: tuple[SparseMatrix, ...], dim: int)
     return build(datum.theta)
 
 
-def adjoint_rep(datum: RootDatum, max_rank: int = DEFAULT_MAX_RANK) -> RepMatrices:
+def adjoint_rep(datum: RootDatum) -> RepMatrices:
     """Adjoint representation on the basis (roots by descending height, Cartan)."""
     cached = _adjoint_memo.get(datum.stype)
     if cached is not None:
         return cached
-    ad = structure_constants(datum, max_rank=max_rank).ad
+    ad = structure_constants(datum).ad
     zero = (0,) * datum.rank
     weights = tuple(
         datum.weight_of_root(payload) if kind == "root" else zero
@@ -375,103 +382,63 @@ def adjoint_rep(datum: RootDatum, max_rank: int = DEFAULT_MAX_RANK) -> RepMatric
     return rep
 
 
-def _classical_weights(datum: RootDatum) -> tuple[Coords, ...]:
-    """Basis weights of the standard representation, highest first."""
-    fam, n = datum.stype.family, datum.rank
+def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
+    """V(lam) on its weights, for lam whose weights all have multiplicity 1.
 
-    def eps(k: int) -> Coords:  # epsilon_k in fundamental coordinates, 1-indexed
-        out = [0] * n
-        if fam == "A":
-            if k <= n:
-                out[k - 1] += 1
-            if k >= 2:
-                out[k - 2] -= 1
-        elif fam == "B":
-            for j in range(1, n):
-                out[j - 1] += (1 if k == j else 0) - (1 if k == j + 1 else 0)
-            out[n - 1] += 2 if k == n else 0
-        elif fam == "C":
-            for j in range(1, n):
-                out[j - 1] += (1 if k == j else 0) - (1 if k == j + 1 else 0)
-            out[n - 1] += 1 if k == n else 0
-        elif fam == "D":
-            for j in range(1, n):
-                out[j - 1] += (1 if k == j else 0) - (1 if k == j + 1 else 0)
-            out[n - 1] += 1 if k in (n - 1, n) else 0
-        return tuple(out)
-
-    if fam == "A":
-        return tuple(eps(k) for k in range(1, n + 2))
-    plus = [eps(k) for k in range(1, n + 1)]
-    minus = [_vneg(w) for w in reversed(plus)]
-    if fam == "B":
-        return tuple(plus + [(0,) * n] + minus)
-    return tuple(plus + minus)
-
-
-def classical_std_rep(datum: RootDatum, max_rank: int = DEFAULT_MAX_RANK) -> RepMatrices:
-    """Standard (defining) representation of a classical type.
-
-    A_n: dimension n+1; B_n: 2n+1 orthogonal; C_n: 2n symplectic;
-    D_n: 2n orthogonal.  Exceptional types have no standard representation
-    here by design.
+    The basis is the weights by (-<mu, 2 rho^vee>, mu).  Each weight space
+    is a line, so every alpha_i-string of weights carries one irreducible
+    sl2-module and the weights fix e_i and f_i: e_i v_mu = v_{mu+alpha_i}
+    and f_i v_{mu+alpha_i} = q (q + <mu, alpha_i^vee> + 1) v_mu, with q >= 1
+    the steps from mu to the top of its string, which is [e_i, f_i] = h_i
+    along the string.  That is 1 on every minuscule string and 2, 2 on the
+    string through the zero weight of B_n's V(omega_1).  _check_rep
+    certifies that the strings fit together.
     """
-    fam, n = datum.stype.family, datum.rank
-    if fam not in "ABCD":
+    sc = structure_constants(datum)
+    two_rho = datum.two_rho_covector
+    weights = tuple(sorted(_weight_support(datum, lam), key=lambda mu: (-pair(mu, two_rho), mu)))
+    dim = len(weights)
+    if dim != weyl_dimension(datum, lam):
+        raise IntegrityError(f"V({lam}) of {datum.stype} is not multiplicity-free")
+    index = {mu: k for k, mu in enumerate(weights)}
+    e_entries: list[dict] = [{} for _ in range(datum.rank)]
+    f_entries: list[dict] = [{} for _ in range(datum.rank)]
+    for i, alpha in enumerate(datum.cartan):  # row i is alpha_i in weight coordinates
+        for col, mu in enumerate(weights):
+            up = _vadd(mu, alpha)
+            row = index.get(up)
+            if row is None:
+                continue
+            q = 1
+            while (up := _vadd(up, alpha)) in index:
+                q += 1
+            e_entries[i][(row, col)] = 1
+            f_entries[i][(col, row)] = q * (q + mu[i] + 1)
+    e = tuple(SparseMatrix.from_entries(dim, ent) for ent in e_entries)
+    f = tuple(SparseMatrix.from_entries(dim, ent) for ent in f_entries)
+    h = tuple(SparseMatrix.diagonal([w[i] for w in weights]) for i in range(datum.rank))
+    rep = RepMatrices(datum=datum, dim=dim, basis_weights=weights, e=e, f=f, h=h,
+                      e_theta=_theta_matrix(sc, e, dim),
+                      name=f"V({','.join(map(str, lam))}) of {datum.stype}")
+    _check_rep(rep)
+    return rep
+
+
+def classical_std_rep(datum: RootDatum) -> RepMatrices:
+    """Standard representation V(omega_1) of a classical type, from its weights.
+
+    V(omega_1) has dimension n+1 on A_n, 2n+1 on B_n, 2n on C_n and D_n;
+    its weights have multiplicity 1, so _weight_rep builds it.  Exceptional
+    types have no standard representation here by design.
+    """
+    if datum.stype.family not in "ABCD":
         raise UnsupportedRepresentationError(
             f"no standard matrix model for {datum.stype}; only A/B/C/D are built"
         )
     cached = _std_memo.get(datum.stype)
-    if cached is not None:
-        return cached
-    sc = structure_constants(datum, max_rank=max_rank)
-    weights = _classical_weights(datum)
-    dim = len(weights)
-
-    e_entries: list[dict] = [dict() for _ in range(n)]
-    if fam == "A":
-        for j in range(1, n + 1):
-            e_entries[j - 1][(j - 1, j)] = 1
-    elif fam == "B":
-        for j in range(1, n):
-            e_entries[j - 1][(j - 1, j)] = 1
-            e_entries[j - 1][(2 * n - j, 2 * n + 1 - j)] = -1
-        e_entries[n - 1][(n - 1, n)] = 1
-        e_entries[n - 1][(n, n + 1)] = 2
-    else:  # C and D share the index pattern away from the last node
-        for j in range(1, n):
-            e_entries[j - 1][(j - 1, j)] = 1
-            e_entries[j - 1][(2 * n - 1 - j, 2 * n - j)] = -1
-        if fam == "C":
-            e_entries[n - 1][(n - 1, n)] = 1
-        else:
-            e_entries[n - 1][(n - 2, n)] = 1
-            e_entries[n - 1][(n - 1, n + 1)] = -1
-
-    e = tuple(SparseMatrix.from_entries(dim, ent) for ent in e_entries)
-    # f_i is the entrywise transpose; the 3-step string at the short node of
-    # B needs the divided-power coefficients (1,2)/(2,1) to satisfy [e,f] = h.
-    f_entries = [{(c, r): v for (r, c), v in ent.items()} for ent in e_entries]
-    if fam == "B":
-        f_entries[n - 1] = {(n, n - 1): 2, (n + 1, n): 1}
-    f = tuple(SparseMatrix.from_entries(dim, ent) for ent in f_entries)
-    h = tuple(
-        SparseMatrix.diagonal([w[i] for w in weights]) for i in range(n)
-    )
-    e_theta = _theta_matrix(sc, e, dim)
-    rep = RepMatrices(datum=datum, dim=dim, basis_weights=weights,
-                      e=e, f=f, h=h, e_theta=e_theta, name=f"std({datum.stype})")
-    _check_rep(rep)
-    _std_memo[datum.stype] = rep
-    return rep
-
-
-def get_rep(datum: RootDatum, which: str, max_rank: int = DEFAULT_MAX_RANK) -> RepMatrices:
-    if which == "adjoint":
-        return adjoint_rep(datum, max_rank=max_rank)
-    if which == "std":
-        return classical_std_rep(datum, max_rank=max_rank)
-    raise UsageError(f"unknown representation {which!r}; expected 'adjoint' or 'std'")
+    if cached is None:
+        cached = _std_memo[datum.stype] = _weight_rep(datum, (1,) + (0,) * (datum.rank - 1))
+    return cached
 
 
 # -- principal triple ---------------------------------------------------------

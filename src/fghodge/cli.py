@@ -121,9 +121,11 @@ def cmd_verify(args) -> int:
     datum = _parse_type(args.type)
     if args.rep == "adjoint":
         _guard_dim(datum, adjoint_weight(datum), args.max_dim)
-    elif datum.stype.family in "ABCD":  # the standard representation is V(omega_1)
-        _guard_dim(datum, (1,) + (0,) * (datum.rank - 1), args.max_dim)
-    rep = chevalley.get_rep(datum, args.rep)
+        rep = chevalley.adjoint_rep(datum)
+    else:
+        if datum.stype.family in "ABCD":  # the standard representation is V(omega_1)
+            _guard_dim(datum, (1,) + (0,) * (datum.rank - 1), args.max_dim)
+        rep = chevalley.classical_std_rep(datum)
     triple = chevalley.principal_triple(rep)
     a, b = connection.rmodule_pair(triple, datum.coxeter)
     residual = connection.integrability_residual(a, b)

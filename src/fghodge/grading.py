@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 # irrep_character is re-exported: grading.irrep_character is the oracle bench/test_bench.py reads
 from .character import Character, adjoint_weight, irrep_character, weyl_dimension  # noqa: F401
@@ -81,9 +80,6 @@ class HodgeTable:
 
     def level(self, k: int) -> int:
         return self.dims.get(k, 0)
-
-    def alpha_of(self, k: int) -> Fraction:
-        return Fraction(k, 2)
 
     def sorted_items(self) -> list[tuple[int, int]]:
         return sorted(self.dims.items())

@@ -228,15 +228,6 @@ class RootDatum:
         row = self.cartan[i]
         return tuple(m - k * c for m, c in zip(mu, row))
 
-    def dominant_representative(self, mu: Coords) -> Coords:
-        while True:
-            for i, m in enumerate(mu):
-                if m < 0:
-                    mu = self.reflect(mu, i)
-                    break
-            else:
-                return mu
-
     def height(self, root: Coords) -> int:
         return sum(root)
 
@@ -281,7 +272,8 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
 
     simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
-    # Reflection closure; every root is W-conjugate to a simple root.
+    # Reflection closure over the positive roots: s_i permutes Phi+ minus
+    # {alpha_i}, and every positive root descends to a simple one that way.
     def pairing_with_simple_covee(root, i):
         return sum(root[j] * cartan[j][i] for j in range(n))
 
@@ -292,12 +284,14 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
         for r in frontier:
             for i in range(n):
                 k = pairing_with_simple_covee(r, i)
+                if k == 0 or r == simple[i]:  # s_i fixes r, or sends alpha_i to -alpha_i
+                    continue
                 s = tuple(c - (k if j == i else 0) for j, c in enumerate(r))
                 if s not in roots:
                     roots.add(s)
                     nxt.append(s)
         frontier = nxt
-    positive = sorted((r for r in roots if sum(r) > 0), key=_root_sort_key)
+    positive = sorted(roots, key=_root_sort_key)
     count = _POSITIVE_COUNT[stype.family](n)
     if len(positive) != count:
         raise ConfigurationError(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,8 @@ import pytest
 
 from fghodge.character import adjoint_weight, irrep_character
 from fghodge.chevalley import (
+    _check_rep,
+    _weight_rep,
     adjoint_rep,
     classical_std_rep,
     jordan_type,
@@ -22,8 +25,10 @@ from fghodge.errors import (
     UnsupportedRepresentationError,
     UsageError,
 )
-from fghodge.grading import partition_from_grading, rho_grading
+from fghodge.grading import partition_from_grading, principal_grading, rho_grading
+from fghodge.kkp import minuscule_nodes
 from fghodge.linalg import SparseMatrix
+from fghodge.rootdatum import pair
 from conftest import ALL_TYPES_RANK8, datum, fw
 
 
@@ -106,7 +111,7 @@ def test_jacobi_check_catches_a_flipped_constant(name, slot):
 
 def test_resource_guard():
     with pytest.raises(ResourceLimitError):
-        structure_constants(datum("A3"), max_rank=2)
+        structure_constants(datum("A9"))
 
 
 def test_adjoint_rep_a1():
@@ -203,6 +208,68 @@ def test_classical_std_jordan_types():
         assert jordan_type(principal_triple(classical_std_rep(datum(f"C{n}"))).N).blocks == (2 * n,)
     for n in range(3, 6):
         assert jordan_type(principal_triple(classical_std_rep(datum(f"D{n}"))).N).blocks == (2 * n - 1, 1)
+
+
+CLASSICAL_RANK8 = [name for name in ALL_TYPES_RANK8 if name[0] in "ABCD"]
+MINUSCULE_RANK8 = [(name, node) for name in ALL_TYPES_RANK8 for node in minuscule_nodes(datum(name))]
+
+
+@pytest.mark.parametrize("name", CLASSICAL_RANK8)
+def test_std_rep_from_weights_matches_kostant(name):
+    d = datum(name)
+    rep = classical_std_rep(d)
+    levels = [pair(mu, d.two_rho_covector) for mu in rep.basis_weights]
+    assert levels == sorted(levels, reverse=True)
+    kostant = partition_from_grading(principal_grading(d, fw(d, 1)))
+    assert jordan_type(principal_triple(rep).N) == kostant
+
+
+def test_minuscule_cases_of_rank_at_most_8():
+    assert len(MINUSCULE_RANK8) == 71
+    assert {("E6", 1), ("E6", 6), ("E7", 7)} <= set(MINUSCULE_RANK8)
+
+
+@pytest.mark.parametrize("name,node", MINUSCULE_RANK8)
+def test_weight_rule_builds_every_minuscule_representation(name, node):
+    d = datum(name)
+    rep = _weight_rep(d, fw(d, node))
+    _check_rep(rep)
+    kostant = partition_from_grading(principal_grading(d, fw(d, node)))
+    assert jordan_type(principal_triple(rep).N) == kostant
+
+
+def test_weight_rule_refuses_a_weight_with_multiplicities():
+    with pytest.raises(IntegrityError, match="multiplicity-free"):
+        _weight_rep(datum("A2"), (1, 1))  # the zero weight of the adjoint has multiplicity 2
+
+
+def _with_generator(rep, which, i, entries):
+    mats = list(getattr(rep, which))
+    mats[i] = SparseMatrix.from_entries(rep.dim, entries)
+    return dataclasses.replace(rep, **{which: tuple(mats)})
+
+
+def test_check_rep_catches_a_wrong_coefficient_on_the_short_string():
+    # B3 std: f_3 is 2, 2 on the string through the zero weight; make one of them 1.
+    rep = classical_std_rep(datum("B3"))
+    entries = dict(rep.f[2].entries)
+    key = next(k for k, v in sorted(entries.items()) if v == 2)
+    entries[key] = 1
+    with pytest.raises(IntegrityError, match=r"\[e_3, f_3\]"):
+        _check_rep(_with_generator(rep, "f", 2, entries))
+
+
+def test_check_rep_catches_a_sign_flip_around_the_weight_diamond():
+    # D4 std: negating one e_4 entry and its f_4 transpose keeps [e_4, f_4] = h_4,
+    # but the two paths around the diamond eps_3 -> +-eps_4 -> -eps_3 then disagree.
+    rep = classical_std_rep(datum("D4"))
+    (r, c), v = min(rep.e[3].entries.items())
+    e4 = dict(rep.e[3].entries) | {(r, c): -v}
+    f4 = dict(rep.f[3].entries) | {(c, r): -rep.f[3].entries[(c, r)]}
+    broken = _with_generator(_with_generator(rep, "e", 3, e4), "f", 3, f4)
+    assert broken.e[3].commutator(broken.f[3]) == broken.h[3]
+    with pytest.raises(IntegrityError):
+        _check_rep(broken)
 
 
 def test_rep_relations_hold_exactly():

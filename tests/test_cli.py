@@ -206,6 +206,12 @@ def test_rank_guard_refuses_huge_types_before_building(capsys, monkeypatch):
         assert time.monotonic() - t0 < 1.0
 
 
+@pytest.mark.parametrize("rep", ["adjoint", "std"])
+def test_verify_refuses_a_rank_above_the_structure_constant_guard(capsys, rep):
+    code, out, err = run(capsys, "verify", "--type", "A9", "--rep", rep)
+    assert (code, out, err) == (3, "", "error: rank 9 exceeds the structure-constant guard 8\n")
+
+
 def test_sweep_guards_every_kkp_orbit_before_building_one(capsys, monkeypatch):
     def no_orbit(datum, lam):
         raise AssertionError(f"built the Weyl orbit of {datum.stype} {lam}")
