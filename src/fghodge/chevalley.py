@@ -10,16 +10,19 @@ antisymmetry, the norm relation for zero-sum triples
 
     N_{x,y}/(z,z) = N_{y,z}/(x,x) = N_{z,x}/(y,y)      (x + y + z = 0),
 
-and one Jacobi identity against the extraspecial pair.  |N_{a,b}| = p+1 is
-enforced for every special pair, and at build time the Chevalley involution
-(x_a -> -x_{-a}, h -> -h) is checked to preserve the bracket and each ad e_i
-to be a derivation, which implies the full Jacobi identity (see verify_jacobi).
+and one Jacobi identity against the extraspecial pair, each term an exact
+integer division.  |N_{a,b}| = p+1 is enforced for every special pair, and
+at build time the Chevalley involution (x_a -> -x_{-a}, h -> -h) is checked
+to preserve the bracket and each ad e_i to be a derivation, which implies
+the full Jacobi identity (see verify_jacobi).
 
-Representation matrices: the adjoint representation is read off that
-bracket table.  The standard representation V(omega_1) of A-D is built from
-its weights alone (_weight_rep): they have multiplicity 1, so the
-alpha_i-strings fix e_i and f_i without any structure constant or sign.
-Both pass the Chevalley-Serre check _check_rep before they are returned.
+Representation matrices: the adjoint representation is read off the
+bracket table, whose six root-pair entries per positive pair (a, b) follow
+from N_{a,b} by antisymmetry and the norm relation (StructureConstants.ad).
+The standard representation V(omega_1) of A-D is built from its weights
+alone (_weight_rep): they have multiplicity 1, so the alpha_i-strings fix
+e_i and f_i without any structure constant or sign.  Both pass the
+Chevalley-Serre check _check_rep before they are returned.
 
 Matrix conventions for the principal triple (N, RHO, E):
 
@@ -111,11 +114,15 @@ class StructureConstants:
         then ("cartan", i), then the negative roots in the same order.  Column
         z of ad(b_y) holds [b_y, b_z].  The Cartan and x_{+-a} entries are
         written directly; each ordered positive pair (a, b) of n_pos with
-        g = a + b gives the six root pairs (a, b), (-a, -b), (g, -a), (-g, a),
-        (-a, g) and (a, -g), which are all root pairs with a root sum, every
-        value through constant().
+        g = a + b and n = N_{a,b} gives the six root pairs with a root sum
+        (a, b), (-a, -b), (g, -a), (-g, a), (-a, g) and (a, -g).  With
+        m = n |b|^2 / |g|^2 (the norm relation on the zero-sum triple
+        (g, -a, -b)) their constants are n, -n, -m, m, m and -m, the values
+        constant() reaches through its recursion, so the root-root entries
+        are omega-equivariant by construction.
         """
         datum = self.datum
+        norm2 = self.norm2
         ordered = sorted(datum.positive_roots, key=lambda r: (-sum(r), r))
         basis = ([("root", r) for r in ordered] + [("cartan", i) for i in range(datum.rank)]
                  + [("root", _vneg(r)) for r in ordered])
@@ -129,24 +136,21 @@ class StructureConstants:
                     entries[x][(x, col[j])] = -w
                 for j, c in enumerate(datum.coroot_of[root if sign > 0 else _vneg(root)]):
                     entries[x][(col[j], col[_vneg(root)])] = sign * c  # [x_r, x_{-r}] = r^vee
-        for a, b in self.n_pos:
+        for (a, b), n in self.n_pos.items():
             g = _vadd(a, b)
-            na, nb, ng = _vneg(a), _vneg(b), _vneg(g)
-            for x, y, z in ((a, b, g), (na, nb, ng), (g, na, b), (ng, a, nb), (na, g, b), (a, ng, nb)):
-                entries[col[x]][(col[z], col[y])] = self.constant(x, y)
+            m, rem = divmod(n * norm2[b], norm2[g])
+            if rem or m == 0:
+                raise IntegrityError(
+                    f"N_{g},{_vneg(a)} = {Fraction(-n * norm2[b], norm2[g])} is not a nonzero integer")
+            ia, ib, ig = col[a], col[b], col[g]
+            ina, inb, ing = col[_vneg(a)], col[_vneg(b)], col[_vneg(g)]
+            entries[ia][(ig, ib)] = n  # [x_a, x_b] = n x_g
+            entries[ina][(ing, inb)] = -n
+            entries[ig][(ib, ina)] = -m  # [x_g, x_{-a}] = -m x_b
+            entries[ing][(inb, ia)] = m
+            entries[ina][(ib, ig)] = m
+            entries[ia][(inb, ing)] = -m
         return {b: SparseMatrix.from_entries(len(basis), e) for b, e in zip(basis, entries)}
-
-
-def _special_pairs(datum: RootDatum, pos_index: dict[Coords, int], gamma: Coords):
-    out = []
-    for a in datum.positive_roots:
-        if pos_index[a] >= pos_index[gamma]:
-            break
-        b = _vsub(gamma, a)
-        ib = pos_index.get(b)
-        if ib is not None and pos_index[a] < ib:
-            out.append((a, b))
-    return out
 
 
 def _string_length(root_set, a: Coords, b: Coords) -> int:
@@ -160,6 +164,14 @@ def _string_length(root_set, a: Coords, b: Coords) -> int:
         p += 1
 
 
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer: IntegrityError names the value otherwise."""
+    val, rem = divmod(num, den)
+    if rem:
+        raise IntegrityError(f"{what} = {Fraction(num, den)} is not an integer")
+    return val
+
+
 def structure_constants(datum: RootDatum) -> StructureConstants:
     """Consistent Chevalley structure constants for one simple type."""
     if datum.rank > MAX_RANK:
@@ -171,10 +183,18 @@ def structure_constants(datum: RootDatum) -> StructureConstants:
         return cached
 
     positive = datum.positive_roots
-    pos_index = {r: i for i, r in enumerate(positive)}
     root_set = frozenset(positive) | frozenset(_vneg(r) for r in positive)
     norm2 = {r: datum.norm2_root(r) for r in positive}
     norm2.update({_vneg(r): norm2[r] for r in positive})
+
+    # Special pairs of every gamma, in the order of their first root, so the
+    # extraspecial pair comes first.
+    special: dict[Coords, list[tuple[Coords, Coords]]] = defaultdict(list)
+    for i, a in enumerate(positive):
+        for b in positive[i + 1:]:
+            gamma = _vadd(a, b)
+            if gamma in root_set:
+                special[gamma].append((a, b))
 
     n_pos: dict[tuple[Coords, Coords], int] = {}
 
@@ -187,34 +207,33 @@ def structure_constants(datum: RootDatum) -> StructureConstants:
     for gamma in positive:
         if sum(gamma) == 1:
             continue
-        pairs = _special_pairs(datum, pos_index, gamma)
+        pairs = special.get(gamma)
         if not pairs:
             raise IntegrityError(f"no decomposition found for positive root {gamma}")
-        ex_a, ex_b = min(pairs, key=lambda ab: pos_index[ab[0]])
+        ex_a, ex_b = pairs[0]
         p = _string_length(root_set, ex_a, ex_b)
         put(ex_a, ex_b, p + 1)
-        for a, b in pairs:
-            if (a, b) == (ex_a, ex_b):
-                continue
+        # N_{-ex_a,gamma} from the norm relation on (-ex_a, gamma, -ex_b).
+        n_minus_gamma = _exact(norm2[ex_b] * (p + 1), norm2[gamma], f"N_{_vneg(ex_a)},{gamma}")
+        for a, b in pairs[1:]:
             # Jacobi on (x_{-ex_a}, x_a, x_b), all terms proportional to x_{ex_b}:
             #   N_{a,b} N_{-ex_a,gamma} + N_{b,-ex_a} N_{a,b-ex_a} + N_{-ex_a,a} N_{b,a-ex_a} = 0
-            n_minus_gamma = Fraction(norm2[ex_b] * (p + 1), norm2[gamma])
-            acc = Fraction(0)
+            acc = 0
             delta = _vsub(b, ex_a)
             if delta in root_set:
-                t1 = Fraction(-norm2[delta] * n_pos[(ex_a, delta)], norm2[b])
+                t1 = _exact(-norm2[delta] * n_pos[(ex_a, delta)], norm2[b], f"N_{b},{_vneg(ex_a)}")
                 acc += t1 * n_pos[(a, delta)]
             eps = _vsub(a, ex_a)
             if eps in root_set:
-                t2 = Fraction(norm2[eps] * n_pos[(ex_a, eps)], norm2[a])
+                t2 = _exact(norm2[eps] * n_pos[(ex_a, eps)], norm2[a], f"N_{_vneg(ex_a)},{a}")
                 acc += t2 * n_pos[(b, eps)]
-            val = -acc / n_minus_gamma
+            val = _exact(-acc, n_minus_gamma, f"derived constant N_{a},{b}")
             expect = _string_length(root_set, a, b) + 1
-            if val.denominator != 1 or abs(int(val)) != expect:
+            if abs(val) != expect:
                 raise IntegrityError(
                     f"derived constant N_{a},{b} = {val}, |N| should be {expect}"
                 )
-            put(a, b, int(val))
+            put(a, b, val)
 
     # Chevalley integrality for every special pair (redundant for derived
     # ones, a genuine check for extraspecial bookkeeping).
@@ -234,9 +253,10 @@ def verify_jacobi(sc: StructureConstants) -> None:
 
     omega(x_a) = -x_{-a}, omega(h) = -h.  First, each entry (k, z) = v of
     ad(b_y) needs (omega k, omega z) = -v in ad(b_{omega y}), with as many
-    entries: omega is an automorphism of the bracket.  Mixed-sign constants
-    come from two different norm-relation evaluations in constant(), so this
-    is a real check.  Then [ad e_i, ad y] = ad([e_i, y]) for the n raising
+    entries: omega is an automorphism of the bracket.  The table writes its
+    root-root entries omega-equivariantly by construction; the check stays
+    because the derivation argument below rests on it and it catches a
+    corrupted table.  Then [ad e_i, ad y] = ad([e_i, y]) for the n raising
     generators and every basis element y, [e_i, y] = sum_k v_k b_k read off
     column y of ad e_i: ad e_i ad y - ad y ad e_i - sum_k v_k ad b_k goes into
     one int dict through the row and column index of ad e_i, and every value

@@ -274,42 +274,40 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
 
     # Reflection closure over the positive roots: s_i permutes Phi+ minus
     # {alpha_i}, and every positive root descends to a simple one that way.
-    def pairing_with_simple_covee(root, i):
-        return sum(root[j] * cartan[j][i] for j in range(n))
-
-    roots = set(simple)
+    # Each root carries its pairings <r, alpha_j^vee> (s_i subtracts k times
+    # row i of the Cartan matrix) and its squared norm (s_i preserves it).
+    pairings = {s: cartan[i] for i, s in enumerate(simple)}
+    norms = {s: form[i][i] for i, s in enumerate(simple)}
     frontier = list(simple)
     while frontier:
         nxt = []
         for r in frontier:
-            for i in range(n):
-                k = pairing_with_simple_covee(r, i)
+            w = pairings[r]
+            for i, k in enumerate(w):
                 if k == 0 or r == simple[i]:  # s_i fixes r, or sends alpha_i to -alpha_i
                     continue
-                s = tuple(c - (k if j == i else 0) for j, c in enumerate(r))
-                if s not in roots:
-                    roots.add(s)
+                s = r[:i] + (r[i] - k,) + r[i + 1:]
+                if s not in pairings:
+                    pairings[s] = tuple(c - k * a for c, a in zip(w, cartan[i]))
+                    norms[s] = norms[r]
                     nxt.append(s)
         frontier = nxt
-    positive = sorted(roots, key=_root_sort_key)
+    positive = sorted(pairings, key=_root_sort_key)
     count = _POSITIVE_COUNT[stype.family](n)
     if len(positive) != count:
         raise ConfigurationError(
             f"{stype}: reflection closure found {len(positive)} positive roots, expected {count}"
         )
 
-    def norm2(root):
-        return sum(root[i] * root[j] * form[i][j] for i in range(n) for j in range(n))
-
     coroot_of = {}
     for r in positive:
-        ns = norm2(r)
+        ns = norms[r]
         co = []
         for i in range(n):
-            c = Fraction(2 * r[i] * halfnorms[i], ns)
-            if c.denominator != 1:
+            c, rem = divmod(2 * r[i] * halfnorms[i], ns)
+            if rem:
                 raise IntegrityError("coroot coefficients must be integral")
-            co.append(int(c))
+            co.append(c)
         coroot_of[r] = tuple(co)
 
     two_rho_cov = tuple(sum(coroot_of[r][i] for r in positive) for i in range(n))

@@ -386,23 +386,56 @@ def test_jacobi_check_agrees_with_the_exhaustive_oracle_on_every_sign_flip(name)
         assert verdict == _jacobi_holds_everywhere(flipped)
 
 
-@pytest.mark.parametrize("name", ["B3", "G2", "F4"])
-def test_a_mixed_sign_constant_that_breaks_the_chevalley_involution_is_caught(name, monkeypatch):
-    # Break N_{-a,-b} = -N_{a,b} for one pair a > 0 > b; constant() keeps
-    # N_{b,a} = -N_{a,b}, so only the involution and Jacobi can see it.
-    sc = structure_constants(datum(name))
-    a, b = next((a, b) for a in sc.datum.positive_roots for b in sc.root_set
-                if sum(b) < 0 and tuple(x + y for x, y in zip(a, b)) in sc.root_set)
-    honest = StructureConstants.constant
-
-    def broken(self, x, y):
-        value = honest(self, x, y)
-        return -value if (x, y) == (a, b) else value
-
-    monkeypatch.setattr(StructureConstants, "constant", broken)
+def _table_with_negated_entries(sc, brackets):
+    """A fresh copy of sc whose ad has [x_x, x_y] negated for each (x, y) in brackets."""
+    ad = dict(sc.ad)
+    index = {b: i for i, b in enumerate(ad)}
+    for x, y in brackets:
+        row = index[("root", tuple(p + q for p, q in zip(x, y)))]
+        entries = dict(ad[("root", x)].entries)
+        entries[(row, index[("root", y)])] *= -1
+        ad[("root", x)] = SparseMatrix.from_entries(len(ad), entries)
     fresh = StructureConstants(datum=sc.datum, n_pos=sc.n_pos, root_set=sc.root_set, norm2=sc.norm2)
-    with pytest.raises(IntegrityError):
-        verify_jacobi(fresh)
+    fresh.__dict__["ad"] = ad
+    return fresh
+
+
+def _mixed_sign_pair(sc):
+    return next((a, b) for a in sc.datum.positive_roots for b in sc.root_set
+                if sum(b) < 0 and tuple(x + y for x, y in zip(a, b)) in sc.root_set)
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "F4"])
+def test_a_mixed_sign_constant_that_breaks_the_chevalley_involution_is_caught(name):
+    # Break N_{-a,-b} = -N_{a,b} for one pair a > 0 > b by negating [x_a, x_b]
+    # in the table; the omega check sees that [x_{-a}, x_{-b}] no longer mirrors it.
+    sc = structure_constants(datum(name))
+    a, b = _mixed_sign_pair(sc)
+    with pytest.raises(IntegrityError, match="involution does not preserve"):
+        verify_jacobi(_table_with_negated_entries(sc, [(a, b)]))
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "F4", "E6"])
+def test_a_mixed_sign_constant_negated_with_its_omega_image_breaks_jacobi(name):
+    # Negating [x_{-a}, x_{-b}] too keeps the table omega-equivariant, so only
+    # the derivation check can see the fault.
+    sc = structure_constants(datum(name))
+    a, b = _mixed_sign_pair(sc)
+    neg = lambda r: tuple(-x for x in r)
+    with pytest.raises(IntegrityError, match="Jacobi identity fails"):
+        verify_jacobi(_table_with_negated_entries(sc, [(a, b), (neg(a), neg(b))]))
+
+
+def test_a_non_integral_norm_ratio_in_the_bracket_table_is_caught():
+    # G2 with the long root (3, 1) given norm 4 instead of 6: the norm
+    # relation then gives non-integral constants, |N_{(3,1),(-1,0)}| = 3 * 2 / 4.
+    sc = structure_constants(datum("G2"))
+    assert sc.norm2[(3, 1)] == sc.norm2[(-3, -1)] == 6
+    norm2 = dict(sc.norm2)
+    norm2[(3, 1)] = norm2[(-3, -1)] = 4
+    broken = StructureConstants(datum=sc.datum, n_pos=sc.n_pos, root_set=sc.root_set, norm2=norm2)
+    with pytest.raises(IntegrityError, match="is not a nonzero integer"):
+        broken.ad
 
 
 def test_exceptional_adjoint_matrices_match_their_recorded_digest():
