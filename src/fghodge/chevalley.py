@@ -11,18 +11,20 @@ antisymmetry, the norm relation for zero-sum triples
     N_{x,y}/(z,z) = N_{y,z}/(x,x) = N_{z,x}/(y,y)      (x + y + z = 0),
 
 and one Jacobi identity against the extraspecial pair, each term an exact
-integer division.  |N_{a,b}| = p+1 is enforced for every special pair, and
-at build time the Chevalley involution (x_a -> -x_{-a}, h -> -h) is checked
-to preserve the bracket and each ad e_i to be a derivation, which implies
-the full Jacobi identity (see verify_jacobi).
+integer division.  |N_{a,b}| = p+1 is enforced for every special pair.  At
+build time verify_jacobi checks that the Chevalley involution
+(x_a -> -x_{-a}, h -> -h) preserves the bracket, then certifies the full
+Jacobi identity with dim - 1 + 2n derivation checks along a spanning tree of
+the adjoint module, whose generators pass the Chevalley-Serre relations.
 
 Representation matrices: the adjoint representation is read off the
 bracket table, whose six root-pair entries per positive pair (a, b) follow
-from N_{a,b} by antisymmetry and the norm relation (StructureConstants.ad).
-The standard representation V(omega_1) of A-D is built from its weights
-alone (_weight_rep): they have multiplicity 1, so the alpha_i-strings fix
-e_i and f_i without any structure constant or sign.  Both pass the
-Chevalley-Serre check _check_rep before they are returned.
+from N_{a,b} by antisymmetry and the norm relation (StructureConstants.ad);
+verify_jacobi certifies it once per type (StructureConstants.adjoint).  The
+standard representation V(omega_1) of A-D is built from its weights alone
+(_weight_rep): they have multiplicity 1, so the alpha_i-strings fix e_i and
+f_i without any structure constant or sign.  Both pass the Chevalley-Serre
+check _check_rep before they are returned.
 
 Matrix conventions for the principal triple (N, RHO, E):
 
@@ -55,7 +57,6 @@ from .rootdatum import Coords, RootDatum, pair
 MAX_RANK = 8
 
 _sc_memo: dict = {}
-_adjoint_memo: dict = {}
 _std_memo: dict = {}
 
 
@@ -69,6 +70,13 @@ def _vsub(a: Coords, b: Coords) -> Coords:
 
 def _vneg(a: Coords) -> Coords:
     return tuple(map(operator.neg, a))
+
+
+def _root_weight(datum: RootDatum, root: Coords) -> Coords:
+    """<root, alpha_j^vee> for every j, from the pairings the root closure kept."""
+    if sum(root) > 0:
+        return datum.root_weights[root]
+    return _vneg(datum.root_weights[_vneg(root)])
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,7 @@ class StructureConstants:
         for x, (kind, root) in enumerate(basis):
             if kind == "root":
                 sign = 1 if sum(root) > 0 else -1
-                for j, w in enumerate(datum.weight_of_root(root)):
+                for j, w in enumerate(_root_weight(datum, root)):
                     entries[col[j]][(x, x)] = w  # [h_j, x_r] = <r, alpha_j^vee> x_r
                     entries[x][(x, col[j])] = -w
                 for j, c in enumerate(datum.coroot_of[root if sign > 0 else _vneg(root)]):
@@ -151,6 +159,21 @@ class StructureConstants:
             entries[ina][(ib, ig)] = m
             entries[ia][(inb, ing)] = -m
         return {b: SparseMatrix.from_entries(len(basis), e) for b, e in zip(basis, entries)}
+
+    @functools.cached_property
+    def adjoint(self) -> "RepMatrices":
+        """The adjoint representation read off ad, unchecked: verify_jacobi
+        certifies it together with the table."""
+        datum = self.datum
+        ad = self.ad
+        zero = (0,) * datum.rank
+        weights = tuple(_root_weight(datum, p) if kind == "root" else zero for kind, p in ad)
+        return RepMatrices(
+            datum=datum, dim=len(ad), basis_weights=weights,
+            e=tuple(ad[("root", a)] for a in datum.simple_roots),
+            f=tuple(ad[("root", _vneg(a))] for a in datum.simple_roots),
+            h=tuple(ad[("cartan", i)] for i in range(datum.rank)),
+            e_theta=ad[("root", datum.theta)], name=f"adjoint({datum.stype})")
 
 
 def _string_length(root_set, a: Coords, b: Coords) -> int:
@@ -184,7 +207,7 @@ def structure_constants(datum: RootDatum) -> StructureConstants:
 
     positive = datum.positive_roots
     root_set = frozenset(positive) | frozenset(_vneg(r) for r in positive)
-    norm2 = {r: datum.norm2_root(r) for r in positive}
+    norm2 = dict(datum.root_norm2)
     norm2.update({_vneg(r): norm2[r] for r in positive})
 
     # Special pairs of every gamma, in the order of their first root, so the
@@ -249,26 +272,41 @@ def structure_constants(datum: RootDatum) -> StructureConstants:
 # -- Jacobi check ------------------------------------------------------------
 
 def verify_jacobi(sc: StructureConstants) -> None:
-    """Jacobi check: the Chevalley involution, then ad e_i as derivations.
+    """Jacobi check: the Chevalley involution, then a spanning tree of derivations.
 
-    omega(x_a) = -x_{-a}, omega(h) = -h.  First, each entry (k, z) = v of
-    ad(b_y) needs (omega k, omega z) = -v in ad(b_{omega y}), with as many
-    entries: omega is an automorphism of the bracket.  The table writes its
-    root-root entries omega-equivariantly by construction; the check stays
-    because the derivation argument below rests on it and it catches a
-    corrupted table.  Then [ad e_i, ad y] = ad([e_i, y]) for the n raising
-    generators and every basis element y, [e_i, y] = sum_k v_k b_k read off
-    column y of ad e_i: ad e_i ad y - ad y ad e_i - sum_k v_k ad b_k goes into
-    one int dict through the row and column index of ad e_i, and every value
-    must be 0.  So each ad e_i is a derivation.
+    1. omega(x_a) = -x_{-a}, omega(h) = -h.  Each entry (k, z) = v of
+       ad(b_y) needs (omega k, omega z) = -v in ad(b_{omega y}), with as many
+       entries: omega is an automorphism of the bracket.  The table writes its
+       root-root entries omega-equivariantly by construction; the check stays
+       because it catches a corrupted table with a direct message.
+    2. Base: column x_{-theta} of every ad f_j is empty, and the derivation
+       check runs for (f_j, x_{-theta}) and (h_j, x_{-theta}).
+    3. Tree: breadth first from x_{-theta} (every edge raises the height by
+       one, so this walks by ascending height), each simple e_i whose column w
+       holds exactly one entry c b with b not yet reached gives the derivation
+       check for (e_i, w) and reaches b.  Cartan elements are reached as
+       [e_j, f_j] = h_j, simple roots from a Cartan element as
+       [e_i, h_j] = -a_ij e_i.  Every basis element must be reached.
+    4. Chevalley-Serre: _check_rep on sc.adjoint, the generators e_i, f_i,
+       h_i read off the table.  It runs last so that a table fault is named
+       by the step above that sees it.
 
-    So are all 3n generators: ad f_i = -omega ad(e_i) omega^-1 is a
-    derivation conjugated by an automorphism, and ad h_i = [ad e_i, ad f_i]
-    (the y = f_i case).  The x with ad x a derivation form a subspace closed
-    under the bracket (ad [x, y] = [ad x, ad y]) and the generators generate
-    (each x_gamma is [e_i, x_{gamma-alpha_i}] / N or [f_i, x_{gamma+alpha_i}]
-    / N, |N| = p+1 != 0), so the full Jacobi identity holds.  The bracket is
-    antisymmetric by construction; all arithmetic is on Python ints.
+    That is dim - 1 + 2n derivation checks (_check_derivation), and they
+    give the full Jacobi identity.  By step 4 and Serre's theorem the
+    adjoint space V is a g-module (rho(x) = ad x on the generators), so End V
+    is one too, under T -> [rho(x), T].  By steps 2 and 4, x_{-theta} is a
+    lowest-weight vector of V, and by step 3, V = U(g) x_{-theta}: a cyclic
+    finite-dimensional lowest-weight module, hence irreducible.  Step 2 also
+    makes ad x_{-theta} a lowest-weight vector of End V of the same weight, so
+    there is a module map Phi: V -> End V with Phi(x_{-theta}) = ad x_{-theta}.
+    Along each tree edge [ad e_i, ad w] = c ad b, so ad b = (1/c)[ad e_i,
+    ad w] = (1/c)[rho(e_i), Phi(w)] = Phi(b): ad = Phi is a module map, that
+    is ad([x, y]) = [ad x, ad y] for every generator x and every y.  The x
+    with ad x a derivation form a subspace closed under the bracket
+    (ad [x, y] = [ad x, ad y]) and the generators generate (each b is
+    (1/c)[e_i, w] along the tree), so the full Jacobi identity holds.  The
+    bracket is antisymmetric by construction; all arithmetic is on Python
+    ints.
     """
     basis = list(sc.ad)
     ad = list(sc.ad.values())
@@ -280,24 +318,57 @@ def verify_jacobi(sc: StructureConstants) -> None:
         if len(mirror) != ad_y.nnz or any(
                 mirror.get((omega[k], omega[z])) != -v for (k, z), v in ad_y.entries.items()):
             raise IntegrityError(f"the Chevalley involution does not preserve ad {basis[y]}")
-    for a in sc.datum.simple_roots:
-        ad_g = sc.ad[("root", a)]
-        rows = ad_g.rows
-        column: dict[int, list[tuple[int, int]]] = {}
-        for (k, y), v in ad_g.entries.items():
+
+    datum = sc.datum
+    e = [index[("root", a)] for a in datum.simple_roots]
+    f = [index[("root", _vneg(a))] for a in datum.simple_roots]
+    h = [index[("cartan", j)] for j in range(datum.rank)]
+    columns: dict[int, dict[int, list[tuple[int, int]]]] = {g: {} for g in e + f + h}
+    for g, column in columns.items():
+        for (k, y), v in ad[g].entries.items():
             column.setdefault(y, []).append((k, v))
-        for y, ad_y in enumerate(ad):
-            acc = defaultdict(int)
-            for (r, k), v in ad_y.entries.items():
-                for i, u in column.get(r, ()):  # ad e_i ad y
-                    acc[(i, k)] += u * v
-                for c, u in rows.get(k, ()):  # - ad y ad e_i
-                    acc[(r, c)] -= v * u
-            for k, v in column.get(y, ()):  # - ad [e_i, y]
-                for key, u in ad[k].entries.items():
-                    acc[key] -= v * u
-            if any(acc.values()):
-                raise IntegrityError(f"Jacobi identity fails for {('root', a)}, {basis[y]}")
+
+    base = index[("root", _vneg(datum.theta))]
+    for fj, hj in zip(f, h):
+        if base in columns[fj]:
+            raise IntegrityError(f"{basis[fj]} does not kill the lowest root vector {basis[base]}")
+        _check_derivation(basis, ad, columns[fj], fj, base)
+        _check_derivation(basis, ad, columns[hj], hj, base)
+    reached = {base}
+    order = [base]
+    for w in order:
+        for g in e:
+            edge = columns[g].get(w)
+            if edge is not None and len(edge) == 1 and edge[0][0] not in reached:
+                _check_derivation(basis, ad, columns[g], g, w)
+                reached.add(edge[0][0])
+                order.append(edge[0][0])
+    if len(order) != len(basis):
+        raise IntegrityError(
+            f"the raising generators reach {len(order)} of {len(basis)} basis elements "
+            f"from {basis[base]}")
+    _check_rep(sc.adjoint)
+
+
+def _check_derivation(basis, ad: list[SparseMatrix], column, g: int, y: int) -> None:
+    """[ad b_g, ad b_y] = ad([b_g, b_y]), with [b_g, b_y] = sum_k v_k b_k read
+    off column y of ad b_g (column: {y: [(k, v_k), ...]}).
+
+    ad b_g ad b_y - ad b_y ad b_g - sum_k v_k ad b_k goes into one int dict
+    through the row and column index of ad b_g, and every value must be 0.
+    """
+    rows = ad[g].rows
+    acc = defaultdict(int)
+    for (r, k), v in ad[y].entries.items():
+        for i, u in column.get(r, ()):  # ad b_g ad b_y
+            acc[(i, k)] += u * v
+        for c, u in rows.get(k, ()):  # - ad b_y ad b_g
+            acc[(r, c)] -= v * u
+    for k, v in column.get(y, ()):  # - ad [b_g, b_y]
+        for key, u in ad[k].entries.items():
+            acc[key] -= v * u
+    if any(acc.values()):
+        raise IntegrityError(f"Jacobi identity fails for {basis[g]}, {basis[y]}")
 
 
 # -- representation matrices --------------------------------------------------
@@ -317,20 +388,31 @@ class RepMatrices:
 def _check_rep(rep: RepMatrices) -> None:
     """Enforce the Chevalley-Serre relations and weight compatibility.
 
-    The relation set ([h,e], [h,f], [e_i,f_j] = delta h_i, Serre) presents
-    the Lie algebra, so passing it certifies the matrices really define a
-    representation; the remaining checks pin the weight bookkeeping and the
-    highest-root vector.
+    h_i must be diag(<mu, alpha_i^vee>) over the declared basis weights mu,
+    and every entry of e_j (f_j) must move a weight mu to mu + alpha_j
+    (mu - alpha_j).  With h_i diagonal, [h_i, x] has entry
+    (h_i[r] - h_i[c]) x[r, c], so this grading is exactly [h_i, e_j] =
+    a_ji e_j and [h_i, f_j] = -a_ji f_j.  Together with [e_i, f_j] =
+    delta_ij h_i and the Serre relations that set presents the Lie algebra
+    (Serre's theorem), so passing it certifies that the matrices define a
+    representation; [e_theta, e_i] = 0 pins the highest-root vector.
     """
     datum = rep.datum
     n = datum.rank
     cartan = datum.cartan
+    weights = rep.basis_weights
+    for i in range(n):
+        if rep.h[i] != SparseMatrix.diagonal([w[i] for w in weights]):
+            raise IntegrityError(f"{rep.name}: h_{i+1} disagrees with basis weights")
+    for j, alpha in enumerate(cartan):  # row j is alpha_j in weight coordinates
+        for (r, c) in rep.e[j].entries:
+            if weights[r] != _vadd(weights[c], alpha):
+                raise IntegrityError(f"{rep.name}: e_{j+1} breaks the weight grading")
+        for (r, c) in rep.f[j].entries:
+            if weights[c] != _vadd(weights[r], alpha):
+                raise IntegrityError(f"{rep.name}: f_{j+1} breaks the weight grading")
     for i in range(n):
         for j in range(n):
-            if rep.h[i].commutator(rep.e[j]) != rep.e[j].scale(cartan[j][i]):
-                raise IntegrityError(f"{rep.name}: [h_{i+1}, e_{j+1}] relation fails")
-            if rep.h[i].commutator(rep.f[j]) != rep.f[j].scale(-cartan[j][i]):
-                raise IntegrityError(f"{rep.name}: [h_{i+1}, f_{j+1}] relation fails")
             expect = rep.h[i] if i == j else SparseMatrix.zero(rep.dim)
             if rep.e[i].commutator(rep.f[j]) != expect:
                 raise IntegrityError(f"{rep.name}: [e_{i+1}, f_{j+1}] relation fails")
@@ -346,14 +428,6 @@ def _check_rep(rep: RepMatrices) -> None:
                     acc = gens[i].commutator(acc)
                 if not acc.is_zero():
                     raise IntegrityError(f"{rep.name}: Serre relation ({i+1},{j+1}) fails")
-    # h_i diagonal with the declared weights; e_i moves mu to mu + alpha_i.
-    for i in range(n):
-        if rep.h[i] != SparseMatrix.diagonal([w[i] for w in rep.basis_weights]):
-            raise IntegrityError(f"{rep.name}: h_{i+1} disagrees with basis weights")
-        alpha_w = datum.weight_of_root(datum.simple_roots[i])
-        for (r, c) in rep.e[i].entries:
-            if rep.basis_weights[r] != _vadd(rep.basis_weights[c], alpha_w):
-                raise IntegrityError(f"{rep.name}: e_{i+1} breaks the weight grading")
     for i in range(n):
         if not rep.e_theta.commutator(rep.e[i]).is_zero():
             raise IntegrityError(f"{rep.name}: [e_theta, e_{i+1}] != 0")
@@ -381,25 +455,9 @@ def _theta_matrix(sc: StructureConstants, e: tuple[SparseMatrix, ...], dim: int)
 
 
 def adjoint_rep(datum: RootDatum) -> RepMatrices:
-    """Adjoint representation on the basis (roots by descending height, Cartan)."""
-    cached = _adjoint_memo.get(datum.stype)
-    if cached is not None:
-        return cached
-    ad = structure_constants(datum).ad
-    zero = (0,) * datum.rank
-    weights = tuple(
-        datum.weight_of_root(payload) if kind == "root" else zero
-        for kind, payload in ad
-    )
-    e = tuple(ad[("root", a)] for a in datum.simple_roots)
-    f = tuple(ad[("root", _vneg(a))] for a in datum.simple_roots)
-    h = tuple(ad[("cartan", i)] for i in range(datum.rank))
-    e_theta = ad[("root", datum.theta)]
-    rep = RepMatrices(datum=datum, dim=len(ad), basis_weights=weights,
-                      e=e, f=f, h=h, e_theta=e_theta, name=f"adjoint({datum.stype})")
-    _check_rep(rep)
-    _adjoint_memo[datum.stype] = rep
-    return rep
+    """Adjoint representation on the basis (roots by descending height, Cartan),
+    certified by verify_jacobi when structure_constants builds the table."""
+    return structure_constants(datum).adjoint
 
 
 def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:

@@ -175,7 +175,9 @@ class RootDatum:
     """Full combinatorial data of one simple type.
 
     positive_roots are sorted by (height, reverse-lex on coordinates), a
-    total order reused everywhere deterministic output matters.
+    total order reused everywhere deterministic output matters.  root_weights
+    and root_norm2 hold weight_of_root and norm2_root of every positive root,
+    as the reflection closure carried them.
     """
 
     stype: SimpleType
@@ -191,6 +193,8 @@ class RootDatum:
     coxeter: int
     form: tuple[Coords, ...] = field(repr=False)
     halfnorms: tuple[int, ...]
+    root_weights: dict[Coords, Coords] = field(repr=False)  # positive root -> <r, alpha_j^vee>
+    root_norm2: dict[Coords, int] = field(repr=False)  # positive root -> (r, r)
 
     @property
     def rank(self) -> int:
@@ -352,6 +356,8 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
         coxeter=coxeter,
         form=form,
         halfnorms=halfnorms,
+        root_weights={r: pairings[r] for r in positive},
+        root_norm2={r: norms[r] for r in positive},
     )
 
 

@@ -272,6 +272,22 @@ def test_check_rep_catches_a_sign_flip_around_the_weight_diamond():
         _check_rep(broken)
 
 
+def test_check_rep_catches_an_off_diagonal_cartan_entry():
+    rep = classical_std_rep(datum("B3"))
+    h1 = dict(rep.h[0].entries) | {(0, 1): 1}
+    with pytest.raises(IntegrityError, match="h_1 disagrees with basis weights"):
+        _check_rep(_with_generator(rep, "h", 0, h1))
+
+
+def test_check_rep_catches_an_f_entry_at_a_wrong_weight():
+    # A3 std: move the one entry of f_2 to another row of its column.
+    rep = classical_std_rep(datum("A3"))
+    ((r, c), v), = rep.f[1].entries.items()
+    moved = next(k for k in range(rep.dim) if k not in (r, c))
+    with pytest.raises(IntegrityError, match="f_2 breaks the weight grading"):
+        _check_rep(_with_generator(rep, "f", 1, {(moved, c): v}))
+
+
 def test_rep_relations_hold_exactly():
     # zero residual matrices, not approximately
     d = datum("B3")
@@ -496,3 +512,167 @@ def test_n_pos_holds_exactly_the_positive_pairs_with_a_root_sum(name):
     expect = {(a, b) for a in d.positive_roots for b in d.positive_roots
               if tuple(x + y for x, y in zip(a, b)) in sc.root_set}
     assert set(sc.n_pos) == expect
+
+
+# -- the bracket table itself: an exhaustive oracle on sc.ad, and the certificate's shape --
+
+def _lie_bracket_holds_on_the_table(sc) -> bool:
+    """Antisymmetry, and the Jacobi identity on every triple of basis elements,
+    with every bracket read off sc.ad: [b_y, b_z] is column z of ad b_y."""
+    ad = list(sc.ad.values())
+    dim = len(ad)
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    for y, mat in enumerate(ad):
+        for (k, z), v in mat.entries.items():
+            table[y][z][k] = v
+    for y in range(dim):
+        for z in range(y, dim):
+            if table[y][z] != {k: -v for k, v in table[z][y].items()}:
+                return False
+    for x in range(dim):
+        for y in range(x + 1, dim):
+            for z in range(y + 1, dim):
+                total: dict = {}
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    row = table[a]
+                    for k, v in table[b][c].items():
+                        for m, u in row[k].items():
+                            total[m] = total.get(m, 0) + v * u
+                if any(total.values()):
+                    return False
+    return True
+
+
+def _with_table(sc, ad):
+    fresh = StructureConstants(datum=sc.datum, n_pos=sc.n_pos, root_set=sc.root_set, norm2=sc.norm2)
+    fresh.__dict__["ad"] = ad
+    return fresh
+
+
+def _scaled_brackets(sc, pairs, factor):
+    """A copy of sc whose table has [x_a, x_b] and [x_b, x_a] times factor for each (a, b)."""
+    ad = dict(sc.ad)
+    index = {b: i for i, b in enumerate(ad)}
+    for a, b in pairs:
+        row = index[("root", tuple(p + q for p, q in zip(a, b)))]
+        for x, y in ((a, b), (b, a)):
+            entries = dict(ad[("root", x)].entries)
+            entries[(row, index[("root", y)])] *= factor
+            ad[("root", x)] = SparseMatrix.from_entries(len(ad), entries)
+    return _with_table(sc, ad)
+
+
+def _rebased(sc, gamma):
+    """sc on the basis with x_gamma, x_{-gamma} replaced by -x_gamma, -x_{-gamma}."""
+    basis = list(sc.ad)
+    flipped = {("root", gamma), ("root", tuple(-x for x in gamma))}
+    s = [-1 if b in flipped else 1 for b in basis]
+    ad = {b: SparseMatrix.from_entries(len(basis), {(k, z): s[y] * s[k] * s[z] * v
+                                                   for (k, z), v in sc.ad[b].entries.items()})
+          for y, b in enumerate(basis)}
+    return _with_table(sc, ad)
+
+
+def _verdict(sc) -> bool:
+    try:
+        verify_jacobi(sc)
+    except IntegrityError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["G2", "A3", "B3", "C3"])
+def test_jacobi_check_agrees_with_the_table_oracle_on_every_corrupted_bracket(name):
+    sc = structure_constants(datum(name))
+    assert _lie_bracket_holds_on_the_table(sc)
+    neg = lambda r: tuple(-x for x in r)
+    roots = sorted(sc.root_set)
+    pairs = [(a, b) for i, a in enumerate(roots) for b in roots[i + 1:]
+             if tuple(x + y for x, y in zip(a, b)) in sc.root_set]
+    expect = {"G2": 30, "A3": 24, "B3": 60, "C3": 60}[name]
+    assert len(pairs) == expect
+    for a, b in pairs:
+        for factor in (-1, 2):
+            for brackets in ([(a, b)], [(a, b), (neg(a), neg(b))]):
+                broken = _scaled_brackets(sc, brackets, factor)
+                assert not _lie_bracket_holds_on_the_table(broken)
+                assert not _verdict(broken)
+
+
+@pytest.mark.parametrize("name", ["G2", "A3", "B3", "C3"])
+def test_a_sign_rebasing_passes_the_jacobi_check_and_the_table_oracle(name):
+    sc = structure_constants(datum(name))
+    rebasings = [_rebased(sc, g) for g in sc.datum.positive_roots if sum(g) > 1]
+    assert len(rebasings) == {"G2": 4, "A3": 3, "B3": 6, "C3": 6}[name]
+    for rebased in rebasings:
+        assert rebased.ad != sc.ad
+        assert _lie_bracket_holds_on_the_table(rebased)
+        assert _verdict(rebased)
+
+
+def test_jacobi_check_runs_dim_minus_one_plus_2n_derivation_checks(monkeypatch):
+    from fghodge import chevalley
+
+    calls = []
+    check = chevalley._check_derivation
+
+    def counted(*args):
+        calls.append(args[3:])
+        return check(*args)
+
+    monkeypatch.setattr(chevalley, "_check_derivation", counted)
+    counts = {}
+    for name in ALL_TYPES_RANK8:
+        d = datum(name)
+        calls.clear()
+        verify_jacobi(structure_constants(d))
+        assert len(calls) == len(set(calls)) == d.adjoint_dim - 1 + 2 * d.rank
+        counts[name] = len(calls)
+    assert counts["E8"] == 263
+    assert counts["B8"] == 151
+
+
+@pytest.mark.parametrize("name", ["A1", "B3", "G2", "E6"])
+def test_a_deleted_tree_edge_leaves_the_table_uncertified(name):
+    # [e_1, f_1] = h_1 is the only edge into h_1: delete it from ad e_1 and
+    # its omega image [f_1, e_1] = -h_1 from ad f_1.
+    sc = structure_constants(datum(name))
+    ad = dict(sc.ad)
+    index = {b: i for i, b in enumerate(ad)}
+    a = sc.datum.simple_roots[0]
+    e1, f1 = ("root", a), ("root", tuple(-x for x in a))
+    h1 = index[("cartan", 0)]
+    for g, other in ((e1, f1), (f1, e1)):
+        entries = dict(ad[g].entries)
+        del entries[(h1, index[other])]
+        ad[g] = SparseMatrix.from_entries(len(ad), entries)
+    with pytest.raises(IntegrityError) as info:
+        verify_jacobi(_with_table(sc, ad))
+    if name == "A1":  # every other check passes: only the walk sees the gap
+        assert "reach 1 of 3 basis elements" in str(info.value)
+
+
+def test_a_lowest_root_vector_not_killed_by_f_is_caught():
+    # [f_1, x_{-theta}] = h_1 and its omega image [e_1, x_theta] = -h_1: the
+    # table stays omega-equivariant, but x_{-theta} is no lowest-weight vector.
+    sc = structure_constants(datum("B3"))
+    ad = dict(sc.ad)
+    index = {b: i for i, b in enumerate(ad)}
+    a, theta = sc.datum.simple_roots[0], sc.datum.theta
+    neg = lambda r: tuple(-x for x in r)
+    h1 = index[("cartan", 0)]
+    for g, col, v in ((neg(a), neg(theta), 1), (a, theta, -1)):
+        ad[("root", g)] = SparseMatrix.from_entries(
+            len(ad), dict(ad[("root", g)].entries) | {(h1, index[("root", col)]): v})
+    with pytest.raises(IntegrityError, match="does not kill the lowest root vector"):
+        verify_jacobi(_with_table(sc, ad))
+
+
+def test_a_doubled_table_is_a_lie_bracket_but_not_the_chevalley_one():
+    # 2 [x, y] satisfies the Jacobi identity and every derivation check, so
+    # only the Chevalley-Serre step sees that h_i = 2 diag(weights).
+    sc = structure_constants(datum("G2"))
+    doubled = _with_table(sc, {b: m.scale(2) for b, m in sc.ad.items()})
+    assert _lie_bracket_holds_on_the_table(doubled)
+    with pytest.raises(IntegrityError, match=r"adjoint\(G2\): h_1 disagrees with basis weights"):
+        verify_jacobi(doubled)

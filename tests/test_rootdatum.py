@@ -218,3 +218,18 @@ def test_cartan_inverse_matches_fraction_gauss_jordan(name):
     inverse = _invert_rational(cartan)
     assert inverse == fraction_gauss_jordan_inverse(cartan)
     assert all(type(x) is Fraction for row in inverse for x in row)
+
+
+TYPES_RANK20 = ([f"A{n}" for n in range(1, 21)] + [f"B{n}" for n in range(2, 21)]
+                + [f"C{n}" for n in range(2, 21)] + [f"D{n}" for n in range(3, 21)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def test_closure_keeps_each_roots_pairings_and_norm():
+    assert len(TYPES_RANK20) == 81
+    for name in TYPES_RANK20:
+        d = datum(name)
+        assert list(d.root_weights) == list(d.root_norm2) == list(d.positive_roots)
+        for root in d.positive_roots:
+            assert d.root_weights[root] == d.weight_of_root(root)
+            assert d.root_norm2[root] == d.norm2_root(root)
