@@ -23,8 +23,11 @@ from N_{a,b} by antisymmetry and the norm relation (StructureConstants.ad);
 verify_jacobi certifies it once per type (StructureConstants.adjoint).  The
 standard representation V(omega_1) of A-D is built from its weights alone
 (_weight_rep): they have multiplicity 1, so the alpha_i-strings fix e_i and
-f_i without any structure constant or sign.  Both pass the Chevalley-Serre
-check _check_rep before they are returned.
+f_i without any structure constant or sign.  Its x_theta is
+[e_i, x_{gamma-alpha_i}] / N along the chain of extraspecial pairs
+(alpha_i, gamma - alpha_i) up to theta, each with N = +(p+1) read off a
+root string (_theta_matrix), so no bracket table is built for it.  Both
+pass the Chevalley-Serre check _check_rep before they are returned.
 
 Matrix conventions for the principal triple (N, RHO, E):
 
@@ -48,7 +51,6 @@ from .errors import (
     IntegrityError,
     ResourceLimitError,
     UnsupportedRepresentationError,
-    UsageError,
 )
 from .grading import JordanPartition
 from .linalg import SparseMatrix, power_ranks
@@ -86,34 +88,6 @@ class StructureConstants:
     root_set: frozenset[Coords] = field(repr=False)
     norm2: dict[Coords, int] = field(repr=False)
 
-    def constant(self, x: Coords, y: Coords) -> int:
-        """N_{x,y} for any roots x, y with x + y a root."""
-        s = _vadd(x, y)
-        if s not in self.root_set:
-            raise UsageError(f"{x} + {y} is not a root")
-        xpos = sum(x) > 0
-        ypos = sum(y) > 0
-        if xpos and ypos:
-            return self.n_pos[(x, y)]
-        if not xpos and not ypos:
-            return -self.constant(_vneg(x), _vneg(y))
-        if not xpos:
-            return -self.constant(y, x)
-        # x positive, y negative; gamma = x + y.
-        mu = _vneg(y)
-        gamma = s
-        if sum(gamma) > 0:
-            # triple (x, -mu, -gamma): N_{x,-mu} = (g,g)/(x,x) * N_{-mu,-g} = -(g,g)/(x,x) N_{mu,g}
-            num, den = self.norm2[gamma] * -self.constant(mu, gamma), self.norm2[x]
-        else:
-            # reduce to the previous case through N_{x,-mu} = N_{mu,-x}
-            gp = _vneg(gamma)
-            num, den = self.norm2[gp] * -self.constant(x, gp), self.norm2[mu]
-        val, rem = divmod(num, den)
-        if rem or val == 0:
-            raise IntegrityError(f"N_{x},{y} = {Fraction(num, den)} is not a nonzero integer")
-        return val
-
     @functools.cached_property
     def ad(self) -> dict[tuple, SparseMatrix]:
         """ad(b) for every adjoint basis element b, in basis order.
@@ -126,7 +100,7 @@ class StructureConstants:
         (a, b), (-a, -b), (g, -a), (-g, a), (-a, g) and (a, -g).  With
         m = n |b|^2 / |g|^2 (the norm relation on the zero-sum triple
         (g, -a, -b)) their constants are n, -n, -m, m, m and -m, the values
-        constant() reaches through its recursion, so the root-root entries
+        antisymmetry and the norm relation give, so the root-root entries
         are omega-equivariant by construction.
         """
         datum = self.datum
@@ -195,12 +169,17 @@ def _exact(num: int, den: int, what: str) -> int:
     return val
 
 
-def structure_constants(datum: RootDatum) -> StructureConstants:
-    """Consistent Chevalley structure constants for one simple type."""
+def _check_rank(datum: RootDatum) -> None:
+    """The rank guard of every matrix model, adjoint or built from weights."""
     if datum.rank > MAX_RANK:
         raise ResourceLimitError(
             f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
         )
+
+
+def structure_constants(datum: RootDatum) -> StructureConstants:
+    """Consistent Chevalley structure constants for one simple type."""
+    _check_rank(datum)
     cached = _sc_memo.get(datum.stype)
     if cached is not None:
         return cached
@@ -433,10 +412,22 @@ def _check_rep(rep: RepMatrices) -> None:
             raise IntegrityError(f"{rep.name}: [e_theta, e_{i+1}] != 0")
 
 
-def _theta_matrix(sc: StructureConstants, e: tuple[SparseMatrix, ...], dim: int) -> SparseMatrix:
-    """x_theta on a representation, via x_gamma = [e_i, x_{gamma-alpha_i}] / N."""
-    datum = sc.datum
+def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix:
+    """x_theta on a representation, via x_gamma = [e_i, x_{gamma-alpha_i}] / N.
+
+    The first i with delta = gamma - alpha_i a positive root gives the
+    extraspecial pair (alpha_i, delta) of gamma: in the (height,
+    reverse-lex) order alpha_1 < alpha_2 < ... come before every root of
+    height 2 or more, so alpha_i is the minimal first root of any
+    decomposition of gamma.  Its constant is N = +(p+1), p the length of
+    the alpha_i-string down from delta, which positive roots alone fix
+    (delta - k alpha_i with delta != alpha_i positive is a positive root or
+    no root).  No runtime check sees the scale of x_theta ([e_theta, e_i] =
+    0 and [E, RHO] = (h-1) E hold for any nonzero multiple): the tests pin
+    it against the structure constants of the bracket table.
+    """
     simple = datum.simple_roots
+    positive = frozenset(datum.positive_roots)
     mats: dict[Coords, SparseMatrix] = {simple[i]: e[i] for i in range(datum.rank)}
 
     def build(gamma: Coords) -> SparseMatrix:
@@ -445,8 +436,9 @@ def _theta_matrix(sc: StructureConstants, e: tuple[SparseMatrix, ...], dim: int)
             return got
         for i, alpha in enumerate(simple):
             delta = _vsub(gamma, alpha)
-            if delta in sc.root_set and sum(delta) > 0:
-                m = e[i].commutator(build(delta)).scale(Fraction(1, sc.constant(alpha, delta)))
+            if delta in positive:
+                n = _string_length(positive, alpha, delta) + 1
+                m = e[i].commutator(build(delta)).scale(Fraction(1, n))
                 mats[gamma] = m
                 return m
         raise IntegrityError(f"no simple-root decomposition for {gamma}")
@@ -470,9 +462,12 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
     the steps from mu to the top of its string, which is [e_i, f_i] = h_i
     along the string.  That is 1 on every minuscule string and 2, 2 on the
     string through the zero weight of B_n's V(omega_1).  _check_rep
-    certifies that the strings fit together.
+    certifies that the strings fit together.  x_theta comes from the e_i
+    along the extraspecial chain to theta (_theta_matrix), so no adjoint
+    bracket table is built; the rank guard is the one structure_constants
+    keeps.
     """
-    sc = structure_constants(datum)
+    _check_rank(datum)
     two_rho = datum.two_rho_covector
     weights = tuple(sorted(_weight_support(datum, lam), key=lambda mu: (-pair(mu, two_rho), mu)))
     dim = len(weights)
@@ -496,7 +491,7 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
     f = tuple(SparseMatrix.from_entries(dim, ent) for ent in f_entries)
     h = tuple(SparseMatrix.diagonal([w[i] for w in weights]) for i in range(datum.rank))
     rep = RepMatrices(datum=datum, dim=dim, basis_weights=weights, e=e, f=f, h=h,
-                      e_theta=_theta_matrix(sc, e, dim),
+                      e_theta=_theta_matrix(datum, e),
                       name=f"V({','.join(map(str, lam))}) of {datum.stype}")
     _check_rep(rep)
     return rep

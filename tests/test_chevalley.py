@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from fghodge.character import adjoint_weight, irrep_character
+from fghodge import chevalley
 from fghodge.chevalley import (
     _check_rep,
+    _string_length,
     _weight_rep,
     adjoint_rep,
     classical_std_rep,
@@ -25,11 +27,47 @@ from fghodge.errors import (
     UnsupportedRepresentationError,
     UsageError,
 )
+from fghodge.connection import integrability_residual, rmodule_pair
 from fghodge.grading import partition_from_grading, principal_grading, rho_grading
 from fghodge.kkp import minuscule_nodes
 from fghodge.linalg import SparseMatrix
 from fghodge.rootdatum import pair
 from conftest import ALL_TYPES_RANK8, datum, fw
+
+
+def constant(sc, x, y):
+    """N_{x,y} for any roots x, y with x + y a root, by recursion from sc.n_pos.
+
+    The oracle for every mixed-sign constant: the package writes them in
+    closed form (StructureConstants.ad); this reaches them through the
+    antisymmetry and the norm relation one step at a time.
+    """
+    neg = lambda r: tuple(-c for c in r)
+    s = tuple(a + b for a, b in zip(x, y))
+    if s not in sc.root_set:
+        raise UsageError(f"{x} + {y} is not a root")
+    xpos = sum(x) > 0
+    ypos = sum(y) > 0
+    if xpos and ypos:
+        return sc.n_pos[(x, y)]
+    if not xpos and not ypos:
+        return -constant(sc, neg(x), neg(y))
+    if not xpos:
+        return -constant(sc, y, x)
+    # x positive, y negative; gamma = x + y.
+    mu = neg(y)
+    gamma = s
+    if sum(gamma) > 0:
+        # triple (x, -mu, -gamma): N_{x,-mu} = (g,g)/(x,x) * N_{-mu,-g} = -(g,g)/(x,x) N_{mu,g}
+        num, den = sc.norm2[gamma] * -constant(sc, mu, gamma), sc.norm2[x]
+    else:
+        # reduce to the previous case through N_{x,-mu} = N_{mu,-x}
+        gp = neg(gamma)
+        num, den = sc.norm2[gp] * -constant(sc, x, gp), sc.norm2[mu]
+    val, rem = divmod(num, den)
+    if rem or val == 0:
+        raise IntegrityError(f"N_{x},{y} = {Fraction(num, den)} is not a nonzero integer")
+    return val
 
 
 def test_structure_constant_magnitudes():
@@ -44,8 +82,8 @@ def test_structure_constant_magnitudes():
     b2 = datum("B2")
     sc = structure_constants(b2)
     a1, a2_ = (1, 0), (0, 1)
-    assert abs(sc.constant(a1, a2_)) == 1
-    assert abs(sc.constant(a2_, (1, 1))) == 2
+    assert abs(constant(sc, a1, a2_)) == 1
+    assert abs(constant(sc, a2_, (1, 1))) == 2
 
 
 def test_structure_constants_antisymmetry_and_string_rule():
@@ -73,7 +111,7 @@ def test_structure_constants_mixed_signs_consistent():
         for b in d.positive_roots:
             diff = tuple(x - y for x, y in zip(a, b))
             if a != b and diff in sc.root_set:
-                val = sc.constant(a, neg(b))
+                val = constant(sc, a, neg(b))
                 assert isinstance(val, int) and val != 0
 
 
@@ -243,6 +281,85 @@ def test_weight_rule_refuses_a_weight_with_multiplicities():
         _weight_rep(datum("A2"), (1, 1))  # the zero weight of the adjoint has multiplicity 2
 
 
+# -- x_theta: the root-string chain against the bracket table --
+
+def _theta_through_the_bracket_table(d, e):
+    """x_theta on the representation with simple generators e, every root
+    vector x_gamma = [e_i, x_{gamma-alpha_i}] / N_{alpha_i, gamma-alpha_i}
+    with N read through constant() off the certified bracket table; every
+    decomposition of gamma must give the same matrix."""
+    sc = structure_constants(d)
+    x = dict(zip(d.simple_roots, e))
+    for gamma in d.positive_roots:  # by height, so every x_delta is built first
+        if gamma in x:
+            continue
+        built = []
+        for i, a in enumerate(d.simple_roots):
+            delta = tuple(p - q for p, q in zip(gamma, a))
+            if delta in x:
+                built.append(e[i].commutator(x[delta]).scale(Fraction(1, constant(sc, a, delta))))
+        assert built and all(m == built[0] for m in built[1:]), gamma
+        x[gamma] = built[0]
+    return x[d.theta]
+
+
+@pytest.mark.parametrize("name,node", [(name, None) for name in CLASSICAL_RANK8] + MINUSCULE_RANK8)
+def test_e_theta_matches_the_bracket_table(name, node):
+    d = datum(name)
+    rep = classical_std_rep(d) if node is None else _weight_rep(d, fw(d, node))
+    assert rep.e_theta == _theta_through_the_bracket_table(d, rep.e)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_every_theta_chain_step_is_an_extraspecial_pair(name, monkeypatch):
+    # On the adjoint module the chain must rebuild ad x_theta itself, and each
+    # step (alpha_i, delta) it takes must carry N = +(p+1) in the bracket table.
+    d = datum(name)
+    sc = structure_constants(d)
+    steps = []
+
+    def recorded(roots, a, b):
+        p = _string_length(roots, a, b)
+        steps.append((a, b, p))
+        return p
+
+    monkeypatch.setattr(chevalley, "_string_length", recorded)
+    rep = adjoint_rep(d)
+    assert chevalley._theta_matrix(d, rep.e) == rep.e_theta
+    assert len(steps) == d.coxeter - 2  # one step per height from 2 up to h - 1
+    for a, delta, p in steps:
+        assert a in d.simple_roots
+        assert sc.n_pos[(a, delta)] == p + 1
+        assert p == _string_length(sc.root_set, a, delta)
+
+
+def test_a_doubled_e_theta_passes_every_runtime_check_but_not_the_bracket_table():
+    d = datum("B3")
+    rep = classical_std_rep(d)
+    doubled = dataclasses.replace(rep, e_theta=rep.e_theta.scale(2))
+    _check_rep(doubled)
+    triple = principal_triple(doubled)
+    assert integrability_residual(*rmodule_pair(triple, d.coxeter)).is_zero()
+    assert doubled.e_theta != _theta_through_the_bracket_table(d, doubled.e)
+
+
+def test_standard_and_minuscule_reps_build_no_lie_algebra(monkeypatch):
+    def refuse(datum_):
+        raise AssertionError(f"built the bracket table of {datum_.stype}")
+
+    monkeypatch.setattr(chevalley, "structure_constants", refuse)
+    monkeypatch.setattr(chevalley, "_std_memo", {})
+    tables = set(chevalley._sc_memo)
+    for name in ["B8", "C8", "D8"]:
+        d = datum(name)
+        kostant = partition_from_grading(principal_grading(d, fw(d, 1)))
+        assert jordan_type(principal_triple(classical_std_rep(d)).N) == kostant
+    e7 = datum("E7")
+    kostant = partition_from_grading(principal_grading(e7, fw(e7, 7)))
+    assert jordan_type(principal_triple(_weight_rep(e7, fw(e7, 7))).N) == kostant
+    assert set(chevalley._sc_memo) == tables
+
+
 def _with_generator(rep, which, i, entries):
     mats = list(getattr(rep, which))
     mats[i] = SparseMatrix.from_entries(rep.dim, entries)
@@ -341,7 +458,7 @@ def _bracket_table(sc):
             co = d.coroot_of[px if sign > 0 else py]
             return {("cartan", j): sign * c for j, c in enumerate(co) if c}
         if s in sc.root_set:
-            return {("root", s): sc.constant(px, py)}
+            return {("root", s): constant(sc, px, py)}
         return {}
 
     return basis, {(x, y): br(x, y) for x in basis for y in basis}
@@ -492,7 +609,7 @@ def _ad_from_every_basis_pair(sc):
                 for j, c in enumerate(d.coroot_of[xi if sign > 0 else eta]):
                     entries[(index[("cartan", j)], col)] = sign * c
             elif s in sc.root_set:
-                entries[(index[("root", s)], col)] = sc.constant(xi, eta)
+                entries[(index[("root", s)], col)] = constant(sc, xi, eta)
         table[(kind, xi)] = SparseMatrix.from_entries(len(basis), entries)
     return table
 
@@ -611,8 +728,6 @@ def test_a_sign_rebasing_passes_the_jacobi_check_and_the_table_oracle(name):
 
 
 def test_jacobi_check_runs_dim_minus_one_plus_2n_derivation_checks(monkeypatch):
-    from fghodge import chevalley
-
     calls = []
     check = chevalley._check_derivation
 
