@@ -31,7 +31,6 @@ from .errors import (
 from .grading import (
     HodgeTable,
     JordanPartition,
-    RhoGrading,
     distinct_blocks,
     exponents,
     functoriality_check,
@@ -78,7 +77,6 @@ __all__ = [
     "UsageError",
     "HodgeTable",
     "JordanPartition",
-    "RhoGrading",
     "distinct_blocks",
     "exponents",
     "functoriality_check",

@@ -169,17 +169,12 @@ def _exact(num: int, den: int, what: str) -> int:
     return val
 
 
-def _check_rank(datum: RootDatum) -> None:
-    """The rank guard of every matrix model, adjoint or built from weights."""
+def structure_constants(datum: RootDatum) -> StructureConstants:
+    """Consistent Chevalley structure constants for one simple type."""
     if datum.rank > MAX_RANK:
         raise ResourceLimitError(
             f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
         )
-
-
-def structure_constants(datum: RootDatum) -> StructureConstants:
-    """Consistent Chevalley structure constants for one simple type."""
-    _check_rank(datum)
     cached = _sc_memo.get(datum.stype)
     if cached is not None:
         return cached
@@ -464,10 +459,10 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
     string through the zero weight of B_n's V(omega_1).  _check_rep
     certifies that the strings fit together.  x_theta comes from the e_i
     along the extraspecial chain to theta (_theta_matrix), so no adjoint
-    bracket table is built; the rank guard is the one structure_constants
-    keeps.
+    bracket table is built and no rank guard applies.  The caller bounds
+    the size: V(omega_1) is at most 45-dimensional (B22) under the
+    positive-root guard of build_root_datum.
     """
-    _check_rank(datum)
     two_rho = datum.two_rho_covector
     weights = tuple(sorted(_weight_support(datum, lam), key=lambda mu: (-pair(mu, two_rho), mu)))
     dim = len(weights)

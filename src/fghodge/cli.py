@@ -212,39 +212,28 @@ def cmd_sweep(args) -> int:
                     f"over the kkp limit of {DEFAULT_MAX_DIM}; lower --max-rank"
                 )
         swept.append((stype, datum, cases))
-    failures = []
-    checked = 0
+    checked = failed = 0
+
+    def report(ok: bool, label: str) -> None:
+        nonlocal checked, failed
+        checked += 1
+        failed += not ok
+        print(f"{'ok' if ok else 'FAIL'} {label}")
+
     for stype, datum, cases in swept:
         for lam in _dominant_weights_up_to(datum, args.max_dim):
-            checked += 1
             g = principal_grading(datum, lam)
-            ok_sum = g.total == weyl_dimension(datum, lam)
-            part = partition_from_grading(g)
-            ok_round = grading.hodge_from_partition(part).dims == g.dims
-            status = "ok" if (ok_sum and ok_round) else "FAIL"
-            if not (ok_sum and ok_round):
-                failures.append((str(stype), lam))
-            print(f"{status} {stype} weight {','.join(map(str, lam))} dim {g.total}")
+            ok_sum = g.dim == weyl_dimension(datum, lam)
+            ok_round = grading.hodge_from_partition(partition_from_grading(g)).dims == g.dims
+            report(ok_sum and ok_round, f"{stype} weight {','.join(map(str, lam))} dim {g.dim}")
         for case in cases:
-            checked += 1
-            verdict = kkp.kkp_check(case)
-            if not verdict.passed:
-                failures.append((str(stype), f"kkp node {case.node}"))
-            print(f"{'ok' if verdict.passed else 'FAIL'} {stype} kkp node {case.node}")
+            report(kkp.kkp_check(case).passed, f"{stype} kkp node {case.node}")
     for n in range(2, args.max_rank):
-        checked += 1
-        verdict = grading.functoriality_check("so_pair", n)
-        if not verdict.passed:
-            failures.append((verdict.case, verdict.detail))
-        print(f"{'ok' if verdict.passed else 'FAIL'} {verdict.case}")
+        report(grading.functoriality_check("so_pair", n), f"so_pair({n})")
     if args.max_rank >= 6:
-        checked += 1
-        verdict = grading.functoriality_check("f4_e6")
-        if not verdict.passed:
-            failures.append((verdict.case, verdict.detail))
-        print(f"{'ok' if verdict.passed else 'FAIL'} {verdict.case}")
-    print(f"sweep: {checked - len(failures)}/{checked} checks passed")
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+        report(grading.functoriality_check("f4_e6"), "f4_e6")
+    print(f"sweep: {checked - failed}/{checked} checks passed")
+    return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from fghodge import grading
 from fghodge.rootdatum import SimpleType, build_root_datum
 
 
@@ -28,3 +29,17 @@ SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "D4", "G2", "F4"]
 @pytest.fixture(scope="session")
 def e8():
     return datum("E8")
+
+
+@pytest.fixture
+def extra_trivial_on_b(monkeypatch):
+    """Fault: grading.hodge_numbers adds 2 at level 0 to every B-type table."""
+    real = grading.hodge_numbers
+
+    def faulty(d, lam):
+        table = real(d, lam)
+        if d.stype.family != "B":
+            return table
+        return grading.HodgeTable({**table.dims, 0: table.level(0) + 2})
+
+    monkeypatch.setattr(grading, "hodge_numbers", faulty)

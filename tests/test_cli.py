@@ -206,10 +206,26 @@ def test_rank_guard_refuses_huge_types_before_building(capsys, monkeypatch):
         assert time.monotonic() - t0 < 1.0
 
 
-@pytest.mark.parametrize("rep", ["adjoint", "std"])
+@pytest.mark.parametrize("rep", ["adjoint"])
 def test_verify_refuses_a_rank_above_the_structure_constant_guard(capsys, rep):
     code, out, err = run(capsys, "verify", "--type", "A9", "--rep", rep)
     assert (code, out, err) == (3, "", "error: rank 9 exceeds the structure-constant guard 8\n")
+
+
+@pytest.mark.parametrize("name", ["A9", "B16", "D16", "A31", "B22", "C22", "D22"])
+def test_verify_std_has_no_rank_guard(capsys, name):
+    # the standard representation builds no structure constants; B22 is the
+    # largest B type under the positive-root guard
+    code, out, err = run(capsys, "verify", "--type", name, "--rep", "std")
+    assert (code, out, err) == (0, f"PASS {name} std: flatness residual is the zero matrix\n", "")
+
+
+def test_sweep_counts_a_failed_check(capsys, extra_trivial_on_b):
+    code, out, err = run(capsys, "sweep", "--max-rank", "3", "--max-dim", "10")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == ["FAIL so_pair(2)"]
+    assert lines[-1] == "sweep: 58/59 checks passed"
+    assert (code, err) == (1, "")
 
 
 def test_sweep_guards_every_kkp_orbit_before_building_one(capsys, monkeypatch):

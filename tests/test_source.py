@@ -32,3 +32,14 @@ def test_the_package_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_the_export_list_matches_the_imports():
+    import fghodge
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(fghodge.__all__) == len(set(fghodge.__all__))
+    assert set(fghodge.__all__) == imported
+    assert all(hasattr(fghodge, name) for name in fghodge.__all__)
