@@ -14,21 +14,19 @@ recursion runs on arbitrary-precision ints (E-type sums overflow 64 bits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import IntegrityError, UsageError
 from .rootdatum import Coords, RootDatum, weyl_orbit
 
 _character_memo: dict[tuple, "Character"] = {}
 
 
-@dataclass(frozen=True)
 class Character:
     """Finite map weight -> multiplicity of an irreducible V_lambda."""
 
-    datum: RootDatum
-    highest: Coords
-    mult: dict[Coords, int] = field(repr=False)
+    def __init__(self, datum: RootDatum, highest: Coords, mult: dict[Coords, int]):
+        self.datum = datum
+        self.highest = highest
+        self.mult = mult
 
     @property
     def dim(self) -> int:

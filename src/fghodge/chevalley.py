@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .character import _weight_support, weyl_dimension
@@ -81,12 +80,16 @@ def _root_weight(datum: RootDatum, root: Coords) -> Coords:
     return _vneg(datum.root_weights[_vneg(root)])
 
 
-@dataclass(frozen=True)
 class StructureConstants:
-    datum: RootDatum
-    n_pos: dict[tuple[Coords, Coords], int] = field(repr=False)
-    root_set: frozenset[Coords] = field(repr=False)
-    norm2: dict[Coords, int] = field(repr=False)
+    """N_{a,b} for the ordered positive pairs (a, b) with a + b a root, the
+    root set (both signs) and every root's squared norm."""
+
+    def __init__(self, datum: RootDatum, n_pos: dict[tuple[Coords, Coords], int],
+                 root_set: frozenset[Coords], norm2: dict[Coords, int]):
+        self.datum = datum
+        self.n_pos = n_pos
+        self.root_set = root_set
+        self.norm2 = norm2
 
     @functools.cached_property
     def ad(self) -> dict[tuple, SparseMatrix]:
@@ -347,16 +350,9 @@ def _check_derivation(basis, ad: list[SparseMatrix], column, g: int, y: int) -> 
 
 # -- representation matrices --------------------------------------------------
 
-@dataclass(frozen=True)
-class RepMatrices:
-    datum: RootDatum
-    dim: int
-    basis_weights: tuple[Coords, ...]
-    e: tuple[SparseMatrix, ...]
-    f: tuple[SparseMatrix, ...]
-    h: tuple[SparseMatrix, ...]
-    e_theta: SparseMatrix
-    name: str = "rep"
+# e, f, h: tuples of the n generator matrices; e_theta: x_theta; name labels messages
+RepMatrices = namedtuple("RepMatrices", "datum dim basis_weights e f h e_theta name",
+                         defaults=("rep",))
 
 
 def _check_rep(rep: RepMatrices) -> None:
@@ -511,15 +507,8 @@ def classical_std_rep(datum: RootDatum) -> RepMatrices:
 
 # -- principal triple ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrincipalTriple:
-    datum: RootDatum
-    dim: int
-    N: SparseMatrix
-    RHO: SparseMatrix
-    E: SparseMatrix
-    H: SparseMatrix
-    basis_weights: tuple[Coords, ...]
+class PrincipalTriple(namedtuple("PrincipalTriple", "datum dim N RHO E H basis_weights")):
+    __slots__ = ()
 
     @property
     def coxeter(self) -> int:

@@ -222,10 +222,14 @@ def cmd_sweep(args) -> int:
 
     for stype, datum, cases in swept:
         for lam in _dominant_weights_up_to(datum, args.max_dim):
-            g = principal_grading(datum, lam)
-            ok_sum = g.dim == weyl_dimension(datum, lam)
-            ok_round = grading.hodge_from_partition(partition_from_grading(g)).dims == g.dims
-            report(ok_sum and ok_round, f"{stype} weight {','.join(map(str, lam))} dim {g.dim}")
+            label = f"{stype} weight {','.join(map(str, lam))}"
+            try:  # principal_grading checks the sum rule, partition_from_grading sl2-consistency
+                g = principal_grading(datum, lam)
+                ok = grading.hodge_from_partition(partition_from_grading(g)).dims == g.dims
+            except IntegrityError as exc:
+                report(False, f"{label}: {exc}")
+            else:
+                report(ok, f"{label} dim {g.dim}")
         for case in cases:
             report(kkp.kkp_check(case).passed, f"{stype} kkp node {case.node}")
     for n in range(2, args.max_rank):

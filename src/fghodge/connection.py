@@ -24,7 +24,6 @@ are formal on Laurent exponents and every coefficient is canonical, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chevalley import PrincipalTriple
@@ -52,12 +51,20 @@ def _term(c, a: int, b: int) -> str:
     return "*".join(factors)
 
 
-@dataclass(frozen=True)
 class LaurentMatrix:
     """Square matrix-valued Laurent polynomial: sum of t^a z^b * coeffs[(a, b)]."""
 
-    dim: int
-    coeffs: dict[Monomial, SparseMatrix] = field(repr=False)
+    def __init__(self, dim: int, coeffs: dict[Monomial, SparseMatrix]):
+        self.dim = dim
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"LaurentMatrix(dim={self.dim})"
 
     @classmethod
     def zero(cls, dim: int) -> "LaurentMatrix":

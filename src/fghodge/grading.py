@@ -23,7 +23,6 @@ that dictionary and are exact inverses.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 # irrep_character is re-exported: grading.irrep_character is the oracle bench/test_bench.py reads
 from .character import Character, adjoint_weight, irrep_character, weyl_dimension  # noqa: F401
@@ -33,19 +32,25 @@ from .rootdatum import RootDatum, SimpleType, build_root_datum, pair
 Levels = dict[int, int]
 
 
-@dataclass(frozen=True)
 class HodgeTable:
     """Irregular Hodge numbers h^alpha, the dimension of each 2rho^vee-eigenspace,
     keyed by the doubled level k = 2*alpha."""
 
-    dims: Levels
-
-    def __post_init__(self):
-        for k, v in self.dims.items():
+    def __init__(self, dims: Levels):
+        for k, v in dims.items():
             if v <= 0:
                 raise IntegrityError(f"HodgeTable: level {k} has non-positive dimension {v}")
-            if self.dims.get(-k) != v:
+            if dims.get(-k) != v:
                 raise IntegrityError(f"HodgeTable: table not symmetric at level {k}")
+        self.dims = dims
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dims == other.dims
+
+    def __repr__(self) -> str:
+        return f"HodgeTable(dims={self.dims})"
 
     @property
     def dim(self) -> int:
@@ -68,16 +73,24 @@ class HodgeTable:
         }
 
 
-@dataclass(frozen=True)
 class JordanPartition:
     """Multiset of Jordan block sizes, sorted descending."""
 
-    blocks: tuple[int, ...]
+    def __init__(self, blocks: tuple[int, ...]):
+        if any(b <= 0 for b in blocks):
+            raise UsageError(f"Jordan blocks must be positive: {blocks}")
+        self.blocks = tuple(sorted(blocks, reverse=True))
 
-    def __post_init__(self):
-        if any(b <= 0 for b in self.blocks):
-            raise UsageError(f"Jordan blocks must be positive: {self.blocks}")
-        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, reverse=True)))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self) -> str:
+        return f"JordanPartition(blocks={self.blocks})"
 
     @property
     def total(self) -> int:
@@ -190,18 +203,6 @@ def tensor_grading(g1: HodgeTable, g2: HodgeTable) -> HodgeTable:
     return HodgeTable(dims)
 
 
-def product_character_grading(c1: Character, c2: Character) -> HodgeTable:
-    """Grading of the product character, convolving weightwise (test oracle route)."""
-    trc = c1.datum.two_rho_covector
-    dims: Levels = {}
-    for mu1, m1 in c1.mult.items():
-        k1 = sum(a * b for a, b in zip(mu1, trc))
-        for mu2, m2 in c2.mult.items():
-            k = k1 + sum(a * b for a, b in zip(mu2, trc))
-            dims[k] = dims.get(k, 0) + m1 * m2
-    return HodgeTable(dims)
-
-
 def functoriality_check(case: str, n: int | None = None) -> bool:
     """Decomposition identities between Hodge tables of restricted representations.
 
@@ -221,8 +222,3 @@ def functoriality_check(case: str, n: int | None = None) -> bool:
     else:
         raise UsageError(f"unknown functoriality case {case!r}")
     return left.dims == {**right.dims, 0: right.level(0) + 1}
-
-
-def sum_rule_holds(datum: RootDatum, lam) -> bool:
-    """Sum over the Hodge table equals the Weyl dimension, bit-exactly."""
-    return hodge_numbers(datum, lam).dim == weyl_dimension(datum, lam)

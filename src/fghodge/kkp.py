@@ -13,13 +13,12 @@ so that kkp_check compares two independently computed quantities:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .character import weyl_dimension
 from .errors import IntegrityError, UsageError
 from .grading import hodge_numbers
-from .rootdatum import Coords, RootDatum, pair, weyl_orbit
+from .rootdatum import RootDatum, pair, weyl_orbit
 
 
 def _is_minuscule(datum: RootDatum, node: int) -> bool:
@@ -32,12 +31,8 @@ def minuscule_nodes(datum: RootDatum) -> list[int]:
     return [node for node in range(1, datum.rank + 1) if _is_minuscule(datum, node)]
 
 
-@dataclass(frozen=True)
-class MinusculeCase:
-    datum: RootDatum
-    node: int
-    lam: Coords
-    dim_x: int
+# lam = omega_node; dim_x = dim G/P = <lam, 2 rho^vee>
+MinusculeCase = namedtuple("MinusculeCase", "datum node lam dim_x")
 
 
 def minuscule_case(datum: RootDatum, node: int) -> MinusculeCase:
@@ -58,15 +53,26 @@ def minuscule_case(datum: RootDatum, node: int) -> MinusculeCase:
     return MinusculeCase(datum=datum, node=node, lam=lam, dim_x=int(dim_x))
 
 
-@dataclass(frozen=True)
 class BettiTable:
-    b: tuple[int, ...]
+    """Betti numbers b[0..dim X] of a minuscule G/P."""
 
-    def __post_init__(self):
-        if not self.b or self.b[0] != 1:
+    def __init__(self, b: tuple[int, ...]):
+        if not b or b[0] != 1:
             raise IntegrityError("Betti table must start with b[0] = 1")
-        if self.b != tuple(reversed(self.b)):
+        if b != tuple(reversed(b)):
             raise IntegrityError("Betti table must be palindromic")
+        self.b = b
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.b == other.b
+
+    def __hash__(self):
+        return hash(self.b)
+
+    def __repr__(self) -> str:
+        return f"BettiTable(b={self.b})"
 
     @property
     def total(self) -> int:
@@ -112,13 +118,9 @@ def weight_graph_betti(case: MinusculeCase) -> BettiTable:
     return table
 
 
-@dataclass(frozen=True)
-class KkpVerdict:
-    passed: bool
-    case: MinusculeCase
-    betti: BettiTable
-    hodge_shifted: tuple[int, ...]
-    first_mismatch: int | None = None
+# first_mismatch: the first p with b[p] != hodge_shifted[p], or None
+KkpVerdict = namedtuple("KkpVerdict", "passed case betti hodge_shifted first_mismatch",
+                        defaults=(None,))
 
 
 def kkp_check(case: MinusculeCase) -> KkpVerdict:

@@ -9,7 +9,6 @@ Entries are Python ints or Fractions; nothing here ever touches a float.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,10 +25,20 @@ def _norm(x: Entry) -> Entry:
     return x
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
-    dim: int
-    entries: Entries = field(repr=False)
+    """Square dim x dim matrix; entries holds the nonzero ones by (row, col)."""
+
+    def __init__(self, dim: int, entries: Entries):
+        self.dim = dim
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix(dim={self.dim})"
 
     @classmethod
     def zero(cls, dim: int) -> "SparseMatrix":
@@ -106,21 +115,6 @@ class SparseMatrix:
 
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
         return (self @ other) - (other @ self)
-
-    def to_dense(self) -> list[list[Entry]]:
-        m = [[0] * self.dim for _ in range(self.dim)]
-        for (r, c), v in self.entries.items():
-            m[r][c] = v
-        return m
-
-    def dump_triplets(self) -> str:
-        """Sparse triplet text: one "row col numerator/denominator" per line."""
-        lines = ["# sparse matrix, dim %d, entries %d" % (self.dim, self.nnz),
-                 "# row col numerator/denominator"]
-        for (r, c) in sorted(self.entries):
-            v = Fraction(self.entries[(r, c)])
-            lines.append(f"{r} {c} {v.numerator}/{v.denominator}")
-        return "\n".join(lines) + "\n"
 
 
 def _int_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigurationError, IntegrityError, ResourceLimitError, UsageError
@@ -79,26 +78,50 @@ def check_size(stype: "SimpleType") -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class SimpleType:
-    """A simple type such as E8 or B3.  C1 is normalized to A1."""
+    """A simple type such as E8 or B3.  C1 is normalized to A1.
 
-    family: str
-    rank: int
+    Immutable, and equal, hashed and ordered by (family, rank): it keys
+    build_root_datum's cache and the memos of chevalley.
+    """
 
-    def __post_init__(self):
-        family = self.family.upper()
-        rank = self.rank
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family: str, rank: int):
+        family = family.upper()
         if family == "C" and rank == 1:
-            family, rank = "A", 1
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
+            family = "A"
         if family not in _RANK_RULES:
-            raise ConfigurationError(f"unknown family {self.family!r}; expected one of A-G")
+            raise ConfigurationError(f"unknown family {family!r}; expected one of A-G")
         lo, hi = _RANK_RULES[family]
         if rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
             raise ConfigurationError(f"{family}{rank}: rank for family {family} must be {bound}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SimpleType is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return SimpleType, (self.family, self.rank)
+
+    def __eq__(self, other):
+        if other.__class__ is not SimpleType:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __lt__(self, other):
+        if other.__class__ is not SimpleType:
+            return NotImplemented
+        return (self.family, self.rank) < (other.family, other.rank)
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
+
+    def __repr__(self) -> str:
+        return f"SimpleType(family={self.family!r}, rank={self.rank})"
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
@@ -170,31 +193,39 @@ def _symmetrizer(cartan) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """Full combinatorial data of one simple type.
 
     positive_roots are sorted by (height, reverse-lex on coordinates), a
     total order reused everywhere deterministic output matters.  root_weights
     and root_norm2 hold weight_of_root and norm2_root of every positive root,
-    as the reflection closure carried them.
+    as the reflection closure carried them.  build_root_datum makes one per
+    type, so two data are equal only when they are the same object.
     """
 
-    stype: SimpleType
-    cartan: tuple[Coords, ...]
-    simple_roots: tuple[Coords, ...]
-    positive_roots: tuple[Coords, ...]
-    coroot_of: dict[Coords, Coords] = field(repr=False)
-    fundamental_weights: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    rho: Coords
-    rho_covector: tuple[Fraction, ...]
-    two_rho_covector: Coords
-    theta: Coords
-    coxeter: int
-    form: tuple[Coords, ...] = field(repr=False)
-    halfnorms: tuple[int, ...]
-    root_weights: dict[Coords, Coords] = field(repr=False)  # positive root -> <r, alpha_j^vee>
-    root_norm2: dict[Coords, int] = field(repr=False)  # positive root -> (r, r)
+    def __init__(self, stype: SimpleType, cartan: tuple[Coords, ...],
+                 simple_roots: tuple[Coords, ...], positive_roots: tuple[Coords, ...],
+                 coroot_of: dict[Coords, Coords],
+                 fundamental_weights: tuple[tuple[Fraction, ...], ...], rho: Coords,
+                 rho_covector: tuple[Fraction, ...], two_rho_covector: Coords,
+                 theta: Coords, coxeter: int, form: tuple[Coords, ...],
+                 halfnorms: tuple[int, ...], root_weights: dict[Coords, Coords],
+                 root_norm2: dict[Coords, int]):
+        self.stype = stype
+        self.cartan = cartan
+        self.simple_roots = simple_roots
+        self.positive_roots = positive_roots
+        self.coroot_of = coroot_of
+        self.fundamental_weights = fundamental_weights
+        self.rho = rho
+        self.rho_covector = rho_covector
+        self.two_rho_covector = two_rho_covector
+        self.theta = theta
+        self.coxeter = coxeter
+        self.form = form
+        self.halfnorms = halfnorms
+        self.root_weights = root_weights  # positive root -> <r, alpha_j^vee>
+        self.root_norm2 = root_norm2  # positive root -> (r, r)
 
     @property
     def rank(self) -> int:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fghodge import connection, kkp, rootdatum
+from fghodge import connection, grading, kkp, rootdatum
 from fghodge.character import irrep_character
 from fghodge.cli import DEFAULT_MAX_DIM, main
 
@@ -225,6 +225,22 @@ def test_sweep_counts_a_failed_check(capsys, extra_trivial_on_b):
     lines = out.splitlines()
     assert [line for line in lines if line.startswith("FAIL")] == ["FAIL so_pair(2)"]
     assert lines[-1] == "sweep: 58/59 checks passed"
+    assert (code, err) == (1, "")
+
+
+def test_sweep_reports_a_failed_sum_rule_and_goes_on(capsys, monkeypatch):
+    real = grading.weyl_dimension
+
+    def off_on_a2_adjoint(d, lam):  # principal_grading's sum rule then fails on A2 (1,1) only
+        return real(d, lam) + (str(d.stype) == "A2" and tuple(lam) == (1, 1))
+
+    monkeypatch.setattr(grading, "weyl_dimension", off_on_a2_adjoint)
+    code, out, err = run(capsys, "sweep", "--max-rank", "2", "--max-dim", "30")
+    lines = out.splitlines()
+    fail = "FAIL A2 weight 1,1: principal specialization of (1, 1) sums to 8, not dim 9"
+    assert [line for line in lines if line.startswith("FAIL")] == [fail]
+    assert lines.index(fail) < len(lines) - 2  # the sweep went on past it
+    assert lines[-1] == f"sweep: {len(lines) - 2}/{len(lines) - 1} checks passed"
     assert (code, err) == (1, "")
 
 

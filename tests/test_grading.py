@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fghodge import grading
 from fghodge.character import adjoint_weight, irrep_character, weyl_dimension
 from fghodge.cli import _dominant_weights_up_to
-from fghodge.errors import IntegrityError
+from fghodge.errors import IntegrityError, UsageError
 from fghodge.rootdatum import pair
 from fghodge.grading import (
     HodgeTable,
@@ -21,12 +21,12 @@ from fghodge.grading import (
     hodge_numbers,
     partition_from_grading,
     principal_grading,
-    product_character_grading,
     rho_grading,
     tensor_grading,
 )
 
 from conftest import ALL_TYPES_RANK8, datum, fw
+from oracles import product_character_grading
 
 # Exponents per Bourbaki; D_{2k} genuinely repeats the exponent n-1.
 BOURBAKI_EXPONENTS = {
@@ -252,10 +252,9 @@ def test_roundtrip_on_random_partitions():
 
 
 def test_sum_rule_helper():
-    from fghodge.grading import sum_rule_holds
-
-    assert sum_rule_holds(datum("F4"), fw(datum("F4"), 4))
-    assert sum_rule_holds(datum("A3"), (1, 1, 1))
+    # the sum rule the package checks inside principal_grading, from outside
+    for d, lam in ((datum("F4"), fw(datum("F4"), 4)), (datum("A3"), (1, 1, 1))):
+        assert hodge_numbers(d, lam).dim == weyl_dimension(d, lam)
 
 
 def test_functoriality_so_pairs_and_f4_e6():
@@ -287,3 +286,19 @@ def test_table_rejects_an_asymmetric_level():
 def test_table_rejects_a_non_positive_level(dims):
     with pytest.raises(IntegrityError, match="non-positive dimension"):
         HodgeTable(dims)
+
+
+def test_jordan_partition_rejects_a_non_positive_block_and_sorts():
+    with pytest.raises(UsageError, match="Jordan blocks must be positive"):
+        JordanPartition((3, 0, 1))
+    with pytest.raises(UsageError):
+        JordanPartition((-2,))
+    assert JordanPartition((1, 3, 2)).blocks == (3, 2, 1)
+    assert JordanPartition((1, 3)) == JordanPartition((3, 1))
+
+
+def test_tables_compare_by_value():
+    assert HodgeTable({-1: 1, 1: 1}) == HodgeTable({1: 1, -1: 1})
+    assert HodgeTable({0: 1}) != HodgeTable({0: 2})
+    d = datum("B3")
+    assert hodge_numbers(d, (1, 0, 0)) == hodge_numbers(d, (1, 0, 0))

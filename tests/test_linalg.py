@@ -11,6 +11,7 @@ from fghodge.chevalley import adjoint_rep, jordan_type, principal_triple
 from fghodge.errors import UsageError
 from fghodge.linalg import SparseMatrix, rank
 from conftest import datum
+from oracles import to_dense
 
 
 def gauss_jordan_rank(dense) -> int:
@@ -86,7 +87,7 @@ def jordan_blocks_from_powers(m: SparseMatrix) -> tuple[int, ...]:
     ranks = [m.dim]
     power = m
     while ranks[-1]:
-        ranks.append(gauss_jordan_rank(power.to_dense()))
+        ranks.append(gauss_jordan_rank(to_dense(power)))
         power = power @ m
     ranks.append(0)
     blocks = []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -233,3 +235,31 @@ def test_closure_keeps_each_roots_pairings_and_norm():
         for root in d.positive_roots:
             assert d.root_weights[root] == d.weight_of_root(root)
             assert d.root_norm2[root] == d.norm2_root(root)
+
+
+def test_simple_type_is_equal_hashed_and_ordered_by_value():
+    c1, a1 = SimpleType("c", 1), SimpleType("A", 1)
+    assert c1 == a1 and hash(c1) == hash(a1)
+    assert len({c1, a1, SimpleType.parse("a1")}) == 1
+    assert SimpleType("B", 3) != SimpleType("B", 4)
+    types = [SimpleType.parse(t) for t in ["E8", "B3", "A10", "B2", "a2", "G2", "A1"]]
+    assert [str(t) for t in sorted(types)] == ["A1", "A2", "A10", "B2", "B3", "E8", "G2"]
+    assert SimpleType("B", 2) < SimpleType("B", 3) <= SimpleType("C", 2)
+    with pytest.raises(AttributeError):
+        c1.rank = 2
+    assert copy.deepcopy(c1) == pickle.loads(pickle.dumps(c1)) == a1
+
+
+def test_equal_types_share_one_root_datum():
+    assert build_root_datum(SimpleType("c", 1)) is build_root_datum(SimpleType("A", 1))
+    assert build_root_datum(SimpleType.parse("e8")) is build_root_datum(SimpleType("E", 8))
+
+
+def test_simple_type_constructor_validates():
+    assert (SimpleType("d", 4).family, SimpleType("d", 4).rank) == ("D", 4)
+    with pytest.raises(ConfigurationError, match="unknown family 'H'"):
+        SimpleType("h", 3)
+    with pytest.raises(ConfigurationError, match=r"E9: rank for family E must be in \[6, 8\]"):
+        SimpleType("E", 9)
+    with pytest.raises(ConfigurationError, match="D2: rank for family D must be >= 3"):
+        SimpleType("D", 2)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +45,13 @@ def test_the_export_list_matches_the_imports():
     assert len(fghodge.__all__) == len(set(fghodge.__all__))
     assert set(fghodge.__all__) == imported
     assert all(hasattr(fghodge, name) for name in fghodge.__all__)
+
+
+def test_the_cli_imports_no_dataclasses_or_introspection_modules():
+    # dataclasses pulls in inspect, ast and dis; each cold CLI process would pay for them
+    probe = ("import sys, fghodge.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
