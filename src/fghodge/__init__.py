@@ -16,7 +16,6 @@ from .chevalley import (
 )
 from .connection import (
     LaurentMatrix,
-    fg_matrix,
     integrability_residual,
     rmodule_pair,
 )
@@ -39,7 +38,6 @@ from .grading import (
     partition_from_grading,
     principal_grading,
     rho_grading,
-    tensor_grading,
 )
 from .kkp import (
     BettiTable,
@@ -66,7 +64,6 @@ __all__ = [
     "principal_triple",
     "structure_constants",
     "LaurentMatrix",
-    "fg_matrix",
     "integrability_residual",
     "rmodule_pair",
     "ConfigurationError",
@@ -85,7 +82,6 @@ __all__ = [
     "partition_from_grading",
     "principal_grading",
     "rho_grading",
-    "tensor_grading",
     "BettiTable",
     "MinusculeCase",
     "kkp_check",

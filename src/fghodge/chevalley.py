@@ -96,8 +96,10 @@ class StructureConstants:
         """ad(b) for every adjoint basis element b, in basis order.
 
         The basis is ("root", r) for the positive roots by descending height,
-        then ("cartan", i), then the negative roots in the same order.  Column
-        z of ad(b_y) holds [b_y, b_z].  The Cartan and x_{+-a} entries are
+        then ("cartan", i), then the negative roots in the same order, so x_{-r}
+        sits |Phi+| + n places after x_r.  Column z of ad(b_y) holds
+        [b_y, b_z].  Only nonzero int entries are written, so each matrix is
+        built as is, without from_entries.  The Cartan and x_{+-a} entries are
         written directly; each ordered positive pair (a, b) of n_pos with
         g = a + b and n = N_{a,b} gives the six root pairs with a root sum
         (a, b), (-a, -b), (g, -a), (-g, a), (-a, g) and (a, -g).  With
@@ -109,18 +111,22 @@ class StructureConstants:
         datum = self.datum
         norm2 = self.norm2
         ordered = sorted(datum.positive_roots, key=lambda r: (-sum(r), r))
+        npos = len(ordered)
         basis = ([("root", r) for r in ordered] + [("cartan", i) for i in range(datum.rank)]
                  + [("root", _vneg(r)) for r in ordered])
-        col = {p: i for i, (kind, p) in enumerate(basis)}  # roots and Cartan indices
+        col = {r: i for i, r in enumerate(ordered)}
+        shift = npos + datum.rank  # h_j sits at npos + j, x_{-r} shift places after x_r
         entries: list[dict[tuple[int, int], int]] = [{} for _ in basis]
         for x, (kind, root) in enumerate(basis):
             if kind == "root":
-                sign = 1 if sum(root) > 0 else -1
+                sign = 1 if x < shift else -1
                 for j, w in enumerate(_root_weight(datum, root)):
-                    entries[col[j]][(x, x)] = w  # [h_j, x_r] = <r, alpha_j^vee> x_r
-                    entries[x][(x, col[j])] = -w
+                    if w:  # [h_j, x_r] = <r, alpha_j^vee> x_r
+                        entries[npos + j][(x, x)] = w
+                        entries[x][(x, npos + j)] = -w
                 for j, c in enumerate(datum.coroot_of[root if sign > 0 else _vneg(root)]):
-                    entries[x][(col[j], col[_vneg(root)])] = sign * c  # [x_r, x_{-r}] = r^vee
+                    if c:  # [x_r, x_{-r}] = r^vee
+                        entries[x][(npos + j, x + sign * shift)] = sign * c
         for (a, b), n in self.n_pos.items():
             g = _vadd(a, b)
             m, rem = divmod(n * norm2[b], norm2[g])
@@ -128,14 +134,14 @@ class StructureConstants:
                 raise IntegrityError(
                     f"N_{g},{_vneg(a)} = {Fraction(-n * norm2[b], norm2[g])} is not a nonzero integer")
             ia, ib, ig = col[a], col[b], col[g]
-            ina, inb, ing = col[_vneg(a)], col[_vneg(b)], col[_vneg(g)]
+            ina, inb, ing = ia + shift, ib + shift, ig + shift
             entries[ia][(ig, ib)] = n  # [x_a, x_b] = n x_g
             entries[ina][(ing, inb)] = -n
             entries[ig][(ib, ina)] = -m  # [x_g, x_{-a}] = -m x_b
             entries[ing][(inb, ia)] = m
             entries[ina][(ib, ig)] = m
             entries[ia][(inb, ing)] = -m
-        return {b: SparseMatrix.from_entries(len(basis), e) for b, e in zip(basis, entries)}
+        return {b: SparseMatrix(len(basis), e) for b, e in zip(basis, entries)}
 
     @functools.cached_property
     def adjoint(self) -> "RepMatrices":
@@ -444,20 +450,21 @@ def adjoint_rep(datum: RootDatum) -> RepMatrices:
 
 
 def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
-    """V(lam) on its weights, for lam whose weights all have multiplicity 1.
+    """V(lam) on its weights, for minuscule lam and for V(omega_1) of B_n and G2.
 
-    The basis is the weights by (-<mu, 2 rho^vee>, mu).  Each weight space
-    is a line, so every alpha_i-string of weights carries one irreducible
-    sl2-module and the weights fix e_i and f_i: e_i v_mu = v_{mu+alpha_i}
-    and f_i v_{mu+alpha_i} = q (q + <mu, alpha_i^vee> + 1) v_mu, with q >= 1
-    the steps from mu to the top of its string, which is [e_i, f_i] = h_i
-    along the string.  That is 1 on every minuscule string and 2, 2 on the
-    string through the zero weight of B_n's V(omega_1).  _check_rep
-    certifies that the strings fit together.  x_theta comes from the e_i
-    along the extraspecial chain to theta (_theta_matrix), so no adjoint
-    bracket table is built and no rank guard applies.  The caller bounds
-    the size: V(omega_1) is at most 45-dimensional (B22) under the
-    positive-root guard of build_root_datum.
+    The basis is the weights by (-<mu, 2 rho^vee>, mu); e_i v_mu =
+    v_{mu+alpha_i} and f_i v_{mu+alpha_i} = q (q + <mu, alpha_i^vee> + 1)
+    v_mu, with q >= 1 the steps from mu to the top of its string, which is
+    [e_i, f_i] = h_i along the string.  That is 1 on every minuscule string
+    and 2, 2 on the string through the zero weight of B_n's V(omega_1).  A
+    weight with multiplicity is refused, and multiplicity-free is not
+    enough: with e_i = 1 on every edge, f_j can depend on the path around a
+    weight square, and _check_rep refuses A2 and A3 V(2 omega_1) and C3
+    V(omega_3) ([e_1, f_2] fails).  _check_rep certifies every case it
+    passes.  x_theta comes from the e_i along the extraspecial chain to
+    theta (_theta_matrix), so no adjoint bracket table is built and no rank
+    guard applies.  The caller bounds the size: V(omega_1) is at most
+    45-dimensional (B22) under the positive-root guard of build_root_datum.
     """
     two_rho = datum.two_rho_covector
     weights = tuple(sorted(_weight_support(datum, lam), key=lambda mu: (-pair(mu, two_rho), mu)))
@@ -520,14 +527,14 @@ def principal_triple(rep: RepMatrices) -> PrincipalTriple:
 
     [N, RHO] = -N and [E, RHO] = (h-1) E are verified entrywise before
     returning; they force N to shift the RHO-grading by +1 and hence to be
-    nilpotent, and H = 2 RHO carries the rho-grading spectrum.
+    nilpotent, and H = 2 RHO carries the rho-grading spectrum.  H is the int
+    level -<mu, 2 rho^vee>; RHO is half of it, a Fraction only at odd levels.
     """
     datum = rep.datum
     N = functools.reduce(lambda a, b: a + b, rep.f, SparseMatrix.zero(rep.dim))
-    rho_cov = datum.rho_covector
-    diag = [-pair(w, rho_cov) for w in rep.basis_weights]
-    RHO = SparseMatrix.diagonal(diag)
-    H = RHO.scale(2)
+    levels = [-pair(w, datum.two_rho_covector) for w in rep.basis_weights]
+    RHO = SparseMatrix.diagonal([Fraction(k, 2) if k % 2 else k // 2 for k in levels])
+    H = SparseMatrix.diagonal(levels)
     E = rep.e_theta
     if N.commutator(RHO) != N.scale(-1):
         raise IntegrityError("[N, RHO] != -N")

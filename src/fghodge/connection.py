@@ -4,14 +4,11 @@ Connection coefficients are matrix-valued Laurent polynomials in t and z.
 A LaurentMatrix stores one exact scalar SparseMatrix per monomial t^a z^b
 and never stores a zero coefficient.  Sums, scalings and derivatives act
 on each coefficient; a product adds exponents and multiplies coefficients
-with SparseMatrix's matmul.
+with SparseMatrix's matmul; int coefficients stay ints.
 
-fg_matrix returns the dt/t-coefficient A(t) = N/t + E of the connection
-d + (N + E t) dt/t on the trivial bundle over the punctured line; for the
-standard A_n representation this is exactly the classical Bessel matrix
-(sub-diagonal ones, t in the upper-right corner) divided by t.
-
-rmodule_pair returns the coefficient pair of the two-variable connection
+The Frenkel-Gross connection is d + (N + E t) dt/t on the trivial bundle
+over the punctured line; rmodule_pair returns the coefficient pair of its
+two-variable extension
 
     d + (N + tE) dt/(tz) - h (N + tE) dz/z^2 + RHO dz/z,
 
@@ -30,7 +27,6 @@ from .chevalley import PrincipalTriple
 from .errors import UsageError
 from .linalg import SparseMatrix
 
-Q = Fraction
 Monomial = tuple[int, int]  # (t-exponent, z-exponent)
 
 
@@ -73,8 +69,9 @@ class LaurentMatrix:
     @classmethod
     def from_scalar_matrix(cls, m: SparseMatrix, dt: int = 0, dz: int = 0,
                            factor=1) -> "LaurentMatrix":
-        """Lift an exact scalar matrix to factor * t^dt z^dz * m."""
-        m = m.scale(Q(factor))
+        """Lift an exact scalar matrix to factor * t^dt z^dz * m; an int factor
+        scales as is, any other is made an exact Fraction first."""
+        m = m.scale(factor if type(factor) is int else Fraction(factor))
         return cls(m.dim, {} if m.is_zero() else {(dt, dz): m})
 
     def is_zero(self) -> bool:
@@ -129,12 +126,6 @@ class LaurentMatrix:
     def _match(self, other: "LaurentMatrix") -> None:
         if self.dim != other.dim:
             raise UsageError("matrix dimensions differ")
-
-
-def fg_matrix(triple: PrincipalTriple) -> LaurentMatrix:
-    """dt-coefficient A(t) = N/t + E of the connection d + (N + Et) dt/t."""
-    return (LaurentMatrix.from_scalar_matrix(triple.N, dt=-1)
-            + LaurentMatrix.from_scalar_matrix(triple.E))
 
 
 def rmodule_pair(triple: PrincipalTriple, h: int) -> tuple[LaurentMatrix, LaurentMatrix]:

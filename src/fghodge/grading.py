@@ -194,15 +194,6 @@ def exponents(datum: RootDatum) -> list[int]:
     return exps
 
 
-def tensor_grading(g1: HodgeTable, g2: HodgeTable) -> HodgeTable:
-    """Convolution; the grading of a tensor product because 2rho acts by weight sums."""
-    dims: Levels = {}
-    for k1, v1 in g1.dims.items():
-        for k2, v2 in g2.dims.items():
-            dims[k1 + k2] = dims.get(k1 + k2, 0) + v1 * v2
-    return HodgeTable(dims)
-
-
 def functoriality_check(case: str, n: int | None = None) -> bool:
     """Decomposition identities between Hodge tables of restricted representations.
 

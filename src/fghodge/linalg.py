@@ -3,12 +3,18 @@
 Minimal square-matrix type for representation matrices, and the ranks behind
 Jordan types: rank and the row-space chain of power_ranks share one
 fraction-free elimination, _echelon, with one pivot row per leading column.
-Entries are Python ints or Fractions; nothing here ever touches a float.
+Entries are Python ints or Fractions; nothing here ever touches a float, and
+an integral matrix stays on ints.  A SparseMatrix holds no zero entry and no
+Fraction with denominator 1: from_entries, the arithmetic and the commutator
+drop zeros and normalise as they build.  Elimination rows hold no zero
+either: _echelon and the power_ranks product drop each zero as it arises,
+and _echelon divides a row by its content only when the content is not 1.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -114,7 +120,16 @@ class SparseMatrix:
         return SparseMatrix(self.dim, {k: _norm(v) for k, v in out.items()})
 
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
-        return (self @ other) - (other @ self)
+        """AB - BA in one accumulator over both row indexes, normalised once."""
+        if self.dim != other.dim:
+            raise UsageError("matrix dimensions differ")
+        out: Entries = defaultdict(int)
+        for a, b, sign in ((self, other, 1), (other, self, -1)):
+            rows_b = b.rows
+            for (r, k), va in a.entries.items():
+                for c, vb in rows_b.get(k, ()):
+                    out[(r, c)] += sign * va * vb
+        return SparseMatrix(self.dim, {k: _norm(v) for k, v in out.items() if v})
 
 
 def _int_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
@@ -127,24 +142,30 @@ def _int_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
 def _echelon(rows) -> dict[int, dict[int, int]]:
     """Echelon basis {leading column: primitive row} of the span of integer rows.
 
-    One pivot per leading column: an incoming row is reduced by the pivot at
-    its leading column, (pv/g) row - (v/g) pivot with g = gcd(pv, v), and
-    divided by its content, until it is zero or leads a free column (Bareiss,
-    Math. Comp. 22, 1968).
+    Rows hold no zero entry, and a row may be reduced in place.  One pivot per
+    leading column: an incoming row is reduced by the pivot at its leading
+    column, (pv/g) row - (v/g) pivot with g = gcd(pv, v), dropping each entry
+    that cancels, and divided by its content when that is not 1, until it is
+    zero or leads a free column (Bareiss, Math. Comp. 22, 1968).
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         while content := gcd(*row.values()):
-            row = {c: x // content for c, x in row.items() if x}
+            if content != 1:
+                row = {c: x // content for c, x in row.items()}
             col = min(row)
             piv = pivots.setdefault(col, row)
             if piv is row:
                 break
             g = gcd(piv[col], row[col])
             a, b = piv[col] // g, row[col] // g
-            row = {c: x * a for c, x in row.items()}
+            if a != 1:
+                row = {c: x * a for c, x in row.items()}
             for c, x in piv.items():
-                row[c] = row.get(c, 0) - b * x
+                if v := row.get(c, 0) - b * x:
+                    row[c] = v
+                else:
+                    del row[c]
     return pivots
 
 
@@ -172,7 +193,10 @@ def power_ranks(matrix: SparseMatrix) -> list[int]:
             out: dict[int, int] = {}
             for k, x in row.items():
                 for c, y in rows.get(k, {}).items():
-                    out[c] = out.get(c, 0) + x * y
+                    if v := out.get(c, 0) + x * y:
+                        out[c] = v
+                    else:
+                        del out[c]
             nxt.append(out)
         basis = _echelon(nxt)
         if len(basis) >= ranks[-1]:

@@ -242,19 +242,6 @@ class RootDatum:
         n = self.rank
         return tuple(sum(root[i] * self.cartan[i][j] for i in range(n)) for j in range(n))
 
-    def root_coordinates(self, mu) -> tuple[Fraction, ...]:
-        """Simple-root coordinates of a weight (rational in general)."""
-        n = self.rank
-        return tuple(
-            sum(Fraction(mu[k]) * self.fundamental_weights[k][i] for k in range(n))
-            for i in range(n)
-        )
-
-    def root_pairing(self, mu: Coords, root: Coords) -> int:
-        """<mu, root^vee> for mu in weight coordinates."""
-        co = self.coroot_of[root]
-        return sum(m * c for m, c in zip(mu, co))
-
     def reflect(self, mu: Coords, i: int) -> Coords:
         """Simple reflection s_i(mu) = mu - <mu, alpha_i^vee> alpha_i on weights."""
         k = mu[i]

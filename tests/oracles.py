@@ -1,8 +1,10 @@
 """Test-side routes that the package does not need at run time.
 
 Each one recomputes something the package ships by a second, slower road
-(a weightwise product of characters, a dense matrix for Gauss-Jordan) or
-writes a matrix out for a human reader.
+(a weightwise product of characters, a dense matrix for Gauss-Jordan),
+writes a matrix out for a human reader, or is a small formula only the
+tests read (the tensor-product grading, the connection's dt/t coefficient,
+the root coordinates of a weight, a coroot pairing).
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from fghodge.character import Character
+from fghodge.chevalley import PrincipalTriple
+from fghodge.connection import LaurentMatrix
 from fghodge.grading import HodgeTable
 from fghodge.linalg import Entry, SparseMatrix
+from fghodge.rootdatum import Coords, RootDatum
 
 
 def product_character_grading(c1: Character, c2: Character) -> HodgeTable:
@@ -41,3 +46,32 @@ def dump_triplets(m: SparseMatrix) -> str:
         v = Fraction(m.entries[(r, c)])
         lines.append(f"{r} {c} {v.numerator}/{v.denominator}")
     return "\n".join(lines) + "\n"
+
+
+def tensor_grading(g1: HodgeTable, g2: HodgeTable) -> HodgeTable:
+    """Convolution; the grading of a tensor product because 2rho acts by weight sums."""
+    dims: dict[int, int] = {}
+    for k1, v1 in g1.dims.items():
+        for k2, v2 in g2.dims.items():
+            dims[k1 + k2] = dims.get(k1 + k2, 0) + v1 * v2
+    return HodgeTable(dims)
+
+
+def fg_matrix(triple: PrincipalTriple) -> LaurentMatrix:
+    """dt-coefficient A(t) = N/t + E of the connection d + (N + Et) dt/t."""
+    return (LaurentMatrix.from_scalar_matrix(triple.N, dt=-1)
+            + LaurentMatrix.from_scalar_matrix(triple.E))
+
+
+def root_coordinates(datum: RootDatum, mu) -> tuple[Fraction, ...]:
+    """Simple-root coordinates of a weight (rational in general)."""
+    n = datum.rank
+    return tuple(
+        sum(Fraction(mu[k]) * datum.fundamental_weights[k][i] for k in range(n))
+        for i in range(n)
+    )
+
+
+def root_pairing(datum: RootDatum, mu: Coords, root: Coords) -> int:
+    """<mu, root^vee> for mu in weight coordinates."""
+    return sum(m * c for m, c in zip(mu, datum.coroot_of[root]))

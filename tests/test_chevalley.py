@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fghodge.character import adjoint_weight, irrep_character
+from fghodge.character import adjoint_weight, irrep_character, weyl_dimension
 from fghodge import chevalley
 from fghodge.chevalley import (
     RepMatrices,
@@ -280,6 +280,47 @@ def test_weight_rule_builds_every_minuscule_representation(name, node):
 def test_weight_rule_refuses_a_weight_with_multiplicities():
     with pytest.raises(IntegrityError, match="multiplicity-free"):
         _weight_rep(datum("A2"), (1, 1))  # the zero weight of the adjoint has multiplicity 2
+
+
+def test_weight_rule_builds_g2_first_fundamental():
+    d = datum("G2")
+    rep = _weight_rep(d, fw(d, 1))
+    assert rep.dim == 7
+    assert jordan_type(principal_triple(rep).N) == partition_from_grading(principal_grading(d, fw(d, 1)))
+
+
+@pytest.mark.parametrize("name,lam", [("A2", (2, 0)), ("A3", (2, 0, 0)), ("C3", (0, 0, 1))])
+def test_weight_rule_refuses_multiplicity_free_weights_it_cannot_build(name, lam):
+    # every weight has multiplicity 1, yet e_i = 1 on every edge leaves f_2
+    # path-dependent; the Chevalley-Serre check refuses instead of answering
+    d = datum(name)
+    assert len(irrep_character(d, lam).mult) == weyl_dimension(d, lam)
+    with pytest.raises(IntegrityError, match=r"\[e_1, f_2\] relation fails"):
+        _weight_rep(d, lam)
+
+
+def _rho_by_fractions(d, weights) -> SparseMatrix:
+    """RHO = diag(-<mu, rho^vee>) through the Fraction covector rho^vee."""
+    return SparseMatrix.diagonal([-pair(mu, d.rho_covector) for mu in weights])
+
+
+def _value_types(m: SparseMatrix) -> dict:
+    return {k: type(v) for k, v in m.entries.items()}
+
+
+@pytest.mark.parametrize("name,node,which", [(name, None, "adjoint") for name in ALL_TYPES_RANK8]
+                         + [(name, None, "std") for name in CLASSICAL_RANK8]
+                         + [(name, node, "minuscule") for name, node in MINUSCULE_RANK8])
+def test_rho_on_ints_matches_the_fraction_covector(name, node, which):
+    d = datum(name)
+    if which == "minuscule":
+        rep = _weight_rep(d, fw(d, node))
+    else:
+        rep = adjoint_rep(d) if which == "adjoint" else classical_std_rep(d)
+    tr = principal_triple(rep)
+    expect = _rho_by_fractions(d, rep.basis_weights)
+    assert tr.RHO == expect and _value_types(tr.RHO) == _value_types(expect)
+    assert tr.H == expect.scale(2) and _value_types(tr.H) == _value_types(expect.scale(2))
 
 
 # -- x_theta: the root-string chain against the bracket table --
@@ -635,6 +676,15 @@ def test_n_pos_holds_exactly_the_positive_pairs_with_a_root_sum(name):
     expect = {(a, b) for a in d.positive_roots for b in d.positive_roots
               if tuple(x + y for x, y in zip(a, b)) in sc.root_set}
     assert set(sc.n_pos) == expect
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_bracket_table_is_canonical_and_integral_as_built(name):
+    # ad builds each SparseMatrix directly, so it must already be what
+    # from_entries would make: no zero entry, every value an int
+    for m in structure_constants(datum(name)).ad.values():
+        assert m == SparseMatrix.from_entries(m.dim, m.entries)
+        assert all(type(v) is int and v != 0 for v in m.entries.values())
 
 
 # -- the bracket table itself: an exhaustive oracle on sc.ad, and the certificate's shape --

@@ -8,11 +8,11 @@ from fghodge.chevalley import (
     PrincipalTriple,
     adjoint_rep,
     classical_std_rep,
+    jordan_type,
     principal_triple,
 )
 from fghodge.connection import (
     LaurentMatrix,
-    fg_matrix,
     integrability_residual,
     rmodule_pair,
 )
@@ -20,6 +20,7 @@ from fghodge.errors import UsageError
 from fghodge.linalg import SparseMatrix
 
 from conftest import datum
+from oracles import fg_matrix
 
 
 def scalar(dim, entries, dt=0, dz=0):
@@ -89,6 +90,31 @@ def test_rmodule_pair_a1_matrices():
         (0, -2): SparseMatrix.from_entries(2, {(1, 0): -2}),
     }
     assert integrability_residual(a, b).is_zero()
+
+
+def test_an_integral_certify_path_makes_no_fraction(monkeypatch):
+    # E6 adjoint is integral throughout: RHO, the Chevalley-Serre commutators,
+    # the Jordan rank chain and the connection must all stay on ints
+    d = datum("E6")
+    made = []
+    new = Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counting)
+    if hasattr(Q, "_from_coprime_ints"):  # arithmetic bypasses __new__ from Python 3.12
+        coprime = Q._from_coprime_ints
+        monkeypatch.setattr(Q, "_from_coprime_ints",
+                            classmethod(lambda cls, n, m: made.append((n, m)) or coprime(n, m)))
+    tr = principal_triple(adjoint_rep(d))
+    assert jordan_type(tr.N).blocks == (23, 17, 15, 11, 9, 3)
+    a, b = rmodule_pair(tr, d.coxeter)
+    assert integrability_residual(a, b).is_zero()
+    assert made == []
+    Q(1, 3) + 1  # the counter sees Fractions
+    assert made
 
 
 def test_rmodule_pair_rejects_wrong_coxeter():

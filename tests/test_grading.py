@@ -22,11 +22,10 @@ from fghodge.grading import (
     partition_from_grading,
     principal_grading,
     rho_grading,
-    tensor_grading,
 )
 
 from conftest import ALL_TYPES_RANK8, datum, fw
-from oracles import product_character_grading
+from oracles import product_character_grading, tensor_grading
 
 # Exponents per Bourbaki; D_{2k} genuinely repeats the exponent n-1.
 BOURBAKI_EXPONENTS = {

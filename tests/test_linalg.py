@@ -82,6 +82,42 @@ def test_rank_examples():
     assert rank(big) == 1
 
 
+@st.composite
+def commuting_or_not(draw):
+    """A pair (A, B) of equal size: B unrelated to A, or a multiple of A, or
+    A^2 plus a scalar, so that AB - BA cancels to zero entry by entry."""
+    dense = draw(sparse_matrices())
+    dim = len(dense)
+    a = SparseMatrix.from_entries(dim, {(r, c): v for r, row in enumerate(dense)
+                                        for c, v in enumerate(row) if v != 0})
+    kind = draw(st.sampled_from(["other", "multiple", "polynomial"]))
+    if kind == "multiple":
+        return a, a.scale(draw(entries)), True
+    if kind == "polynomial":
+        return a, (a @ a) + SparseMatrix.diagonal([draw(entries)] * dim), True
+    index = st.integers(0, dim - 1)
+    other = draw(st.dictionaries(st.tuples(index, index), entries, max_size=3 * dim))
+    return a, SparseMatrix.from_entries(dim, other), False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pair=commuting_or_not())
+def test_commutator_is_ab_minus_ba(pair):
+    a, b, commute = pair
+    got = a.commutator(b)
+    expect = (a @ b) - (b @ a)
+    assert got == expect
+    assert {k: type(v) for k, v in got.entries.items()} == {k: type(v) for k, v in expect.entries.items()}
+    assert all(v != 0 and not (type(v) is Fraction and v.denominator == 1) for v in got.entries.values())
+    if commute:
+        assert got.is_zero()
+
+
+def test_commutator_refuses_different_dimensions():
+    with pytest.raises(UsageError, match="dimensions differ"):
+        SparseMatrix.diagonal([1, 2]).commutator(SparseMatrix.diagonal([1, 2, 3]))
+
+
 def jordan_blocks_from_powers(m: SparseMatrix) -> tuple[int, ...]:
     """Jordan blocks of a nilpotent m from the Gauss-Jordan ranks of its explicit powers."""
     ranks = [m.dim]

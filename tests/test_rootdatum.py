@@ -19,6 +19,7 @@ from fghodge.rootdatum import (
 )
 
 from conftest import ALL_TYPES_RANK8, SMALL_TYPES, datum, fw
+from oracles import root_pairing
 
 # Classical values, independent of the reflection-closure implementation.
 POSITIVE_COUNTS = {
@@ -195,7 +196,7 @@ def test_coroot_integrality_and_norms():
             co = d.coroot_of[root]
             assert all(isinstance(c, int) for c in co)
             # <alpha, alpha^vee> = 2
-            assert d.root_pairing(d.weight_of_root(root), root) == 2
+            assert root_pairing(d, d.weight_of_root(root), root) == 2
 
 
 def fraction_gauss_jordan_inverse(mat) -> list[list[Fraction]]:
