@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .grading import JordanPartition
-from .linalg import SparseMatrix, power_ranks
+from .linalg import SparseMatrix, graded_blocks, power_ranks
 from .rootdatum import Coords, RootDatum, pair
 
 MAX_RANK = 8
@@ -162,12 +162,9 @@ class StructureConstants:
 def _string_length(root_set, a: Coords, b: Coords) -> int:
     """p = max{k >= 0 : b - k a is a root}.  The zero vector is not a root."""
     p = 0
-    cur = b
-    while True:
-        cur = _vsub(cur, a)
-        if cur not in root_set:
-            return p
+    while (b := _vsub(b, a)) in root_set:
         p += 1
+    return p
 
 
 def _exact(num: int, den: int, what: str) -> int:
@@ -435,7 +432,9 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
             delta = _vsub(gamma, alpha)
             if delta in positive:
                 n = _string_length(positive, alpha, delta) + 1
-                m = e[i].commutator(build(delta)).scale(Fraction(1, n))
+                m = e[i].commutator(build(delta))
+                m = SparseMatrix(m.dim, {k: v // n if type(v) is int and not v % n else Fraction(v, n)
+                                         for k, v in m.entries.items()})
                 mats[gamma] = m
                 return m
         raise IntegrityError(f"no simple-root decomposition for {gamma}")
@@ -545,19 +544,17 @@ def principal_triple(rep: RepMatrices) -> PrincipalTriple:
 
 
 def jordan_type(matrix: SparseMatrix) -> JordanPartition:
-    """Jordan partition of a nilpotent matrix from its exact rank sequence.
+    """Jordan partition of a nilpotent matrix, exactly.
 
-    blocks of size s number r_{s-1} - 2 r_s + r_{s+1} with r_k = rank(M^k),
-    read off the row-space chain of power_ranks, which never forms M^k and
-    raises UsageError on non-nilpotent input.
+    N = sum f_i on a weight basis raises <mu, rho^vee> by <alpha_i, rho^vee>
+    = 1 on every nonzero entry, so graded_blocks sweeps it.  A support with
+    no such levels falls back to r_{s-1} - 2 r_s + r_{s+1} blocks of size s,
+    r_k = rank(M^k) from power_ranks, which refuses a non-nilpotent M.
     """
-    ranks = [matrix.dim] + power_ranks(matrix) + [0]
-    blocks = []
-    for s in range(1, len(ranks) - 1):
-        count = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
-        if count < 0:
-            raise IntegrityError("rank sequence is not convex")
-        blocks.extend([s] * count)
+    blocks = graded_blocks(matrix)
+    if blocks is None:  # a negative count would leave blocks summing past dim
+        r = [matrix.dim] + power_ranks(matrix) + [0]
+        blocks = [s for s in range(1, len(r) - 1) for _ in range(r[s - 1] - 2 * r[s] + r[s + 1])]
     part = JordanPartition(tuple(blocks))
     if part.total != matrix.dim:
         raise IntegrityError("Jordan blocks do not sum to the dimension")

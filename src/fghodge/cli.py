@@ -10,7 +10,6 @@ for fixed inputs and format version.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -56,24 +55,24 @@ def _parse_weight(datum: RootDatum, text: str):
     return lam
 
 
-def _guard_dim(datum: RootDatum, lam, max_dim: int) -> int:
+def _guard_dim(datum: RootDatum, lam, max_dim: int) -> None:
     dim = weyl_dimension(datum, lam)
     if dim > max_dim:
         raise ResourceLimitError(
             f"dim V = {dim} exceeds --max-dim {max_dim} for {datum.stype} weight {lam}"
         )
-    return dim
-
-
-def _alpha_str(k: int) -> str:
-    return str(Fraction(k, 2))
 
 
 def _print_table(datum: RootDatum, lam, table: HodgeTable) -> None:
     print(f"type {datum.stype}  weight {','.join(map(str, lam))}  dim {table.dim}")
     print(f"{'alpha':>8}  {'h^alpha':>7}")
     for k, h in table.sorted_items():
-        print(f"{_alpha_str(k):>8}  {h:>7}")
+        print(f"{str(Fraction(k, 2)):>8}  {h:>7}")
+
+
+def _print_json(payload) -> None:
+    import json  # only JSON output pays for this import
+    print(json.dumps(payload, separators=(",", ":")))
 
 
 def cmd_hodge(args) -> int:
@@ -82,7 +81,7 @@ def cmd_hodge(args) -> int:
     _guard_dim(datum, lam, args.max_dim)
     table = grading.hodge_numbers(datum, lam)
     if args.json:
-        print(json.dumps(table.to_json_dict(str(datum.stype), lam), separators=(",", ":")))
+        _print_json(table.to_json_dict(str(datum.stype), lam))
     else:
         _print_table(datum, lam, table)
     return EXIT_OK
@@ -100,7 +99,7 @@ def cmd_jordan(args) -> int:
         "distinct": distinct_blocks(part),
     }
     if args.json:
-        print(json.dumps(payload, separators=(",", ":")))
+        _print_json(payload)
     else:
         print(" ".join(map(str, part.blocks)))
     return EXIT_OK
@@ -111,7 +110,7 @@ def cmd_exponents(args) -> int:
     _guard_dim(datum, adjoint_weight(datum), args.max_dim)
     exps = grading.exponents(datum)
     if args.json:
-        print(json.dumps({"type": str(datum.stype), "exponents": exps}, separators=(",", ":")))
+        _print_json({"type": str(datum.stype), "exponents": exps})
     else:
         print(" ".join(map(str, exps)))
     return EXIT_OK
@@ -138,7 +137,7 @@ def cmd_verify(args) -> int:
             "residual_entry": None if entry is None else
                 {"row": entry[0], "col": entry[1], "poly": str(entry[2])},
         }
-        print(json.dumps(payload, separators=(",", ":")))
+        _print_json(payload)
     elif residual.is_zero():
         print(f"PASS {datum.stype} {args.rep}: flatness residual is the zero matrix")
     else:
@@ -160,7 +159,7 @@ def cmd_kkp(args) -> int:
         "hodge_shifted": list(verdict.hodge_shifted),
         "pass": verdict.passed,
     }
-    print(json.dumps(payload, separators=(",", ":")))
+    _print_json(payload)
     return EXIT_OK if verdict.passed else EXIT_CHECK_FAILED
 
 
@@ -176,10 +175,8 @@ def _sweep_types(max_rank: int):
 def _dominant_weights_up_to(datum: RootDatum, max_dim: int):
     """All dominant weights with Weyl dimension <= max_dim, ordered."""
     n = datum.rank
-    found = []
-    seen = set()
     frontier = [(0,) * n]
-    seen.add(frontier[0])
+    found, seen = [], set(frontier)
     while frontier:
         nxt = []
         for lam in frontier:

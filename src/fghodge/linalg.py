@@ -1,14 +1,14 @@
 """Exact sparse matrices over the rationals.
 
-Minimal square-matrix type for representation matrices, and the ranks behind
-Jordan types: rank and the row-space chain of power_ranks share one
-fraction-free elimination, _echelon, with one pivot row per leading column.
-Entries are Python ints or Fractions; nothing here ever touches a float, and
-an integral matrix stays on ints.  A SparseMatrix holds no zero entry and no
-Fraction with denominator 1: from_entries, the arithmetic and the commutator
-drop zeros and normalise as they build.  Elimination rows hold no zero
-either: _echelon and the power_ranks product drop each zero as it arises,
-and _echelon divides a row by its content only when the content is not 1.
+Minimal square-matrix type for representation matrices, and the Jordan types
+of nilpotent ones: rank, power_ranks and graded_blocks share one
+fraction-free elimination step, _insert, with one pivot row per leading
+column.  Entries are Python ints or Fractions; nothing here ever touches a
+float, and an integral matrix stays on ints.  A SparseMatrix holds no zero
+entry and no Fraction with denominator 1: from_entries, the arithmetic and
+the commutator drop zeros and normalise as they build.  Elimination rows hold
+no zero either: _insert and the row product _row_times drop each zero as it
+arises, and _insert divides a row by its content only when it is not 1.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 
 from .errors import UsageError
@@ -139,34 +140,50 @@ def _int_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
             for r, row in matrix.rows.items()}
 
 
-def _echelon(rows) -> dict[int, dict[int, int]]:
-    """Echelon basis {leading column: primitive row} of the span of integer rows.
-
-    Rows hold no zero entry, and a row may be reduced in place.  One pivot per
-    leading column: an incoming row is reduced by the pivot at its leading
-    column, (pv/g) row - (v/g) pivot with g = gcd(pv, v), dropping each entry
-    that cancels, and divided by its content when that is not 1, until it is
-    zero or leads a free column (Bareiss, Math. Comp. 22, 1968).
+def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | None:
+    """Reduce an integer row (no zero entry; reduced in place) by an echelon
+    basis {leading column: primitive row}: by the pivot at its leading column
+    to (pv/g) row - (v/g) pivot, g = gcd(pv, v), and by its content when that
+    is not 1 (Bareiss, Math. Comp. 22, 1968).  Store it under the free column
+    it comes to lead and return that column, or None if it reduces to zero.
     """
+    while content := gcd(*row.values()):
+        if content != 1:
+            row = {c: x // content for c, x in row.items()}
+        col = min(row)
+        piv = pivots.setdefault(col, row)
+        if piv is row:
+            return col
+        g = gcd(piv[col], row[col])
+        a, b = piv[col] // g, row[col] // g
+        if a != 1:
+            row = {c: x * a for c, x in row.items()}
+        for c, x in piv.items():
+            if v := row.get(c, 0) - b * x:
+                row[c] = v
+            else:
+                del row[c]
+    return None
+
+
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Echelon basis {leading column: primitive row} of the span of integer rows."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        while content := gcd(*row.values()):
-            if content != 1:
-                row = {c: x // content for c, x in row.items()}
-            col = min(row)
-            piv = pivots.setdefault(col, row)
-            if piv is row:
-                break
-            g = gcd(piv[col], row[col])
-            a, b = piv[col] // g, row[col] // g
-            if a != 1:
-                row = {c: x * a for c, x in row.items()}
-            for c, x in piv.items():
-                if v := row.get(c, 0) - b * x:
-                    row[c] = v
-                else:
-                    del row[c]
+        _insert(pivots, row)
     return pivots
+
+
+def _row_times(row: dict[int, int], rows: dict[int, dict[int, int]]) -> dict[int, int]:
+    """The integer row times the matrix whose nonzero rows are rows."""
+    out: dict[int, int] = {}
+    for k, x in row.items():
+        for c, y in rows.get(k, {}).items():
+            if v := out.get(c, 0) + x * y:
+                out[c] = v
+            else:
+                del out[c]
+    return out
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -188,18 +205,47 @@ def power_ranks(matrix: SparseMatrix) -> list[int]:
     ranks = [matrix.dim]
     basis = {r: {r: 1} for r in range(matrix.dim)}
     while ranks[-1]:
-        nxt = []
-        for row in basis.values():
-            out: dict[int, int] = {}
-            for k, x in row.items():
-                for c, y in rows.get(k, {}).items():
-                    if v := out.get(c, 0) + x * y:
-                        out[c] = v
-                    else:
-                        del out[c]
-            nxt.append(out)
-        basis = _echelon(nxt)
+        basis = _echelon([_row_times(row, rows) for row in basis.values()])
         if len(basis) >= ranks[-1]:
             raise UsageError("matrix is not nilpotent")
         ranks.append(len(basis))
     return ranks[1:]
+
+
+def graded_blocks(matrix: SparseMatrix) -> list[int] | None:
+    """Jordan blocks of a matrix all of whose nonzero (r, c) raise a level by
+    one, in one sweep over the levels; None if its support has no such levels.
+
+    A BFS over the support finds the levels.  Each level carries an echelon
+    basis, each row tagged with its birth level, completed by unit rows born
+    there.  The images of the rows born by b span the image of level b; one
+    that reduces to zero, inserted oldest first, closes a block of size
+    level - birth + 1 (the elder rule for the bars of the graded k[x]-module,
+    Zomorodian-Carlsson, DCG 33, 2005); the rest are carried up.
+    """
+    edges: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for r, c in matrix.entries:
+        edges[r].append((c, 1))
+        edges[c].append((r, -1))
+    level: dict[int, int] = {}
+    for start in range(matrix.dim):
+        queue = [] if start in level else [start]
+        level.setdefault(start, 0)
+        for u in queue:
+            for v, step in edges[u]:
+                if v not in level:
+                    queue.append(v)
+                if level.setdefault(v, level[u] + step) != level[u] + step:
+                    return None
+    rows, blocks, carried, pivots = _int_rows(matrix), [], [], {}
+    for k, born in groupby(sorted(level, key=level.get), level.get):
+        # groupby skips empty levels: below one every image is zero, so nothing is carried
+        carried += [(k, {i: 1}) for i in born if i not in pivots]
+        pivots, survivors = {}, []
+        for birth, row in carried:
+            if (col := _insert(pivots, _row_times(row, rows))) is None:
+                blocks.append(k - birth + 1)
+            else:
+                survivors.append((birth, pivots[col]))
+        carried = survivors
+    return blocks

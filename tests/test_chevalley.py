@@ -28,9 +28,9 @@ from fghodge.errors import (
     UsageError,
 )
 from fghodge.connection import integrability_residual, rmodule_pair
-from fghodge.grading import partition_from_grading, principal_grading, rho_grading
+from fghodge.grading import JordanPartition, partition_from_grading, principal_grading, rho_grading
 from fghodge.kkp import minuscule_nodes
-from fghodge.linalg import SparseMatrix
+from fghodge.linalg import SparseMatrix, graded_blocks
 from fghodge.rootdatum import pair
 from conftest import ALL_TYPES_RANK8, datum, fw
 from oracles import dump_triplets, to_dense
@@ -277,6 +277,15 @@ def test_weight_rule_builds_every_minuscule_representation(name, node):
     assert jordan_type(principal_triple(rep).N) == kostant
 
 
+@pytest.mark.parametrize("name,node", [("A9", 5), ("B9", 9), ("B10", 10), ("D9", 8), ("D9", 9),
+                                       ("D10", 9), ("D10", 10)])
+def test_weight_rule_matches_kostant_at_rank_9_and_10(name, node):
+    d = datum(name)
+    rep = _weight_rep(d, fw(d, node))
+    kostant = partition_from_grading(principal_grading(d, fw(d, node)))
+    assert jordan_type(principal_triple(rep).N) == kostant
+
+
 def test_weight_rule_refuses_a_weight_with_multiplicities():
     with pytest.raises(IntegrityError, match="multiplicity-free"):
         _weight_rep(datum("A2"), (1, 1))  # the zero weight of the adjoint has multiplicity 2
@@ -308,19 +317,35 @@ def _value_types(m: SparseMatrix) -> dict:
     return {k: type(v) for k, v in m.entries.items()}
 
 
-@pytest.mark.parametrize("name,node,which", [(name, None, "adjoint") for name in ALL_TYPES_RANK8]
-                         + [(name, None, "std") for name in CLASSICAL_RANK8]
-                         + [(name, node, "minuscule") for name, node in MINUSCULE_RANK8])
-def test_rho_on_ints_matches_the_fraction_covector(name, node, which):
+ALL_REPS_RANK8 = ([(name, None, "adjoint") for name in ALL_TYPES_RANK8]
+                  + [(name, None, "std") for name in CLASSICAL_RANK8]
+                  + [(name, node, "minuscule") for name, node in MINUSCULE_RANK8])
+
+
+def _rep(name, node, which):
     d = datum(name)
     if which == "minuscule":
-        rep = _weight_rep(d, fw(d, node))
-    else:
-        rep = adjoint_rep(d) if which == "adjoint" else classical_std_rep(d)
+        return _weight_rep(d, fw(d, node))
+    return adjoint_rep(d) if which == "adjoint" else classical_std_rep(d)
+
+
+@pytest.mark.parametrize("name,node,which", ALL_REPS_RANK8)
+def test_rho_on_ints_matches_the_fraction_covector(name, node, which):
+    d = datum(name)
+    rep = _rep(name, node, which)
     tr = principal_triple(rep)
     expect = _rho_by_fractions(d, rep.basis_weights)
     assert tr.RHO == expect and _value_types(tr.RHO) == _value_types(expect)
     assert tr.H == expect.scale(2) and _value_types(tr.H) == _value_types(expect.scale(2))
+
+
+@pytest.mark.parametrize("name,node,which", ALL_REPS_RANK8)
+def test_the_level_sweep_gives_the_rank_chain_blocks(name, node, which, monkeypatch):
+    n = principal_triple(_rep(name, node, which)).N
+    blocks = graded_blocks(n)
+    assert blocks is not None
+    monkeypatch.setattr(chevalley, "graded_blocks", lambda matrix: None)
+    assert JordanPartition(tuple(blocks)) == jordan_type(n)
 
 
 # -- x_theta: the root-string chain against the bracket table --
@@ -373,6 +398,15 @@ def test_every_theta_chain_step_is_an_extraspecial_pair(name, monkeypatch):
         assert a in d.simple_roots
         assert sc.n_pos[(a, delta)] == p + 1
         assert p == _string_length(sc.root_set, a, delta)
+
+
+@pytest.mark.parametrize("name", CLASSICAL_RANK8)
+def test_e_theta_is_integral_except_the_halves_of_b(name):
+    entries = classical_std_rep(datum(name)).e_theta.entries.values()
+    if name[0] == "B":
+        assert all(type(v) is Fraction and abs(v) == Fraction(1, 2) for v in entries)
+    else:
+        assert all(type(v) is int for v in entries)
 
 
 def test_a_doubled_e_theta_passes_every_runtime_check_but_not_the_bracket_table():

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from fghodge import chevalley
 from fghodge.chevalley import (
     PrincipalTriple,
     adjoint_rep,
@@ -93,9 +94,10 @@ def test_rmodule_pair_a1_matrices():
 
 
 def test_an_integral_certify_path_makes_no_fraction(monkeypatch):
-    # E6 adjoint is integral throughout: RHO, the Chevalley-Serre commutators,
-    # the Jordan rank chain and the connection must all stay on ints
-    d = datum("E6")
+    # E6 adjoint and D8 std are integral throughout: RHO, x_theta, the
+    # Chevalley-Serre commutators, the Jordan level sweep and the connection
+    # must all stay on ints
+    monkeypatch.setattr(chevalley, "_std_memo", {})
     made = []
     new = Q.__new__
 
@@ -108,11 +110,14 @@ def test_an_integral_certify_path_makes_no_fraction(monkeypatch):
         coprime = Q._from_coprime_ints
         monkeypatch.setattr(Q, "_from_coprime_ints",
                             classmethod(lambda cls, n, m: made.append((n, m)) or coprime(n, m)))
-    tr = principal_triple(adjoint_rep(d))
-    assert jordan_type(tr.N).blocks == (23, 17, 15, 11, 9, 3)
-    a, b = rmodule_pair(tr, d.coxeter)
-    assert integrability_residual(a, b).is_zero()
-    assert made == []
+    for name, rep, blocks in [("E6", adjoint_rep, (23, 17, 15, 11, 9, 3)),
+                              ("D8", classical_std_rep, (15, 1))]:
+        d = datum(name)
+        tr = principal_triple(rep(d))
+        assert jordan_type(tr.N).blocks == blocks
+        a, b = rmodule_pair(tr, d.coxeter)
+        assert integrability_residual(a, b).is_zero()
+        assert made == [], name
     Q(1, 3) + 1  # the counter sees Fractions
     assert made
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fghodge import linalg
+from fghodge import chevalley, linalg
 from fghodge.chevalley import adjoint_rep, jordan_type, principal_triple
 from fghodge.errors import UsageError
-from fghodge.linalg import SparseMatrix, rank
+from fghodge.grading import JordanPartition
+from fghodge.linalg import SparseMatrix, graded_blocks, rank
 from conftest import datum
 from oracles import to_dense
 
@@ -171,3 +172,61 @@ def test_jordan_type_forms_no_matrix_product(monkeypatch):
 
     monkeypatch.setattr(SparseMatrix, "__matmul__", refuse)
     assert jordan_type(n).blocks == (23, 17, 15, 11, 9, 3)
+
+
+@st.composite
+def graded_nilpotents(draw):
+    """A matrix of degree +1 in a grading, up to 17x17: up to three groups of
+    indices with their own level offsets, isolated indices, int and Fraction
+    entries joining level l to level l + 1 within a group, indices permuted."""
+    cells = []
+    for group in range(draw(st.integers(1, 3))):
+        offset = draw(st.integers(-3, 3))
+        cells += [(group, offset + draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 5)))]
+    dim = len(cells) + draw(st.integers(0, 2))  # the extra indices get no entry
+    perm = draw(st.permutations(range(dim)))
+    steps = [(r, c) for r, (g, k) in enumerate(cells) for c, cell in enumerate(cells) if cell == (g, k + 1)]
+    picked = draw(st.lists(st.sampled_from(steps), max_size=2 * dim, unique=True)) if steps else []
+    return SparseMatrix.from_entries(dim, {(perm[r], perm[c]): draw(entries.filter(lambda v: v != 0))
+                                           for r, c in picked})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=graded_nilpotents())
+def test_the_level_sweep_matches_ranks_of_explicit_powers(m):
+    assert graded_blocks(m) is not None
+    assert jordan_type(m).blocks == jordan_blocks_from_powers(m)
+
+
+def test_the_level_sweep_of_dimension_zero_is_empty():
+    assert graded_blocks(SparseMatrix.zero(0)) == []
+    assert jordan_type(SparseMatrix.zero(0)) == JordanPartition(())
+
+
+def test_a_support_without_levels_falls_back_to_the_rank_chain(monkeypatch):
+    # (0,1) and (1,2) put index 2 two levels above index 0, (0,2) one level
+    m = SparseMatrix.from_entries(3, {(0, 1): 1, (1, 2): 2, (0, 2): Fraction(1, 3)})
+    assert graded_blocks(m) is None
+    calls = []
+    chain = chevalley.power_ranks
+    monkeypatch.setattr(chevalley, "power_ranks", lambda x: calls.append(x) or chain(x))
+    assert jordan_type(m).blocks == jordan_blocks_from_powers(m) == (3,)
+    assert calls == [m]
+
+
+def test_jordan_type_sweeps_e8_adjoint_in_dim_row_products(monkeypatch):
+    n = principal_triple(adjoint_rep(datum("E8"))).N
+    products = []
+    row_times = linalg._row_times
+
+    def counted(row, rows):
+        products.append(1)
+        return row_times(row, rows)
+
+    def refuse(matrix):
+        raise AssertionError("jordan_type ran the rank chain")
+
+    monkeypatch.setattr(linalg, "_row_times", counted)
+    monkeypatch.setattr(chevalley, "power_ranks", refuse)
+    assert jordan_type(n).blocks == (59, 47, 39, 35, 27, 23, 15, 3)
+    assert len(products) == n.dim == 248

@@ -48,9 +48,10 @@ def test_the_export_list_matches_the_imports():
 
 
 def test_the_cli_imports_no_dataclasses_or_introspection_modules():
-    # dataclasses pulls in inspect, ast and dis; each cold CLI process would pay for them
+    # dataclasses pulls in inspect, ast and dis, and json is needed only for
+    # --json output; each cold CLI process would pay for them
     probe = ("import sys, fghodge.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'json'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
