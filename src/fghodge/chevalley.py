@@ -16,6 +16,13 @@ build time verify_jacobi checks that the Chevalley involution
 (x_a -> -x_{-a}, h -> -h) preserves the bracket, then certifies the full
 Jacobi identity with dim - 1 + 2n derivation checks along a spanning tree of
 the adjoint module, whose generators pass the Chevalley-Serre relations.
+Root codes: the special pairs, the recursion, the integrality pass, the
+n_pos loop of StructureConstants.ad and the theta chain take the root c as
+the int sum_i c_i 64**i (_BASE = 64).  Codes are linear, and each vector
+those loops test is a sum or difference of two roots (b - (p+1) a =
+(b - p a) - a), with digits of absolute value at most 2 * 6 = 12; signed
+base-64 digits below 32 are unique, so no two of those vectors collide.
+_root_codes refuses a root coefficient of 16 (_BASE / 4) or more.
 
 Representation matrices: the adjoint representation is read off the
 bracket table, whose six root-pair entries per positive pair (a, b) follow
@@ -56,6 +63,7 @@ from .linalg import SparseMatrix, graded_blocks, power_ranks
 from .rootdatum import Coords, RootDatum, pair
 
 MAX_RANK = 8
+_BASE = 64  # radix of the root codes
 
 _sc_memo: dict = {}
 _std_memo: dict = {}
@@ -63,10 +71,6 @@ _std_memo: dict = {}
 
 def _vadd(a: Coords, b: Coords) -> Coords:
     return tuple(map(operator.add, a, b))
-
-
-def _vsub(a: Coords, b: Coords) -> Coords:
-    return tuple(map(operator.sub, a, b))
 
 
 def _vneg(a: Coords) -> Coords:
@@ -114,7 +118,10 @@ class StructureConstants:
         npos = len(ordered)
         basis = ([("root", r) for r in ordered] + [("cartan", i) for i in range(datum.rank)]
                  + [("root", _vneg(r)) for r in ordered])
-        col = {r: i for i, r in enumerate(ordered)}
+        code = {r: c for c, r in _root_codes(datum).items()}
+        col = {r: (i, code[r]) for i, r in enumerate(ordered)}
+        at = {c: i for i, c in col.values()}  # g = a + b located by its code
+        nrm = [norm2[r] for r in ordered]
         shift = npos + datum.rank  # h_j sits at npos + j, x_{-r} shift places after x_r
         entries: list[dict[tuple[int, int], int]] = [{} for _ in basis]
         for x, (kind, root) in enumerate(basis):
@@ -128,12 +135,12 @@ class StructureConstants:
                     if c:  # [x_r, x_{-r}] = r^vee
                         entries[x][(npos + j, x + sign * shift)] = sign * c
         for (a, b), n in self.n_pos.items():
-            g = _vadd(a, b)
-            m, rem = divmod(n * norm2[b], norm2[g])
+            (ia, ca), (ib, cb) = col[a], col[b]
+            ig = at[ca + cb]
+            m, rem = divmod(n * nrm[ib], nrm[ig])
             if rem or m == 0:
                 raise IntegrityError(
-                    f"N_{g},{_vneg(a)} = {Fraction(-n * norm2[b], norm2[g])} is not a nonzero integer")
-            ia, ib, ig = col[a], col[b], col[g]
+                    f"N_{ordered[ig]},{_vneg(a)} = {Fraction(-n * nrm[ib], nrm[ig])} is not a nonzero integer")
             ina, inb, ing = ia + shift, ib + shift, ig + shift
             entries[ia][(ig, ib)] = n  # [x_a, x_b] = n x_g
             entries[ina][(ing, inb)] = -n
@@ -159,24 +166,36 @@ class StructureConstants:
             e_theta=ad[("root", datum.theta)], name=f"adjoint({datum.stype})")
 
 
-def _string_length(root_set, a: Coords, b: Coords) -> int:
-    """p = max{k >= 0 : b - k a is a root}.  The zero vector is not a root."""
+def _root_codes(datum: RootDatum) -> dict[int, Coords]:
+    """Every positive root by its code sum_i c_i _BASE**i, after the guard that
+    keeps the codes injective on sums and differences of two roots."""
+    positive = datum.positive_roots
+    if 4 * max(map(max, positive)) >= _BASE:
+        raise IntegrityError(f"a root of {datum.stype} has a coefficient of {_BASE // 4} or more, "
+                             f"too large for root codes in base {_BASE}")
+    return {sum(c * _BASE ** i for i, c in enumerate(r)): r for r in positive}
+
+
+def _string_length(codes, a: int, b: int) -> int:
+    """p = max{k >= 0 : b - k a is a root}, on root codes.  No root codes to 0."""
     p = 0
-    while (b := _vsub(b, a)) in root_set:
+    while (b := b - a) in codes:
         p += 1
     return p
 
 
-def _exact(num: int, den: int, what: str) -> int:
+def _exact(num: int, den: int, what: str, *roots: Coords) -> int:
     """num / den, which must be an integer: IntegrityError names the value otherwise."""
     val, rem = divmod(num, den)
     if rem:
-        raise IntegrityError(f"{what} = {Fraction(num, den)} is not an integer")
+        raise IntegrityError(f"{what.format(*roots)} = {Fraction(num, den)} is not an integer")
     return val
 
 
 def structure_constants(datum: RootDatum) -> StructureConstants:
-    """Consistent Chevalley structure constants for one simple type."""
+    """Consistent Chevalley structure constants for one simple type, built on
+    root codes (module docstring) and keyed by coordinate tuples, as every
+    message names the roots."""
     if datum.rank > MAX_RANK:
         raise ResourceLimitError(
             f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
@@ -185,65 +204,66 @@ def structure_constants(datum: RootDatum) -> StructureConstants:
     if cached is not None:
         return cached
 
-    positive = datum.positive_roots
-    root_set = frozenset(positive) | frozenset(_vneg(r) for r in positive)
-    norm2 = dict(datum.root_norm2)
-    norm2.update({_vneg(r): norm2[r] for r in positive})
+    root_of = _root_codes(datum)
+    positive = list(root_of)
+    norm = {c: datum.root_norm2[r] for c, r in root_of.items()}
+    norm |= {-c: v for c, v in norm.items()}
+    root_of |= {-c: _vneg(r) for c, r in root_of.items()}
+    codes = frozenset(root_of)
 
     # Special pairs of every gamma, in the order of their first root, so the
     # extraspecial pair comes first.
-    special: dict[Coords, list[tuple[Coords, Coords]]] = defaultdict(list)
+    special: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for i, a in enumerate(positive):
         for b in positive[i + 1:]:
-            gamma = _vadd(a, b)
-            if gamma in root_set:
+            if (gamma := a + b) in codes:
                 special[gamma].append((a, b))
 
-    n_pos: dict[tuple[Coords, Coords], int] = {}
+    n_code: dict[tuple[int, int], int] = {}
 
     def put(a, b, val):
-        n_pos[(a, b)] = val
-        n_pos[(b, a)] = -val
-
-    sc = StructureConstants(datum=datum, n_pos=n_pos, root_set=root_set, norm2=norm2)
+        n_code[(a, b)] = val
+        n_code[(b, a)] = -val
 
     for gamma in positive:
-        if sum(gamma) == 1:
+        if sum(root_of[gamma]) == 1:
             continue
         pairs = special.get(gamma)
         if not pairs:
-            raise IntegrityError(f"no decomposition found for positive root {gamma}")
+            raise IntegrityError(f"no decomposition found for positive root {root_of[gamma]}")
         ex_a, ex_b = pairs[0]
-        p = _string_length(root_set, ex_a, ex_b)
+        p = _string_length(codes, ex_a, ex_b)
         put(ex_a, ex_b, p + 1)
         # N_{-ex_a,gamma} from the norm relation on (-ex_a, gamma, -ex_b).
-        n_minus_gamma = _exact(norm2[ex_b] * (p + 1), norm2[gamma], f"N_{_vneg(ex_a)},{gamma}")
+        n_minus_gamma = _exact(norm[ex_b] * (p + 1), norm[gamma], "N_{},{}",
+                               root_of[-ex_a], root_of[gamma])
         for a, b in pairs[1:]:
             # Jacobi on (x_{-ex_a}, x_a, x_b), all terms proportional to x_{ex_b}:
             #   N_{a,b} N_{-ex_a,gamma} + N_{b,-ex_a} N_{a,b-ex_a} + N_{-ex_a,a} N_{b,a-ex_a} = 0
             acc = 0
-            delta = _vsub(b, ex_a)
-            if delta in root_set:
-                t1 = _exact(-norm2[delta] * n_pos[(ex_a, delta)], norm2[b], f"N_{b},{_vneg(ex_a)}")
-                acc += t1 * n_pos[(a, delta)]
-            eps = _vsub(a, ex_a)
-            if eps in root_set:
-                t2 = _exact(norm2[eps] * n_pos[(ex_a, eps)], norm2[a], f"N_{_vneg(ex_a)},{a}")
-                acc += t2 * n_pos[(b, eps)]
-            val = _exact(-acc, n_minus_gamma, f"derived constant N_{a},{b}")
-            expect = _string_length(root_set, a, b) + 1
+            if (delta := b - ex_a) in codes:
+                acc += _exact(-norm[delta] * n_code[(ex_a, delta)], norm[b], "N_{},{}",
+                              root_of[b], root_of[-ex_a]) * n_code[(a, delta)]
+            if (eps := a - ex_a) in codes:
+                acc += _exact(norm[eps] * n_code[(ex_a, eps)], norm[a], "N_{},{}",
+                              root_of[-ex_a], root_of[a]) * n_code[(b, eps)]
+            val = _exact(-acc, n_minus_gamma, "derived constant N_{},{}", root_of[a], root_of[b])
+            expect = _string_length(codes, a, b) + 1
             if abs(val) != expect:
                 raise IntegrityError(
-                    f"derived constant N_{a},{b} = {val}, |N| should be {expect}"
+                    f"derived constant N_{root_of[a]},{root_of[b]} = {val}, |N| should be {expect}"
                 )
             put(a, b, val)
 
     # Chevalley integrality for every special pair (redundant for derived
     # ones, a genuine check for extraspecial bookkeeping).
-    for (a, b), v in n_pos.items():
-        if _vadd(a, b) in root_set and abs(v) != _string_length(root_set, a, b) + 1:
-            raise IntegrityError(f"|N_{a},{b}| = {abs(v)} breaks the root-string rule")
+    for (a, b), v in n_code.items():
+        if a + b in codes and abs(v) != _string_length(codes, a, b) + 1:
+            raise IntegrityError(f"|N_{root_of[a]},{root_of[b]}| = {abs(v)} breaks the root-string rule")
 
+    sc = StructureConstants(
+        datum=datum, n_pos={(root_of[a], root_of[b]): v for (a, b), v in n_code.items()},
+        root_set=frozenset(root_of.values()), norm2={root_of[c]: v for c, v in norm.items()})
     verify_jacobi(sc)
     _sc_memo[datum.stype] = sc
     return sc
@@ -420,26 +440,25 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
     0 and [E, RHO] = (h-1) E hold for any nonzero multiple): the tests pin
     it against the structure constants of the bracket table.
     """
-    simple = datum.simple_roots
-    positive = frozenset(datum.positive_roots)
-    mats: dict[Coords, SparseMatrix] = {simple[i]: e[i] for i in range(datum.rank)}
+    positive = _root_codes(datum)
+    mats: dict[int, SparseMatrix] = {_BASE ** i: m for i, m in enumerate(e)}
 
-    def build(gamma: Coords) -> SparseMatrix:
+    def build(gamma: int) -> SparseMatrix:
         got = mats.get(gamma)
         if got is not None:
             return got
-        for i, alpha in enumerate(simple):
-            delta = _vsub(gamma, alpha)
-            if delta in positive:
+        for i in range(datum.rank):
+            alpha = _BASE ** i  # the code of alpha_i
+            if (delta := gamma - alpha) in positive:
                 n = _string_length(positive, alpha, delta) + 1
                 m = e[i].commutator(build(delta))
                 m = SparseMatrix(m.dim, {k: v // n if type(v) is int and not v % n else Fraction(v, n)
                                          for k, v in m.entries.items()})
                 mats[gamma] = m
                 return m
-        raise IntegrityError(f"no simple-root decomposition for {gamma}")
+        raise IntegrityError(f"no simple-root decomposition for {positive[gamma]}")
 
-    return build(datum.theta)
+    return build(next(c for c, r in positive.items() if r == datum.theta))
 
 
 def adjoint_rep(datum: RootDatum) -> RepMatrices:

@@ -4,17 +4,21 @@ Each one recomputes something the package ships by a second, slower road
 (a weightwise product of characters, a dense matrix for Gauss-Jordan),
 writes a matrix out for a human reader, or is a small formula only the
 tests read (the tensor-product grading, the connection's dt/t coefficient,
-the root coordinates of a weight, a coroot pairing).
+the root coordinates of a weight, a coroot pairing).  carter_structure_constants
+is the tuple-arithmetic build of the bracket table that the package's
+int-coded one must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from fghodge.character import Character
-from fghodge.chevalley import PrincipalTriple
+from fghodge.chevalley import PrincipalTriple, StructureConstants
 from fghodge.connection import LaurentMatrix
 from fghodge.grading import HodgeTable
+from fghodge.errors import IntegrityError
 from fghodge.linalg import Entry, SparseMatrix
 from fghodge.rootdatum import Coords, RootDatum
 
@@ -75,3 +79,87 @@ def root_coordinates(datum: RootDatum, mu) -> tuple[Fraction, ...]:
 def root_pairing(datum: RootDatum, mu: Coords, root: Coords) -> int:
     """<mu, root^vee> for mu in weight coordinates."""
     return sum(m * c for m, c in zip(mu, datum.coroot_of[root]))
+
+
+def _vadd(a: Coords, b: Coords) -> Coords:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vsub(a: Coords, b: Coords) -> Coords:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _vneg(a: Coords) -> Coords:
+    return tuple(-x for x in a)
+
+
+def string_length(root_set, a: Coords, b: Coords) -> int:
+    """p = max{k >= 0 : b - k a is a root}, on coordinate tuples."""
+    p = 0
+    while (b := _vsub(b, a)) in root_set:
+        p += 1
+    return p
+
+
+def _exact(num: int, den: int, what: str) -> int:
+    val, rem = divmod(num, den)
+    if rem:
+        raise IntegrityError(f"{what} = {Fraction(num, den)} is not an integer")
+    return val
+
+
+def carter_structure_constants(datum: RootDatum) -> StructureConstants:
+    """Carter's extraspecial-pair recursion on coordinate tuples, unverified.
+
+    The same special pairs, order of insertion, recursion and integrality
+    pass as chevalley.structure_constants, with every root a tuple and every
+    sum and difference taken coordinatewise.
+    """
+    positive = datum.positive_roots
+    root_set = frozenset(positive) | frozenset(_vneg(r) for r in positive)
+    norm2 = dict(datum.root_norm2)
+    norm2.update({_vneg(r): norm2[r] for r in positive})
+
+    special: dict[Coords, list[tuple[Coords, Coords]]] = defaultdict(list)
+    for i, a in enumerate(positive):
+        for b in positive[i + 1:]:
+            gamma = _vadd(a, b)
+            if gamma in root_set:
+                special[gamma].append((a, b))
+
+    n_pos: dict[tuple[Coords, Coords], int] = {}
+
+    def put(a, b, val):
+        n_pos[(a, b)] = val
+        n_pos[(b, a)] = -val
+
+    for gamma in positive:
+        if sum(gamma) == 1:
+            continue
+        pairs = special.get(gamma)
+        if not pairs:
+            raise IntegrityError(f"no decomposition found for positive root {gamma}")
+        ex_a, ex_b = pairs[0]
+        p = string_length(root_set, ex_a, ex_b)
+        put(ex_a, ex_b, p + 1)
+        n_minus_gamma = _exact(norm2[ex_b] * (p + 1), norm2[gamma], f"N_{_vneg(ex_a)},{gamma}")
+        for a, b in pairs[1:]:
+            acc = 0
+            delta = _vsub(b, ex_a)
+            if delta in root_set:
+                t1 = _exact(-norm2[delta] * n_pos[(ex_a, delta)], norm2[b], f"N_{b},{_vneg(ex_a)}")
+                acc += t1 * n_pos[(a, delta)]
+            eps = _vsub(a, ex_a)
+            if eps in root_set:
+                t2 = _exact(norm2[eps] * n_pos[(ex_a, eps)], norm2[a], f"N_{_vneg(ex_a)},{a}")
+                acc += t2 * n_pos[(b, eps)]
+            val = _exact(-acc, n_minus_gamma, f"derived constant N_{a},{b}")
+            expect = string_length(root_set, a, b) + 1
+            if abs(val) != expect:
+                raise IntegrityError(f"derived constant N_{a},{b} = {val}, |N| should be {expect}")
+            put(a, b, val)
+
+    for (a, b), v in n_pos.items():
+        if _vadd(a, b) in root_set and abs(v) != string_length(root_set, a, b) + 1:
+            raise IntegrityError(f"|N_{a},{b}| = {abs(v)} breaks the root-string rule")
+    return StructureConstants(datum=datum, n_pos=n_pos, root_set=root_set, norm2=norm2)

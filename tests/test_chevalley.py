@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 from collections import Counter
 from fractions import Fraction
@@ -33,7 +34,7 @@ from fghodge.kkp import minuscule_nodes
 from fghodge.linalg import SparseMatrix, graded_blocks
 from fghodge.rootdatum import pair
 from conftest import ALL_TYPES_RANK8, datum, fw
-from oracles import dump_triplets, to_dense
+from oracles import carter_structure_constants, dump_triplets, string_length, to_dense
 
 
 def constant(sc, x, y):
@@ -383,11 +384,12 @@ def test_every_theta_chain_step_is_an_extraspecial_pair(name, monkeypatch):
     # step (alpha_i, delta) it takes must carry N = +(p+1) in the bracket table.
     d = datum(name)
     sc = structure_constants(d)
+    root_of = chevalley._root_codes(d)  # the chain walks positive root codes
     steps = []
 
-    def recorded(roots, a, b):
-        p = _string_length(roots, a, b)
-        steps.append((a, b, p))
+    def recorded(codes, a, b):
+        p = _string_length(codes, a, b)
+        steps.append((root_of[a], root_of[b], p))
         return p
 
     monkeypatch.setattr(chevalley, "_string_length", recorded)
@@ -397,7 +399,7 @@ def test_every_theta_chain_step_is_an_extraspecial_pair(name, monkeypatch):
     for a, delta, p in steps:
         assert a in d.simple_roots
         assert sc.n_pos[(a, delta)] == p + 1
-        assert p == _string_length(sc.root_set, a, delta)
+        assert p == string_length(sc.root_set, a, delta)
 
 
 @pytest.mark.parametrize("name", CLASSICAL_RANK8)
@@ -710,6 +712,75 @@ def test_n_pos_holds_exactly_the_positive_pairs_with_a_root_sum(name):
     expect = {(a, b) for a in d.positive_roots for b in d.positive_roots
               if tuple(x + y for x, y in zip(a, b)) in sc.root_set}
     assert set(sc.n_pos) == expect
+
+
+def _entries(sc):
+    """Every bracket-table entry with the type of its value, basis in order."""
+    return [(b, m.dim, sorted((k, type(v), v) for k, v in m.entries.items()))
+            for b, m in sc.ad.items()]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_root_coded_table_is_bit_identical_to_the_tuple_recursion(name):
+    sc = structure_constants(datum(name))
+    ref = carter_structure_constants(sc.datum)
+    assert [(k, type(v), v) for k, v in sc.n_pos.items()] == \
+        [(k, type(v), v) for k, v in ref.n_pos.items()]
+    assert sc.root_set == ref.root_set
+    assert list(sc.norm2.items()) == list(ref.norm2.items())
+    assert _entries(sc) == _entries(ref)
+
+
+def test_root_codes_refuse_a_coefficient_past_a_quarter_of_the_base(monkeypatch):
+    # Sums and differences of two roots have digits of at most twice the largest
+    # coefficient, so codes in base B are injective while 4 * coefficient < B.
+    # E8's largest coefficient is 6 (theta = (2, 3, 4, 6, 5, 4, 3, 2)), so its
+    # digits reach 12: the guard refuses base 24 and admits base 25.
+    monkeypatch.setattr(chevalley, "_sc_memo", {})
+    monkeypatch.setattr(chevalley, "_BASE", 24)
+    with pytest.raises(IntegrityError, match="a root of E8 has a coefficient of 6 or more"):
+        structure_constants(datum("E8"))
+    monkeypatch.setattr(chevalley, "_BASE", 25)
+    e8 = structure_constants(datum("E8"))
+    assert _entries(e8) == _entries(carter_structure_constants(e8.datum))
+    monkeypatch.setattr(chevalley, "_sc_memo", {})
+    monkeypatch.setattr(chevalley, "_BASE", 16)
+    with pytest.raises(IntegrityError, match="a root of E8 has a coefficient of 4 or more"):
+        structure_constants(datum("E8"))
+    d4 = structure_constants(datum("D4"))  # coefficients up to 2 still fit
+    assert d4.n_pos == carter_structure_constants(d4.datum).n_pos
+    monkeypatch.setattr(chevalley, "_BASE", 8)
+    g2 = datum("G2")
+    with pytest.raises(IntegrityError, match="a root of G2 has a coefficient of 2 or more"):
+        _weight_rep(g2, fw(g2, 1))  # x_theta walks the codes too
+
+
+def _with_norm(d, root, value):
+    bad = copy.copy(d)
+    bad.root_norm2 = {**d.root_norm2, root: value}
+    return bad
+
+
+def test_a_corrupted_norm_is_named_by_coordinate_tuples(monkeypatch):
+    # B2 with |(1, 2)|^2 = 3: N_{-a2,(1,2)} = |(1,1)|^2 * 2 / 3 is not an integer.
+    monkeypatch.setattr(chevalley, "_sc_memo", {})
+    with pytest.raises(IntegrityError) as err:
+        structure_constants(_with_norm(datum("B2"), (1, 2), 3))
+    assert str(err.value) == "N_(0, -1),(1, 2) = 4/3 is not an integer"
+
+
+@pytest.mark.parametrize("name", ["B3", "G2"])
+def test_every_corrupted_norm_gets_the_message_of_the_tuple_recursion(name, monkeypatch):
+    d = datum(name)
+    for root in d.positive_roots:
+        for value in (1, 3, 5):
+            bad = _with_norm(d, root, value)
+            with pytest.raises(IntegrityError) as want:
+                carter_structure_constants(bad)
+            monkeypatch.setattr(chevalley, "_sc_memo", {})
+            with pytest.raises(IntegrityError) as got:
+                structure_constants(bad)
+            assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES_RANK8)
