@@ -11,30 +11,22 @@ antisymmetry, the norm relation for zero-sum triples
     N_{x,y}/(z,z) = N_{y,z}/(x,x) = N_{z,x}/(y,y)      (x + y + z = 0),
 
 and one Jacobi identity against the extraspecial pair, each term an exact
-integer division.  |N_{a,b}| = p+1 is enforced for every special pair.  At
-build time verify_jacobi checks that the Chevalley involution
-(x_a -> -x_{-a}, h -> -h) preserves the bracket, then certifies the full
-Jacobi identity with dim - 1 + 2n derivation checks along a spanning tree of
-the adjoint module, whose generators pass the Chevalley-Serre relations.
-Root codes: the special pairs, the recursion, the integrality pass, the
-n_pos loop of StructureConstants.ad and the theta chain take the root c as
-the int sum_i c_i 64**i (_BASE = 64).  Codes are linear, and each vector
-those loops test is a sum or difference of two roots (b - (p+1) a =
-(b - p a) - a), with digits of absolute value at most 2 * 6 = 12; signed
-base-64 digits below 32 are unique, so no two of those vectors collide.
-_root_codes refuses a root coefficient of 16 (_BASE / 4) or more.
+integer division, and |N_{a,b}| = p+1 must hold.  Root codes: the special
+pairs, the recursion, the n_pos loop of StructureConstants.ad and the theta
+chain take the root c as the int sum_i c_i 64**i (_BASE = 64).  Codes are
+linear, and each vector those loops test is a sum or difference of two roots
+(b - (p+1) a = (b - p a) - a), with digits of absolute value <= 2 * 6 = 12;
+signed base-64 digits below 32 are unique, so no two of those vectors
+collide.  _root_codes refuses a root coefficient of 16 (_BASE / 4) or more.
 
-Representation matrices: the adjoint representation is read off the
-bracket table, whose six root-pair entries per positive pair (a, b) follow
-from N_{a,b} by antisymmetry and the norm relation (StructureConstants.ad);
-verify_jacobi certifies it once per type (StructureConstants.adjoint).  The
-standard representation V(omega_1) of A-D is built from its weights alone
-(_weight_rep): they have multiplicity 1, so the alpha_i-strings fix e_i and
-f_i without any structure constant or sign.  Its x_theta is
-[e_i, x_{gamma-alpha_i}] / N along the chain of extraspecial pairs
-(alpha_i, gamma - alpha_i) up to theta, each with N = +(p+1) read off a
-root string (_theta_matrix), so no bracket table is built for it.  Both
-pass the Chevalley-Serre check _check_rep before they are returned.
+Representation matrices: every representation takes one path.  Its
+generators e_i, f_i, h_i come from one source; x_theta is [e_i,
+x_{gamma-alpha_i}] / N along the chain of extraspecial pairs (alpha_i,
+gamma - alpha_i) up to theta, with N = +(p+1) read off a root string
+(_theta_matrix); _check_rep (Chevalley-Serre) is the one certificate.  The
+adjoint reads its generators off the bracket table (adjoint_rep); V(omega_1)
+of A-D and the minuscule representations come from their weights alone
+(_weight_rep).  Only the tests call verify_jacobi, the whole table's check.
 
 Matrix conventions for the principal triple (N, RHO, E):
 
@@ -66,6 +58,7 @@ MAX_RANK = 8
 _BASE = 64  # radix of the root codes
 
 _sc_memo: dict = {}
+_adjoint_memo: dict = {}
 _std_memo: dict = {}
 
 
@@ -152,8 +145,8 @@ class StructureConstants:
 
     @functools.cached_property
     def adjoint(self) -> "RepMatrices":
-        """The adjoint representation read off ad, unchecked: verify_jacobi
-        certifies it together with the table."""
+        """The adjoint generators read off ad, with x_theta the table's own
+        column, unchecked: verify_jacobi certifies them with the table."""
         datum = self.datum
         ad = self.ad
         zero = (0,) * datum.rank
@@ -193,9 +186,9 @@ def _exact(num: int, den: int, what: str, *roots: Coords) -> int:
 
 
 def structure_constants(datum: RootDatum) -> StructureConstants:
-    """Consistent Chevalley structure constants for one simple type, built on
-    root codes (module docstring) and keyed by coordinate tuples, as every
-    message names the roots."""
+    """Chevalley structure constants for one simple type on root codes, keyed by
+    coordinate tuples (every message names roots); each derived one is an
+    exact integer with |N| = p + 1.  verify_jacobi(sc) certifies the table."""
     if datum.rank > MAX_RANK:
         raise ResourceLimitError(
             f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
@@ -255,16 +248,9 @@ def structure_constants(datum: RootDatum) -> StructureConstants:
                 )
             put(a, b, val)
 
-    # Chevalley integrality for every special pair (redundant for derived
-    # ones, a genuine check for extraspecial bookkeeping).
-    for (a, b), v in n_code.items():
-        if a + b in codes and abs(v) != _string_length(codes, a, b) + 1:
-            raise IntegrityError(f"|N_{root_of[a]},{root_of[b]}| = {abs(v)} breaks the root-string rule")
-
     sc = StructureConstants(
         datum=datum, n_pos={(root_of[a], root_of[b]): v for (a, b), v in n_code.items()},
         root_set=frozenset(root_of.values()), norm2={root_of[c]: v for c, v in norm.items()})
-    verify_jacobi(sc)
     _sc_memo[datum.stype] = sc
     return sc
 
@@ -272,13 +258,12 @@ def structure_constants(datum: RootDatum) -> StructureConstants:
 # -- Jacobi check ------------------------------------------------------------
 
 def verify_jacobi(sc: StructureConstants) -> None:
-    """Jacobi check: the Chevalley involution, then a spanning tree of derivations.
+    """Jacobi check of the whole table, for the tests: involution, then a tree.
 
     1. omega(x_a) = -x_{-a}, omega(h) = -h.  Each entry (k, z) = v of
        ad(b_y) needs (omega k, omega z) = -v in ad(b_{omega y}), with as many
-       entries: omega is an automorphism of the bracket.  The table writes its
-       root-root entries omega-equivariantly by construction; the check stays
-       because it catches a corrupted table with a direct message.
+       entries: omega is an automorphism of the bracket.  The table is
+       omega-equivariant by construction; this names a corrupted one.
     2. Base: column x_{-theta} of every ad f_j is empty, and the derivation
        check runs for (f_j, x_{-theta}) and (h_j, x_{-theta}).
     3. Tree: breadth first from x_{-theta} (every edge raises the height by
@@ -462,9 +447,25 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
 
 
 def adjoint_rep(datum: RootDatum) -> RepMatrices:
-    """Adjoint representation on the basis (roots by descending height, Cartan),
-    certified by verify_jacobi when structure_constants builds the table."""
-    return structure_constants(datum).adjoint
+    """Adjoint representation on the basis (roots by descending height, Cartan,
+    negative roots): e_i, f_i, h_i off the bracket table, x_theta from the e_i.
+
+    _check_rep is the one certificate.  By Serre's theorem the generators
+    define a g-module V; the h_i check fixes its character (the roots, and 0
+    n times), which fixes a finite-dimensional module (Humphreys, Introduction
+    to Lie Algebras, 18.3, 22.5), so V is the adjoint module.  x_theta is a
+    Lie polynomial in the e_i, nonzero at each step of the chain, on a line
+    of weight theta, so _theta_matrix gives rho(c x_theta) with c != 0; only
+    the tests pin c = 1, against the table's ad x_theta.  The Jordan type and
+    the flatness identities read nothing else: no Jacobi check.  Memoized.
+    """
+    rep = _adjoint_memo.get(datum.stype)
+    if rep is None:
+        table = structure_constants(datum).adjoint
+        rep = table._replace(e_theta=_theta_matrix(datum, table.e))
+        _check_rep(rep)
+        _adjoint_memo[datum.stype] = rep
+    return rep
 
 
 def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
@@ -479,10 +480,9 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
     enough: with e_i = 1 on every edge, f_j can depend on the path around a
     weight square, and _check_rep refuses A2 and A3 V(2 omega_1) and C3
     V(omega_3) ([e_1, f_2] fails).  _check_rep certifies every case it
-    passes.  x_theta comes from the e_i along the extraspecial chain to
-    theta (_theta_matrix), so no adjoint bracket table is built and no rank
-    guard applies.  The caller bounds the size: V(omega_1) is at most
-    45-dimensional (B22) under the positive-root guard of build_root_datum.
+    passes.  x_theta comes from the chain (_theta_matrix), so no bracket
+    table is built and no rank guard applies.  The caller bounds the size:
+    V(omega_1) is at most 45-dimensional (B22) under the root guard.
     """
     two_rho = datum.two_rho_covector
     weights = tuple(sorted(_weight_support(datum, lam), key=lambda mu: (-pair(mu, two_rho), mu)))

@@ -111,9 +111,11 @@ def _exact(num: int, den: int, what: str) -> int:
 def carter_structure_constants(datum: RootDatum) -> StructureConstants:
     """Carter's extraspecial-pair recursion on coordinate tuples, unverified.
 
-    The same special pairs, order of insertion, recursion and integrality
-    pass as chevalley.structure_constants, with every root a tuple and every
-    sum and difference taken coordinatewise.
+    The same special pairs, order of insertion and recursion as
+    chevalley.structure_constants, with every root a tuple and every sum and
+    difference taken coordinatewise, then a root-string check on every
+    special pair, which the package does without: the recursion sets each
+    extraspecial constant from the string and checks each derived one.
     """
     positive = datum.positive_roots
     root_set = frozenset(positive) | frozenset(_vneg(r) for r in positive)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -28,6 +28,7 @@ from fghodge.errors import (
     UnsupportedRepresentationError,
     UsageError,
 )
+from fghodge.cli import main
 from fghodge.connection import integrability_residual, rmodule_pair
 from fghodge.grading import JordanPartition, partition_from_grading, principal_grading, rho_grading
 from fghodge.kkp import minuscule_nodes
@@ -384,6 +385,7 @@ def test_every_theta_chain_step_is_an_extraspecial_pair(name, monkeypatch):
     # step (alpha_i, delta) it takes must carry N = +(p+1) in the bracket table.
     d = datum(name)
     sc = structure_constants(d)
+    rep = adjoint_rep(d)  # built, and memoized, before the steps are recorded
     root_of = chevalley._root_codes(d)  # the chain walks positive root codes
     steps = []
 
@@ -393,8 +395,7 @@ def test_every_theta_chain_step_is_an_extraspecial_pair(name, monkeypatch):
         return p
 
     monkeypatch.setattr(chevalley, "_string_length", recorded)
-    rep = adjoint_rep(d)
-    assert chevalley._theta_matrix(d, rep.e) == rep.e_theta
+    assert chevalley._theta_matrix(d, rep.e) == sc.ad[("root", d.theta)]
     assert len(steps) == d.coxeter - 2  # one step per height from 2 up to h - 1
     for a, delta, p in steps:
         assert a in d.simple_roots
@@ -412,15 +413,113 @@ def test_e_theta_is_integral_except_the_halves_of_b(name):
 
 
 def test_a_doubled_e_theta_passes_every_runtime_check_but_not_the_bracket_table():
-    d = datum("B3")
-    rep = classical_std_rep(d)
-    doubled = RepMatrices(datum=rep.datum, dim=rep.dim, basis_weights=rep.basis_weights,
-                          e=rep.e, f=rep.f, h=rep.h, e_theta=rep.e_theta.scale(2),
-                          name=rep.name)
-    _check_rep(doubled)
-    triple = principal_triple(doubled)
-    assert integrability_residual(*rmodule_pair(triple, d.coxeter)).is_zero()
-    assert doubled.e_theta != _theta_through_the_bracket_table(d, doubled.e)
+    for rep in (classical_std_rep(datum("B3")), adjoint_rep(datum("B3")), adjoint_rep(datum("G2"))):
+        d = rep.datum
+        assert rep.e_theta == _theta_through_the_bracket_table(d, rep.e)
+        doubled = rep._replace(e_theta=rep.e_theta.scale(2))
+        _check_rep(doubled)
+        triple = principal_triple(doubled)
+        assert integrability_residual(*rmodule_pair(triple, d.coxeter)).is_zero()
+        assert doubled.e_theta != _theta_through_the_bracket_table(d, doubled.e)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_adjoint_e_theta_has_the_scale_of_the_bracket_table(name):
+    # the chain's x_theta must be the table's own ad x_theta, entry for entry
+    # and value type for value type: no runtime check sees its scale
+    d = datum(name)
+    table = structure_constants(d).ad[("root", d.theta)]
+    e_theta = adjoint_rep(d).e_theta
+    assert e_theta == table and _value_types(e_theta) == _value_types(table)
+
+
+# -- the adjoint's certificate: Chevalley-Serre on the generators, no Jacobi tree --
+
+def _sign_conjugation(rep, ref):
+    """The signs s_k = +-1 with s_r s_c x[r, c] = x'[r, c] on every generator and
+    on x_theta of rep and ref, or None when no such diagonal conjugation exists."""
+    pairs = list(zip(rep.e + rep.f + rep.h + (rep.e_theta,), ref.e + ref.f + ref.h + (ref.e_theta,)))
+    edges = defaultdict(list)
+    for m, m_ref in pairs:
+        for (r, c), v in m.entries.items():
+            sign = 1 if (v > 0) == (m_ref.get(r, c) > 0) else -1
+            edges[r].append((c, sign))
+            edges[c].append((r, sign))
+    s: dict[int, int] = {}
+    for start in range(rep.dim):
+        if start not in s:
+            s[start] = 1
+            stack = [start]
+            while stack:
+                r = stack.pop()
+                for c, sign in edges[r]:
+                    if c not in s:
+                        s[c] = s[r] * sign
+                        stack.append(c)
+    for m, m_ref in pairs:
+        if m.dim != m_ref.dim or SparseMatrix.from_entries(
+                m.dim, {(r, c): s[r] * s[c] * v for (r, c), v in m.entries.items()}) != m_ref:
+            return None
+    return s
+
+
+# (corruptions of the N_{alpha_i,beta} that pass adjoint_rep's certificate, corruptions tried)
+SIGN_REBASINGS = {"A3": (0, 12), "B3": (1, 20), "C3": (1, 20), "G2": (5, 10),
+                  "D4": (1, 32), "F4": (3, 68), "E6": (2, 120)}
+
+
+@pytest.mark.parametrize("name", list(SIGN_REBASINGS))
+def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, monkeypatch):
+    # Scale N_{alpha_i,beta} and N_{beta,alpha_i} by -1 or 2, rebuild the table
+    # and certify the adjoint as the verify path does.  A corruption that
+    # passes must be the true adjoint in a basis with some x_gamma negated.
+    d = datum(name)
+    sc = structure_constants(d)
+    true = adjoint_rep(d)
+    assert set(_sign_conjugation(true, true).values()) == {1}
+    assert _sign_conjugation(true._replace(e_theta=true.e_theta.scale(2)), true) is None
+    blocks = jordan_type(principal_triple(true).N)
+    keys = [(a, b) for a, b in sc.n_pos if a in d.simple_roots]
+    passed = 0
+    for a, b in keys:
+        for factor in (-1, 2):
+            n_pos = dict(sc.n_pos)
+            n_pos[(a, b)] *= factor
+            n_pos[(b, a)] *= factor
+            broken = StructureConstants(datum=d, n_pos=n_pos, root_set=sc.root_set, norm2=sc.norm2)
+            monkeypatch.setattr(chevalley, "structure_constants", lambda datum_: broken)
+            monkeypatch.setattr(chevalley, "_adjoint_memo", {})
+            try:
+                rep = adjoint_rep(d)
+            except IntegrityError:
+                continue
+            passed += 1
+            assert factor == -1, (a, b)
+            assert rep.e != true.e or rep.f != true.f
+            assert _sign_conjugation(rep, true) is not None, (a, b)
+            triple = principal_triple(rep)
+            assert jordan_type(triple.N) == blocks
+            assert integrability_residual(*rmodule_pair(triple, d.coxeter)).is_zero()
+    assert (passed, 2 * len(keys)) == SIGN_REBASINGS[name]
+
+
+def test_the_verify_path_runs_no_jacobi_check(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the verify path ran a Jacobi check")
+
+    monkeypatch.setattr(chevalley, "verify_jacobi", refuse)
+    monkeypatch.setattr(chevalley, "_check_derivation", refuse)
+    monkeypatch.setattr(chevalley, "_sc_memo", {})
+    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
+    for name in ALL_TYPES_RANK8:
+        d = datum(name)
+        assert adjoint_rep(d).dim == d.adjoint_dim
+    assert len(chevalley._adjoint_memo) == len(ALL_TYPES_RANK8)
+    monkeypatch.setattr(chevalley, "_sc_memo", {})
+    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
+    assert main(["verify", "--type", "E8", "--rep", "adjoint"]) == 0
+    assert capsys.readouterr() == ("PASS E8 adjoint: flatness residual is the zero matrix\n", "")
+    assert "E8" in {str(t) for t in chevalley._adjoint_memo}
 
 
 def test_standard_and_minuscule_reps_build_no_lie_algebra(monkeypatch):

@@ -15,7 +15,7 @@ from fghodge import connection, grading, kkp, rootdatum
 from fghodge.character import irrep_character
 from fghodge.cli import DEFAULT_MAX_DIM, main
 
-from conftest import datum
+from conftest import ALL_TYPES_RANK8, datum
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -218,6 +218,15 @@ def test_verify_std_has_no_rank_guard(capsys, name):
     # largest B type under the positive-root guard
     code, out, err = run(capsys, "verify", "--type", name, "--rep", "std")
     assert (code, out, err) == (0, f"PASS {name} std: flatness residual is the zero matrix\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_verify_adjoint_output_is_fixed(capsys, name, fmt):
+    argv = ["verify", "--type", name, "--rep", "adjoint"] + (["--json"] if fmt == "json" else [])
+    expect = (f"PASS {name} adjoint: flatness residual is the zero matrix\n" if fmt == "text" else
+              f'{{"type":"{name}","rep":"adjoint","pass":true,"residual_entry":null}}\n')
+    assert run(capsys, *argv) == (0, expect, "")
 
 
 def test_sweep_counts_a_failed_check(capsys, extra_trivial_on_b):

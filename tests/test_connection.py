@@ -97,7 +97,10 @@ def test_an_integral_certify_path_makes_no_fraction(monkeypatch):
     # E6 adjoint and D8 std are integral throughout: RHO, x_theta, the
     # Chevalley-Serre commutators, the Jordan level sweep and the connection
     # must all stay on ints
-    monkeypatch.setattr(chevalley, "_std_memo", {})
+    cases = [(datum("E6"), adjoint_rep, (23, 17, 15, 11, 9, 3)),
+             (datum("D8"), classical_std_rep, (15, 1))]
+    for memo in ("_sc_memo", "_adjoint_memo", "_std_memo"):  # build both under the counter
+        monkeypatch.setattr(chevalley, memo, {})
     made = []
     new = Q.__new__
 
@@ -110,14 +113,12 @@ def test_an_integral_certify_path_makes_no_fraction(monkeypatch):
         coprime = Q._from_coprime_ints
         monkeypatch.setattr(Q, "_from_coprime_ints",
                             classmethod(lambda cls, n, m: made.append((n, m)) or coprime(n, m)))
-    for name, rep, blocks in [("E6", adjoint_rep, (23, 17, 15, 11, 9, 3)),
-                              ("D8", classical_std_rep, (15, 1))]:
-        d = datum(name)
+    for d, rep, blocks in cases:
         tr = principal_triple(rep(d))
         assert jordan_type(tr.N).blocks == blocks
         a, b = rmodule_pair(tr, d.coxeter)
         assert integrability_residual(a, b).is_zero()
-        assert made == [], name
+        assert made == [], d.stype
     Q(1, 3) + 1  # the counter sees Fractions
     assert made
 
