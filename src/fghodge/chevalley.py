@@ -12,21 +12,22 @@ antisymmetry, the norm relation for zero-sum triples
 
 and one Jacobi identity against the extraspecial pair, each term an exact
 integer division, and |N_{a,b}| = p+1 must hold.  Root codes: the special
-pairs, the recursion, the n_pos loop of StructureConstants.ad and the theta
-chain take the root c as the int sum_i c_i 64**i (_BASE = 64).  Codes are
-linear, and each vector those loops test is a sum or difference of two roots
-(b - (p+1) a = (b - p a) - a), with digits of absolute value <= 2 * 6 = 12;
-signed base-64 digits below 32 are unique, so no two of those vectors
-collide.  _root_codes refuses a root coefficient of 16 (_BASE / 4) or more.
+pairs, the recursion, the n_pos loop of StructureConstants._ad_columns and
+the theta chain take the root c as the int sum_i c_i 64**i (_BASE = 64).
+Codes are linear, and each vector those loops test is a sum or difference of
+two roots (b - (p+1) a = (b - p a) - a), with digits of absolute value <=
+2 * 6 = 12; signed base-64 digits below 32 are unique, so no two of those
+vectors collide.  _root_codes refuses a root coefficient of 16 (_BASE / 4) or more.
 
 Representation matrices: every representation takes one path.  Its
 generators e_i, f_i, h_i come from one source; x_theta is [e_i,
 x_{gamma-alpha_i}] / N along the chain of extraspecial pairs (alpha_i,
 gamma - alpha_i) up to theta, with N = +(p+1) read off a root string
-(_theta_matrix); _check_rep (Chevalley-Serre) is the one certificate.  The
-adjoint reads its generators off the bracket table (adjoint_rep); V(omega_1)
+(_theta_matrix); _check_rep (Chevalley-Serre, the Serre relations implied)
+is the one certificate.  The adjoint writes only its 3n generators from the
+N_{alpha_i,b}, with the writer of the whole table (_ad_columns); V(omega_1)
 of A-D and the minuscule representations come from their weights alone
-(_weight_rep).  Only the tests call verify_jacobi, the whole table's check.
+(_weight_rep).  Only the tests build the table and call verify_jacobi.
 
 Matrix conventions for the principal triple (N, RHO, E):
 
@@ -90,7 +91,17 @@ class StructureConstants:
 
     @functools.cached_property
     def ad(self) -> dict[tuple, SparseMatrix]:
-        """ad(b) for every adjoint basis element b, in basis order.
+        """ad(b) for every adjoint basis element b in basis order (_ad_columns)."""
+        return self._ad_columns(full=True)[1]
+
+    @functools.cached_property
+    def adjoint(self) -> "RepMatrices":
+        """The adjoint generators alone, x_theta from the chain; adjoint_rep certifies."""
+        return _adjoint_generators(self.datum, *self._ad_columns(full=False))
+
+    def _ad_columns(self, full: bool) -> tuple[list, dict[tuple, SparseMatrix]]:
+        """The adjoint basis, and ad(b) for every b in it when full, else for
+        the 3n generators e_i = x_{alpha_i}, f_i = x_{-alpha_i} and h_i only.
 
         The basis is ("root", r) for the positive roots by descending height,
         then ("cartan", i), then the negative roots in the same order, so x_{-r}
@@ -103,10 +114,11 @@ class StructureConstants:
         m = n |b|^2 / |g|^2 (the norm relation on the zero-sum triple
         (g, -a, -b)) their constants are n, -n, -m, m, m and -m, the values
         antisymmetry and the norm relation give, so the root-root entries
-        are omega-equivariant by construction.
+        are omega-equivariant by construction.  g = a + b is never simple, so
+        the generators take four of the six from each pair (alpha_i, b) and
+        nothing from the other pairs: 1,868 of the 16,694 entries on E8.
         """
         datum = self.datum
-        norm2 = self.norm2
         ordered = sorted(datum.positive_roots, key=lambda r: (-sum(r), r))
         npos = len(ordered)
         basis = ([("root", r) for r in ordered] + [("cartan", i) for i in range(datum.rank)]
@@ -114,21 +126,30 @@ class StructureConstants:
         code = {r: c for c, r in _root_codes(datum).items()}
         col = {r: (i, code[r]) for i, r in enumerate(ordered)}
         at = {c: i for i, c in col.values()}  # g = a + b located by its code
-        nrm = [norm2[r] for r in ordered]
+        nrm = [self.norm2[r] for r in ordered]
         shift = npos + datum.rank  # h_j sits at npos + j, x_{-r} shift places after x_r
+        rows = range(len(basis)) if full else {  # e_i, f_i and h_i
+            col[a][0] + s for a in datum.simple_roots for s in (0, shift)} | {*range(npos, shift)}
         entries: list[dict[tuple[int, int], int]] = [{} for _ in basis]
         for x, (kind, root) in enumerate(basis):
             if kind == "root":
-                sign = 1 if x < shift else -1
-                for j, w in enumerate(_root_weight(datum, root)):
+                weight = _root_weight(datum, root)
+                for j, w in enumerate(weight):
                     if w:  # [h_j, x_r] = <r, alpha_j^vee> x_r
                         entries[npos + j][(x, x)] = w
-                        entries[x][(x, npos + j)] = -w
-                for j, c in enumerate(datum.coroot_of[root if sign > 0 else _vneg(root)]):
-                    if c:  # [x_r, x_{-r}] = r^vee
-                        entries[x][(npos + j, x + sign * shift)] = sign * c
+                if x in rows:
+                    sign = 1 if x < shift else -1
+                    for j, w in enumerate(weight):
+                        if w:
+                            entries[x][(x, npos + j)] = -w
+                    for j, c in enumerate(datum.coroot_of[root if sign > 0 else _vneg(root)]):
+                        if c:  # [x_r, x_{-r}] = r^vee
+                            entries[x][(npos + j, x + sign * shift)] = sign * c
         for (a, b), n in self.n_pos.items():
-            (ia, ca), (ib, cb) = col[a], col[b]
+            ia, ca = col[a]
+            if ia not in rows:
+                continue
+            ib, cb = col[b]
             ig = at[ca + cb]
             m, rem = divmod(n * nrm[ib], nrm[ig])
             if rem or m == 0:
@@ -137,26 +158,13 @@ class StructureConstants:
             ina, inb, ing = ia + shift, ib + shift, ig + shift
             entries[ia][(ig, ib)] = n  # [x_a, x_b] = n x_g
             entries[ina][(ing, inb)] = -n
-            entries[ig][(ib, ina)] = -m  # [x_g, x_{-a}] = -m x_b
-            entries[ing][(inb, ia)] = m
             entries[ina][(ib, ig)] = m
             entries[ia][(inb, ing)] = -m
-        return {b: SparseMatrix(len(basis), e) for b, e in zip(basis, entries)}
-
-    @functools.cached_property
-    def adjoint(self) -> "RepMatrices":
-        """The adjoint generators read off ad, with x_theta the table's own
-        column, unchecked: verify_jacobi certifies them with the table."""
-        datum = self.datum
-        ad = self.ad
-        zero = (0,) * datum.rank
-        weights = tuple(_root_weight(datum, p) if kind == "root" else zero for kind, p in ad)
-        return RepMatrices(
-            datum=datum, dim=len(ad), basis_weights=weights,
-            e=tuple(ad[("root", a)] for a in datum.simple_roots),
-            f=tuple(ad[("root", _vneg(a))] for a in datum.simple_roots),
-            h=tuple(ad[("cartan", i)] for i in range(datum.rank)),
-            e_theta=ad[("root", datum.theta)], name=f"adjoint({datum.stype})")
+            if full:
+                entries[ig][(ib, ina)] = -m  # [x_g, x_{-a}] = -m x_b
+                entries[ing][(inb, ia)] = m
+        return basis, {b: SparseMatrix(len(basis), entries[x]) for x, b in enumerate(basis)
+                       if x in rows}
 
 
 def _root_codes(datum: RootDatum) -> dict[int, Coords]:
@@ -272,8 +280,8 @@ def verify_jacobi(sc: StructureConstants) -> None:
        check for (e_i, w) and reaches b.  Cartan elements are reached as
        [e_j, f_j] = h_j, simple roots from a Cartan element as
        [e_i, h_j] = -a_ij e_i.  Every basis element must be reached.
-    4. Chevalley-Serre: _check_rep on sc.adjoint, the generators e_i, f_i,
-       h_i read off the table.  It runs last so that a table fault is named
+    4. Chevalley-Serre: _check_rep on the generators e_i, f_i, h_i and
+       x_theta read off the table.  It runs last so that a table fault is named
        by the step above that sees it.
 
     That is dim - 1 + 2n derivation checks (_check_derivation), and they
@@ -332,7 +340,7 @@ def verify_jacobi(sc: StructureConstants) -> None:
         raise IntegrityError(
             f"the raising generators reach {len(order)} of {len(basis)} basis elements "
             f"from {basis[base]}")
-    _check_rep(sc.adjoint)
+    _check_rep(_adjoint_generators(datum, basis, sc.ad))
 
 
 def _check_derivation(basis, ad: list[SparseMatrix], column, g: int, y: int) -> None:
@@ -370,19 +378,29 @@ def _check_rep(rep: RepMatrices) -> None:
     and every entry of e_j (f_j) must move a weight mu to mu + alpha_j
     (mu - alpha_j).  With h_i diagonal, [h_i, x] has entry
     (h_i[r] - h_i[c]) x[r, c], so this grading is exactly [h_i, e_j] =
-    a_ji e_j and [h_i, f_j] = -a_ji f_j.  Together with [e_i, f_j] =
-    delta_ij h_i and the Serre relations that set presents the Lie algebra
-    (Serre's theorem), so passing it certifies that the matrices define a
-    representation; [e_theta, e_i] = 0 pins the highest-root vector.
+    a_ji e_j and [h_i, f_j] = -a_ji f_j, a_ji = <alpha_j, alpha_i^vee>.
+    Then [e_i, f_j] = delta_ij h_i is checked, n^2 commutators.
+
+    The Serre relations need no commutator of their own.  By the checks
+    above (e_i, h_i, f_i) is an sl_2-triple in gl(V), so End V is a
+    finite-dimensional sl_2-module under ad.  For j != i, e_j is killed by
+    ad f_i ([e_j, f_i] = 0) and has ad h_i-weight a = a_ji <= 0: a
+    lowest-weight vector of weight a, so (ad e_i)^{1-a} e_j = 0
+    (Humphreys, Introduction to Lie Algebras, 7.2, the argument of 18.1 on
+    End V).  Likewise f_j is killed by ad e_i and has weight -a >= 0, so
+    (ad f_i)^{1-a} f_j = 0.  These relations present the Lie algebra
+    (Serre's theorem), so passing the check certifies that the matrices
+    define a representation; [e_theta, e_i] = 0 pins the highest-root
+    vector, n more commutators.
     """
     datum = rep.datum
     n = datum.rank
-    cartan = datum.cartan
     weights = rep.basis_weights
     for i in range(n):
-        if rep.h[i] != SparseMatrix.diagonal([w[i] for w in weights]):
+        if rep.h[i].dim != len(weights) or rep.h[i].entries != {
+                (k, k): w[i] for k, w in enumerate(weights) if w[i]}:
             raise IntegrityError(f"{rep.name}: h_{i+1} disagrees with basis weights")
-    for j, alpha in enumerate(cartan):  # row j is alpha_j in weight coordinates
+    for j, alpha in enumerate(datum.cartan):  # row j is alpha_j in weight coordinates
         for (r, c) in rep.e[j].entries:
             if weights[r] != _vadd(weights[c], alpha):
                 raise IntegrityError(f"{rep.name}: e_{j+1} breaks the weight grading")
@@ -394,18 +412,6 @@ def _check_rep(rep: RepMatrices) -> None:
             expect = rep.h[i] if i == j else SparseMatrix.zero(rep.dim)
             if rep.e[i].commutator(rep.f[j]) != expect:
                 raise IntegrityError(f"{rep.name}: [e_{i+1}, f_{j+1}] relation fails")
-    # Serre relations (ad e_i)^{1-cartan[j][i]} e_j = 0, same with f.
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            power = 1 - cartan[j][i]
-            for gens in (rep.e, rep.f):
-                acc = gens[j]
-                for _ in range(power):
-                    acc = gens[i].commutator(acc)
-                if not acc.is_zero():
-                    raise IntegrityError(f"{rep.name}: Serre relation ({i+1},{j+1}) fails")
     for i in range(n):
         if not rep.e_theta.commutator(rep.e[i]).is_zero():
             raise IntegrityError(f"{rep.name}: [e_theta, e_{i+1}] != 0")
@@ -446,9 +452,25 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
     return build(next(c for c, r in positive.items() if r == datum.theta))
 
 
+def _adjoint_generators(datum: RootDatum, basis: list, ad: dict) -> RepMatrices:
+    """e_i, f_i, h_i read off ad (the whole table or the generators alone), and
+    x_theta: ad's own column when it has one, else the chain's (_theta_matrix)."""
+    zero = (0,) * datum.rank
+    e = tuple(ad[("root", a)] for a in datum.simple_roots)
+    e_theta = ad.get(("root", datum.theta))
+    return RepMatrices(
+        datum=datum, dim=len(basis),
+        basis_weights=tuple(_root_weight(datum, p) if kind == "root" else zero for kind, p in basis),
+        e=e, f=tuple(ad[("root", _vneg(a))] for a in datum.simple_roots),
+        h=tuple(ad[("cartan", i)] for i in range(datum.rank)),
+        e_theta=_theta_matrix(datum, e) if e_theta is None else e_theta,
+        name=f"adjoint({datum.stype})")
+
+
 def adjoint_rep(datum: RootDatum) -> RepMatrices:
     """Adjoint representation on the basis (roots by descending height, Cartan,
-    negative roots): e_i, f_i, h_i off the bracket table, x_theta from the e_i.
+    negative roots): e_i, f_i, h_i written alone from the Carter constants
+    (StructureConstants.adjoint, no bracket table), x_theta from the e_i.
 
     _check_rep is the one certificate.  By Serre's theorem the generators
     define a g-module V; the h_i check fixes its character (the roots, and 0
@@ -461,8 +483,7 @@ def adjoint_rep(datum: RootDatum) -> RepMatrices:
     """
     rep = _adjoint_memo.get(datum.stype)
     if rep is None:
-        table = structure_constants(datum).adjoint
-        rep = table._replace(e_theta=_theta_matrix(datum, table.e))
+        rep = structure_constants(datum).adjoint
         _check_rep(rep)
         _adjoint_memo[datum.stype] = rep
     return rep

@@ -6,7 +6,8 @@ writes a matrix out for a human reader, or is a small formula only the
 tests read (the tensor-product grading, the connection's dt/t coefficient,
 the root coordinates of a weight, a coroot pairing).  carter_structure_constants
 is the tuple-arithmetic build of the bracket table that the package's
-int-coded one must reproduce bit for bit.
+int-coded one must reproduce bit for bit.  serre_relations_hold forms the
+Serre commutators that the package's Chevalley-Serre check proves implied.
 """
 
 from __future__ import annotations
@@ -91,6 +92,25 @@ def _vsub(a: Coords, b: Coords) -> Coords:
 
 def _vneg(a: Coords) -> Coords:
     return tuple(-x for x in a)
+
+
+def serre_relations_hold(rep) -> bool:
+    """(ad e_i)^{1-a_ji} e_j = 0 and (ad f_i)^{1-a_ji} f_j = 0 for every i != j,
+    a_ji = <alpha_j, alpha_i^vee>: the commutators chevalley._check_rep
+    leaves to its proof."""
+    cartan = rep.datum.cartan
+    n = rep.datum.rank
+    for gens in (rep.e, rep.f):
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                acc = gens[j]
+                for _ in range(1 - cartan[j][i]):
+                    acc = gens[i].commutator(acc)
+                if not acc.is_zero():
+                    return False
+    return True
 
 
 def string_length(root_set, a: Coords, b: Coords) -> int:

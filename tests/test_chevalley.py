@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -35,7 +36,13 @@ from fghodge.kkp import minuscule_nodes
 from fghodge.linalg import SparseMatrix, graded_blocks
 from fghodge.rootdatum import pair
 from conftest import ALL_TYPES_RANK8, datum, fw
-from oracles import carter_structure_constants, dump_triplets, string_length, to_dense
+from oracles import (
+    carter_structure_constants,
+    dump_triplets,
+    serre_relations_hold,
+    string_length,
+    to_dense,
+)
 
 
 def constant(sc, x, y):
@@ -504,11 +511,13 @@ def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, m
 
 
 def test_the_verify_path_runs_no_jacobi_check(monkeypatch, capsys):
+    # nor does it build the bracket table: the adjoint writes its generators alone
     def refuse(*args):
-        raise AssertionError("the verify path ran a Jacobi check")
+        raise AssertionError("the verify path ran a Jacobi check or built the bracket table")
 
     monkeypatch.setattr(chevalley, "verify_jacobi", refuse)
     monkeypatch.setattr(chevalley, "_check_derivation", refuse)
+    monkeypatch.setattr(StructureConstants, "ad", property(refuse))
     monkeypatch.setattr(chevalley, "_sc_memo", {})
     monkeypatch.setattr(chevalley, "_adjoint_memo", {})
     for name in ALL_TYPES_RANK8:
@@ -520,6 +529,90 @@ def test_the_verify_path_runs_no_jacobi_check(monkeypatch, capsys):
     assert main(["verify", "--type", "E8", "--rep", "adjoint"]) == 0
     assert capsys.readouterr() == ("PASS E8 adjoint: flatness residual is the zero matrix\n", "")
     assert "E8" in {str(t) for t in chevalley._adjoint_memo}
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_the_generator_build_writes_the_bracket_tables_generator_columns(name):
+    # StructureConstants.adjoint writes ad e_i, ad f_i and ad h_i without the
+    # rest of the table; each must be the table's own column, entry for entry
+    # and value type for value type
+    d = datum(name)
+    sc = structure_constants(d)
+    basis, gens = sc._ad_columns(full=False)
+    assert basis == list(sc.ad)
+    assert list(gens) == [b for b in sc.ad if b in gens] and len(gens) == 3 * d.rank
+    for b, m in gens.items():
+        assert m == sc.ad[b] and _value_types(m) == _value_types(sc.ad[b]), b
+    rep, table = sc.adjoint, chevalley._adjoint_generators(d, basis, sc.ad)
+    assert rep._replace(e_theta=None) == table._replace(e_theta=None)
+
+
+@pytest.mark.parametrize("name,node,which", ALL_REPS_RANK8)
+def test_every_certified_representation_satisfies_the_serre_relations(name, node, which):
+    # _check_rep forms no Serre commutator; the oracle forms them all
+    assert serre_relations_hold(_rep(name, node, which))
+
+
+def _single_entry_faults(rep, rng, count):
+    """count seeded faults of rep, each in one entry of one e_j or f_j: the
+    entry scaled by 2, negated, or moved to another place of the same weights
+    (another row or column of equal weight, else another row)."""
+    weights = rep.basis_weights
+    for _ in range(count):
+        which, j = rng.choice("ef"), rng.randrange(rep.datum.rank)
+        mat = (rep.e if which == "e" else rep.f)[j]
+        (r, c), v = rng.choice(sorted(mat.entries.items()))
+        kind = rng.choice(("scale", "negate", "move"))
+        entries = dict(mat.entries)
+        if kind == "move":
+            del entries[(r, c)]
+            places = ([(k, c) for k in range(rep.dim) if k != r and weights[k] == weights[r]]
+                      + [(r, k) for k in range(rep.dim) if k != c and weights[k] == weights[c]])
+            entries[rng.choice(places or [(k, c) for k in range(rep.dim) if k != r])] = v
+        else:
+            entries[(r, c)] = v * (2 if kind == "scale" else -1)
+        yield _with_generator(rep, which, j, entries)
+
+
+# (refused and breaking Serre, refused with Serre intact, passed) of 150 faults each
+SERRE_FAULTS = {"A2": (150, 0, 0), "B3": (144, 6, 0), "G2": (112, 38, 0), "D4": (150, 0, 0),
+                "F4": (140, 10, 0), "E6 V(omega_1)": (129, 21, 0)}
+
+
+@pytest.mark.parametrize("name", list(SERRE_FAULTS))
+def test_every_fault_the_check_passes_satisfies_the_serre_relations(name):
+    # The Serre loop is gone from _check_rep because its other checks imply
+    # the relations: a fault that passes may not break them.  None passes
+    # here, and most of those refused break the relations, which the
+    # [e_i, f_j], grading and h checks caught without them.
+    d = datum(name[:2])
+    rep = _weight_rep(d, fw(d, 1)) if "V" in name else adjoint_rep(d)
+    tally = Counter()
+    for broken in _single_entry_faults(rep, random.Random(1709), 150):
+        holds = serre_relations_hold(broken)
+        try:
+            _check_rep(broken)
+        except IntegrityError:
+            tally[holds] += 1
+            continue
+        assert holds
+        tally["passed"] += 1
+    assert (tally[False], tally[True], tally["passed"]) == SERRE_FAULTS[name], tally
+
+
+def test_check_rep_forms_n_squared_plus_n_commutators(monkeypatch):
+    # [e_i, f_j] for every i, j and [e_theta, e_i]: 72 on E8, no Serre commutator
+    rep = adjoint_rep(datum("E8"))
+    calls = []
+    commutator = SparseMatrix.commutator
+
+    def counted(self, other):
+        calls.append(other)
+        return commutator(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "commutator", counted)
+    _check_rep(rep)
+    assert len(calls) == 8 * 8 + 8 == 72
 
 
 def test_standard_and_minuscule_reps_build_no_lie_algebra(monkeypatch):
@@ -751,6 +844,8 @@ def test_a_non_integral_norm_ratio_in_the_bracket_table_is_caught():
     broken = StructureConstants(datum=sc.datum, n_pos=sc.n_pos, root_set=sc.root_set, norm2=norm2)
     with pytest.raises(IntegrityError, match="is not a nonzero integer"):
         broken.ad
+    with pytest.raises(IntegrityError, match="is not a nonzero integer"):
+        broken.adjoint  # (1, 0) + (2, 1) = (3, 1): a generator entry divides by that norm too
 
 
 def test_exceptional_adjoint_matrices_match_their_recorded_digest():

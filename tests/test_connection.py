@@ -218,3 +218,21 @@ def test_commutator_identity_n_plus_te_with_rho():
         rhs = (LaurentMatrix.from_scalar_matrix(tr.N, factor=-1)
                + LaurentMatrix.from_scalar_matrix(tr.E, dt=1, factor=d.coxeter - 1))
         assert nte.commutator(rho) == rhs
+
+
+@pytest.mark.parametrize("name,which", [("E6", "adjoint"), ("E7", "adjoint"), ("E8", "adjoint"),
+                                        ("B8", "std"), ("C8", "std"), ("D8", "std")])
+def test_commutator_is_ab_minus_ba_on_the_certify_cases(name, which):
+    # one SparseMatrix commutator per monomial pair against the two products,
+    # value type for value type, and the residual of a broken B with them
+    d = datum(name)
+    tr = principal_triple(classical_std_rep(d) if which == "std" else adjoint_rep(d))
+    a, b = rmodule_pair(tr, d.coxeter)
+    broken = b + LaurentMatrix.from_scalar_matrix(tr.E, dt=2, dz=-1, factor=Q(3, 2))
+    types = lambda lm: {mono: {k: type(v) for k, v in m.entries.items()} for mono, m in lm.coeffs.items()}
+    for other in (b, broken):
+        got, want = a.commutator(other), (a @ other) - (other @ a)
+        assert got == want and types(got) == types(want)
+    residual = integrability_residual(a, broken)
+    assert not residual.is_zero()
+    assert residual == a.d_z() - broken.d_t() - ((a @ broken) - (broken @ a))
