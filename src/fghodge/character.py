@@ -99,7 +99,9 @@ def irrep_character(datum: RootDatum, lam) -> Character:
         (mu for mu in support if datum.is_dominant(mu)),
         key=lambda mu: sum(support[mu]),
     )
-    halfnorm = {r: datum.norm2_root(r) // 2 for r in datum.positive_roots}
+    # per positive root: its coroot, (alpha, alpha) / 2 and its weight
+    roots = [(datum.coroot_of[r], datum.root_norm2[r] // 2, datum.root_weights[r])
+             for r in datum.positive_roots]
 
     mult: dict[Coords, int] = {}
     for mu in dominants:
@@ -107,10 +109,7 @@ def irrep_character(datum: RootDatum, lam) -> Character:
             m = 1
         else:
             num = 0
-            for root in datum.positive_roots:
-                co = datum.coroot_of[root]
-                d_alpha = halfnorm[root]
-                rw = datum.weight_of_root(root)
+            for co, d_alpha, rw in roots:
                 base = sum(a * b for a, b in zip(mu, co))
                 nu = mu
                 k = 1
@@ -143,4 +142,4 @@ def irrep_character(datum: RootDatum, lam) -> Character:
 
 def adjoint_weight(datum: RootDatum) -> Coords:
     """Highest weight of the adjoint representation (theta in weight coordinates)."""
-    return datum.weight_of_root(datum.theta)
+    return datum.root_weights[datum.theta]

@@ -32,6 +32,10 @@ from .grading import (
 from .rootdatum import RootDatum, SimpleType, build_root_datum, check_size
 
 DEFAULT_MAX_DIM = 10**6
+# Largest sum of dim V over the weights one sweep grades: the partition
+# roundtrip walks every vector, about 1 us each on a 2-vCPU VM.  The default
+# sweep grades 48,463.
+MAX_SWEEP_DIMS = 10**7
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -172,16 +176,25 @@ def _sweep_types(max_rank: int):
             yield SimpleType(family, rank)
 
 
-def _dominant_weights_up_to(datum: RootDatum, max_dim: int):
-    """All dominant weights with Weyl dimension <= max_dim, ordered."""
+def _dominant_weights_up_to(datum: RootDatum, max_dim: int, budget: int = MAX_SWEEP_DIMS):
+    """All dominant weights with Weyl dimension <= max_dim, ordered, and the
+    sum of their dimensions; raises ResourceLimitError once that sum passes
+    budget."""
     n = datum.rank
     frontier = [(0,) * n]
-    found, seen = [], set(frontier)
+    found, seen, total = [], set(frontier), 0
     while frontier:
         nxt = []
         for lam in frontier:
-            if weyl_dimension(datum, lam) > max_dim:
+            dim = weyl_dimension(datum, lam)
+            if dim > max_dim:
                 continue
+            total += dim
+            if total > budget:
+                raise ResourceLimitError(
+                    f"the sweep would grade more than {MAX_SWEEP_DIMS} vectors (sum of dim V) "
+                    f"by {datum.stype}; lower --max-dim or --max-rank"
+                )
             found.append(lam)
             for i in range(n):
                 up = tuple(c + (1 if j == i else 0) for j, c in enumerate(lam))
@@ -189,15 +202,17 @@ def _dominant_weights_up_to(datum: RootDatum, max_dim: int):
                     seen.add(up)
                     nxt.append(up)
         frontier = nxt
-    return sorted(found)
+    return sorted(found), total
 
 
 def cmd_sweep(args) -> int:
     """Sum rule + grading/partition roundtrip over every small case, plus the
     minuscule mirror checks and the classical functoriality identities."""
+    if args.max_rank < 1:  # no type to sweep: 0/0 checks would read as a pass
+        raise UsageError(f"--max-rank must be at least 1, got {args.max_rank}")
     if args.max_rank >= 2:  # B_r has the most positive roots of the swept rank-r types
         check_size(SimpleType("B", args.max_rank))
-    swept = []
+    swept, cost = [], 0
     for stype in _sweep_types(args.max_rank):
         datum = build_root_datum(stype)
         cases = kkp.all_minuscule_cases(datum)
@@ -208,7 +223,9 @@ def cmd_sweep(args) -> int:
                     f"the kkp check of {stype} node {case.node} walks {dim} weights, "
                     f"over the kkp limit of {DEFAULT_MAX_DIM}; lower --max-rank"
                 )
-        swept.append((stype, datum, cases))
+        weights, dims = _dominant_weights_up_to(datum, args.max_dim, MAX_SWEEP_DIMS - cost)
+        cost += dims
+        swept.append((stype, datum, weights, cases))
     checked = failed = 0
 
     def report(ok: bool, label: str) -> None:
@@ -217,8 +234,8 @@ def cmd_sweep(args) -> int:
         failed += not ok
         print(f"{'ok' if ok else 'FAIL'} {label}")
 
-    for stype, datum, cases in swept:
-        for lam in _dominant_weights_up_to(datum, args.max_dim):
+    for stype, datum, weights, cases in swept:
+        for lam in weights:
             label = f"{stype} weight {','.join(map(str, lam))}"
             try:  # principal_grading checks the sum rule, partition_from_grading sl2-consistency
                 g = principal_grading(datum, lam)

@@ -50,7 +50,7 @@ def minuscule_case(datum: RootDatum, node: int) -> MinusculeCase:
     support_count = sum(1 for r in datum.positive_roots if r[node - 1] != 0)
     if dim_x != support_count:
         raise IntegrityError("dim X disagrees between pairing and root count")
-    return MinusculeCase(datum=datum, node=node, lam=lam, dim_x=int(dim_x))
+    return MinusculeCase(datum=datum, node=node, lam=lam, dim_x=dim_x)
 
 
 class BettiTable:
@@ -88,7 +88,6 @@ def weight_graph_betti(case: MinusculeCase) -> BettiTable:
     """
     datum = case.datum
     orbit = set(weyl_orbit(datum, case.lam))
-    alpha_w = [datum.weight_of_root(a) for a in datum.simple_roots]
     two_rho = datum.two_rho_covector
     top_level = pair(case.lam, two_rho)
 
@@ -97,7 +96,7 @@ def weight_graph_betti(case: MinusculeCase) -> BettiTable:
     while queue:
         mu = queue.popleft()
         d = dist[mu]
-        for aw in alpha_w:
+        for aw in datum.cartan:  # row i is the weight of alpha_i
             nu = tuple(x - y for x, y in zip(mu, aw))
             if nu in orbit and nu not in dist:
                 dist[nu] = d + 1

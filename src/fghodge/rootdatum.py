@@ -18,16 +18,16 @@ Coordinate conventions, used consistently by every module downstream:
 * coroots and covectors live in the simple-coroot basis, which makes
   pairing a covector against a weight a plain dot product.
 
-The Cartan matrix convention is ``cartan[i][j] = <alpha_i, alpha_j^vee>``;
-the invariant form is the Gram matrix of the simple roots with short roots
-normalized to squared length 2.
+The Cartan matrix convention is ``cartan[i][j] = <alpha_i, alpha_j^vee>``.
+Squared lengths are normalized so that short roots have (alpha, alpha) = 2;
+halfnorms[i] is half that of alpha_i.  Every stored quantity is an int, and
+rho, which is (1, ..., 1) in weight coordinates, is not stored at all.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .errors import ConfigurationError, IntegrityError, ResourceLimitError, UsageError
 
@@ -173,56 +173,55 @@ def _symmetrizer(cartan) -> tuple[int, ...]:
     """Minimal positive integers d with cartan[i][j]*d[j] symmetric.
 
     d[i] is half the squared length of alpha_i, short roots normalized to 1.
+    Every ratio d[j]/d[i] = cartan[j][i]/cartan[i][j] in a simple type is 1,
+    2 or 3 or the inverse of one, and at most one bond is multiple, so
+    starting from d[0] = 6 every step divides exactly.
     """
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d: list[int | None] = [None] * n
+    d[0] = 6
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
             if j != i and cartan[i][j] != 0 and d[j] is None:
                 # symmetry of cartan[i][j] d[j]: d[j]/d[i] = cartan[j][i]/cartan[i][j]
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                d[j], rem = divmod(d[i] * cartan[j][i], cartan[i][j])
+                if rem:
+                    raise IntegrityError("symmetrizer ratio does not divide 6")
                 todo.append(j)
     if any(x is None for x in d):
         raise IntegrityError("Dynkin graph must be connected")
-    scale = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * scale) for x in d]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 class RootDatum:
-    """Full combinatorial data of one simple type.
+    """Full combinatorial data of one simple type, all on ints.
 
     positive_roots are sorted by (height, reverse-lex on coordinates), a
-    total order reused everywhere deterministic output matters.  root_weights
-    and root_norm2 hold weight_of_root and norm2_root of every positive root,
-    as the reflection closure carried them.  build_root_datum makes one per
-    type, so two data are equal only when they are the same object.
+    total order reused everywhere deterministic output matters.  For every
+    positive root r, coroot_of[r] is its coroot, root_weights[r] its weight
+    coordinates <r, alpha_j^vee> and root_norm2[r] its squared length (r, r),
+    as the reflection closure carried them.  two_rho_covector is 2 rho^vee in
+    simple-coroot coordinates, so <mu, 2 rho^vee> is pair(mu, two_rho_covector).
+    build_root_datum makes one per type, so two data are equal only when
+    they are the same object.
     """
 
     def __init__(self, stype: SimpleType, cartan: tuple[Coords, ...],
                  simple_roots: tuple[Coords, ...], positive_roots: tuple[Coords, ...],
-                 coroot_of: dict[Coords, Coords],
-                 fundamental_weights: tuple[tuple[Fraction, ...], ...], rho: Coords,
-                 rho_covector: tuple[Fraction, ...], two_rho_covector: Coords,
-                 theta: Coords, coxeter: int, form: tuple[Coords, ...],
-                 halfnorms: tuple[int, ...], root_weights: dict[Coords, Coords],
-                 root_norm2: dict[Coords, int]):
+                 coroot_of: dict[Coords, Coords], two_rho_covector: Coords,
+                 theta: Coords, coxeter: int, halfnorms: tuple[int, ...],
+                 root_weights: dict[Coords, Coords], root_norm2: dict[Coords, int]):
         self.stype = stype
         self.cartan = cartan
         self.simple_roots = simple_roots
         self.positive_roots = positive_roots
         self.coroot_of = coroot_of
-        self.fundamental_weights = fundamental_weights
-        self.rho = rho
-        self.rho_covector = rho_covector
         self.two_rho_covector = two_rho_covector
         self.theta = theta
         self.coxeter = coxeter
-        self.form = form
         self.halfnorms = halfnorms
         self.root_weights = root_weights  # positive root -> <r, alpha_j^vee>
         self.root_norm2 = root_norm2  # positive root -> (r, r)
@@ -231,17 +230,6 @@ class RootDatum:
     def rank(self) -> int:
         return self.stype.rank
 
-    @property
-    def adjoint_dim(self) -> int:
-        return 2 * len(self.positive_roots) + self.rank
-
-    # -- coordinate plumbing -------------------------------------------------
-
-    def weight_of_root(self, root: Coords) -> Coords:
-        """Fundamental-weight coordinates of a root-lattice vector."""
-        n = self.rank
-        return tuple(sum(root[i] * self.cartan[i][j] for i in range(n)) for j in range(n))
-
     def reflect(self, mu: Coords, i: int) -> Coords:
         """Simple reflection s_i(mu) = mu - <mu, alpha_i^vee> alpha_i on weights."""
         k = mu[i]
@@ -249,13 +237,6 @@ class RootDatum:
             return mu
         row = self.cartan[i]
         return tuple(m - k * c for m, c in zip(mu, row))
-
-    def height(self, root: Coords) -> int:
-        return sum(root)
-
-    def norm2_root(self, root: Coords) -> int:
-        n = self.rank
-        return sum(root[i] * root[j] * self.form[i][j] for i in range(n) for j in range(n))
 
     def is_dominant(self, mu: Coords) -> bool:
         return all(m >= 0 for m in mu)
@@ -275,21 +256,21 @@ def _root_sort_key(root: Coords):
 def build_root_datum(stype: SimpleType) -> RootDatum:
     """Construct the root datum of a simple type; cached per type.
 
-    Positive roots come from the reflection closure of the simple roots;
-    the invariants (root count, height(theta)+1 = h, <theta, rho^vee> = h-1)
-    are asserted against the classical closed forms before returning.
+    Positive roots come from the reflection closure of the simple roots.
+    The invariants are asserted on ints before returning: the root count
+    and height(theta) + 1 = h against the classical closed forms,
+    <alpha_i, 2 rho^vee> = 2, the positive-root sum 2 rho = (2, ..., 2) in
+    weight coordinates, and <theta, 2 rho^vee> = 2 (h - 1) (Humphreys,
+    Introduction to Lie Algebras, 10.2 and 13.3).
     Types above MAX_POSITIVE_ROOTS raise ResourceLimitError before any work.
     """
     check_size(stype)
     n = stype.rank
     cartan = _cartan_matrix(stype)
     halfnorms = _symmetrizer(cartan)
-    form = tuple(
-        tuple(cartan[i][j] * halfnorms[j] for j in range(n)) for i in range(n)
-    )
     for i in range(n):
-        for j in range(n):
-            if form[i][j] != form[j][i]:
+        for j in range(i):
+            if cartan[i][j] * halfnorms[j] != cartan[j][i] * halfnorms[i]:
                 raise IntegrityError("symmetrizer failed")
 
     simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
@@ -299,7 +280,7 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     # Each root carries its pairings <r, alpha_j^vee> (s_i subtracts k times
     # row i of the Cartan matrix) and its squared norm (s_i preserves it).
     pairings = {s: cartan[i] for i, s in enumerate(simple)}
-    norms = {s: form[i][i] for i, s in enumerate(simple)}
+    norms = {s: 2 * halfnorms[i] for i, s in enumerate(simple)}
     frontier = list(simple)
     while frontier:
         nxt = []
@@ -333,12 +314,15 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
         coroot_of[r] = tuple(co)
 
     two_rho_cov = tuple(sum(coroot_of[r][i] for r in positive) for i in range(n))
-    rho_cov = tuple(Fraction(c, 2) for c in two_rho_cov)
-    # <alpha_i, rho^vee> = 1 characterizes rho^vee
+    # <alpha_i, 2 rho^vee> = 2 characterizes 2 rho^vee
     for i in range(n):
-        s = sum(cartan[i][j] * rho_cov[j] for j in range(n))
-        if s != 1:
-            raise IntegrityError("rho covector must pair to 1 with every simple root")
+        if sum(a * c for a, c in zip(cartan[i], two_rho_cov)) != 2:
+            raise IntegrityError("2 rho covector must pair to 2 with every simple root")
+    # rho = (1, ..., 1) is half the positive-root sum: pair the sum, in root
+    # coordinates, through the Cartan matrix, not the pairings carried above
+    root_sum = [sum(r[i] for r in positive) for i in range(n)]
+    if any(sum(root_sum[i] * cartan[i][j] for i in range(n)) != 2 for j in range(n)):
+        raise IntegrityError("the positive roots must sum to 2 rho")
 
     theta = positive[-1]  # unique root of maximal height
     coxeter = sum(theta) + 1
@@ -348,69 +332,30 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     if sum(t * c for t, c in zip(theta_wt, two_rho_cov)) != 2 * (coxeter - 1):
         raise IntegrityError("<theta, 2 rho^vee> must equal 2 (h - 1)")
 
-    # Fundamental weights in root coordinates: rows of cartan^{-1} transposed,
-    # i.e. omega_k = sum_i (C^{-1})[k][i] alpha_i with m = c*C for weights.
-    inv = _invert_rational(cartan)
-    fundamental = tuple(tuple(inv[k][i] for i in range(n)) for k in range(n))
-
-    rho = tuple([1] * n)
-    # rho really is the half sum of positive roots: check in root coordinates.
-    half_sum = [Fraction(sum(r[i] for r in positive), 2) for i in range(n)]
-    rho_root_coords = [sum(fundamental[k][i] for k in range(n)) for i in range(n)]
-    if half_sum != rho_root_coords:
-        raise IntegrityError("rho must equal the sum of fundamental weights")
-
     return RootDatum(
         stype=stype,
         cartan=cartan,
         simple_roots=simple,
         positive_roots=tuple(positive),
         coroot_of=coroot_of,
-        fundamental_weights=fundamental,
-        rho=rho,
-        rho_covector=rho_cov,
         two_rho_covector=two_rho_cov,
         theta=theta,
         coxeter=coxeter,
-        form=form,
         halfnorms=halfnorms,
         root_weights={r: pairings[r] for r in positive},
         root_norm2={r: norms[r] for r in positive},
     )
 
 
-def _invert_rational(mat) -> list[list[Fraction]]:
-    """Inverse of an integer matrix: fraction-free Gauss-Jordan on ints, then one
-    Fraction per entry (row i of the result is row i of the right half / its pivot)."""
-    n = len(mat)
-    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        for r in range(n):
-            v = aug[r][col]
-            if r != col and v != 0:
-                g = math.gcd(prow[col], v)
-                a, b = prow[col] // g, v // g
-                row = [a * x - b * y for x, y in zip(aug[r], prow)]
-                content = math.gcd(*row)
-                aug[r] = [x // content for x in row]
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
+def pair(mu: Coords, covector: Coords) -> int:
+    """Pairing <mu, covector> of a weight with a covector.
 
-
-def pair(mu: Coords, covector) -> Fraction | int:
-    """Exact pairing <mu, covector> of a weight with a covector.
-
-    The covector is given in simple-coroot coordinates (e.g. rho_covector or
-    two_rho_covector of a RootDatum), so this is a dot product.
+    The covector is given in simple-coroot coordinates (e.g. two_rho_covector
+    of a RootDatum), so this is a dot product.
     """
     if len(mu) != len(covector):
         raise UsageError(f"dimension mismatch: weight of length {len(mu)} vs covector of length {len(covector)}")
-    s = sum(m * c for m, c in zip(mu, covector))
-    if isinstance(s, Fraction) and s.denominator == 1:
-        return int(s)
-    return s
+    return sum(m * c for m, c in zip(mu, covector))
 
 
 def weyl_orbit(datum: RootDatum, mu) -> tuple[Coords, ...]:

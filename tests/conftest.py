@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from fghodge import grading
@@ -29,6 +31,24 @@ SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "D4", "G2", "F4"]
 @pytest.fixture(scope="session")
 def e8():
     return datum("E8")
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """A list that records the arguments of every Fraction made from now on."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic bypasses __new__ from Python 3.12
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(lambda cls, n, m: made.append((n, m)) or coprime(n, m)))
+    return made
 
 
 @pytest.fixture

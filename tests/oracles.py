@@ -1,17 +1,20 @@
 """Test-side routes that the package does not need at run time.
 
 Each one recomputes something the package ships by a second, slower road
-(a weightwise product of characters, a dense matrix for Gauss-Jordan),
-writes a matrix out for a human reader, or is a small formula only the
-tests read (the tensor-product grading, the connection's dt/t coefficient,
-the root coordinates of a weight, a coroot pairing).  carter_structure_constants
-is the tuple-arithmetic build of the bracket table that the package's
-int-coded one must reproduce bit for bit.  serre_relations_hold forms the
-Serre commutators that the package's Chevalley-Serre check proves implied.
+(a weightwise product of characters, a dense matrix for Gauss-Jordan, the
+symmetrizer on Fractions), writes a matrix out for a human reader, or is a
+small formula only the tests read (the tensor-product grading, the
+connection's dt/t coefficient, the root coordinates of a weight through the
+Cartan matrix's rational inverse, the weight and the Gram norm of a root, a
+coroot pairing).  carter_structure_constants is the tuple-arithmetic build
+of the bracket table that the package's int-coded one must reproduce bit
+for bit.  serre_relations_hold forms the Serre commutators that the
+package's Chevalley-Serre check proves implied.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -68,13 +71,76 @@ def fg_matrix(triple: PrincipalTriple) -> LaurentMatrix:
             + LaurentMatrix.from_scalar_matrix(triple.E))
 
 
+def invert_rational(mat) -> list[list[Fraction]]:
+    """Inverse of an integer matrix: fraction-free Gauss-Jordan on ints, then one
+    Fraction per entry (row i of the result is row i of the right half / its pivot)."""
+    n = len(mat)
+    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        for r in range(n):
+            v = aug[r][col]
+            if r != col and v != 0:
+                g = math.gcd(prow[col], v)
+                a, b = prow[col] // g, v // g
+                row = [a * x - b * y for x, y in zip(aug[r], prow)]
+                content = math.gcd(*row)
+                aug[r] = [x // content for x in row]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
+
+
 def root_coordinates(datum: RootDatum, mu) -> tuple[Fraction, ...]:
-    """Simple-root coordinates of a weight (rational in general)."""
+    """Simple-root coordinates of a weight (rational in general): mu = c C with
+    C the Cartan matrix, so c = mu C^-1 and row k of C^-1 is omega_k."""
     n = datum.rank
+    inverse = invert_rational(datum.cartan)
     return tuple(
-        sum(Fraction(mu[k]) * datum.fundamental_weights[k][i] for k in range(n))
-        for i in range(n)
+        sum(Fraction(mu[k]) * inverse[k][i] for k in range(n)) for i in range(n)
     )
+
+
+def weight_of_root(datum: RootDatum, root: Coords) -> Coords:
+    """Fundamental-weight coordinates <root, alpha_j^vee> of a root-lattice vector."""
+    n = datum.rank
+    return tuple(sum(root[i] * datum.cartan[i][j] for i in range(n)) for j in range(n))
+
+
+def gram_matrix(datum: RootDatum) -> tuple[Coords, ...]:
+    """The invariant form on the simple roots, (alpha_i, alpha_j) =
+    cartan[i][j] * halfnorms[j]; short roots have squared length 2."""
+    n = datum.rank
+    return tuple(tuple(datum.cartan[i][j] * datum.halfnorms[j] for j in range(n))
+                 for i in range(n))
+
+
+def gram_norm2(datum: RootDatum, root: Coords) -> int:
+    """(root, root) through the Gram matrix."""
+    form = gram_matrix(datum)
+    n = datum.rank
+    return sum(root[i] * root[j] * form[i][j] for i in range(n) for j in range(n))
+
+
+def fraction_symmetrizer(cartan) -> tuple[int, ...]:
+    """Minimal positive integers d with cartan[i][j]*d[j] symmetric, through
+    Fraction ratios from d[0] = 1, then cleared of denominators."""
+    n = len(cartan)
+    d: list[Fraction | None] = [None] * n
+    d[0] = Fraction(1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if j != i and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                todo.append(j)
+    if any(x is None for x in d):
+        raise IntegrityError("Dynkin graph must be connected")
+    scale = math.lcm(*(x.denominator for x in d))
+    ints = [int(x * scale) for x in d]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def root_pairing(datum: RootDatum, mu: Coords, root: Coords) -> int:

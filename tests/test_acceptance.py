@@ -137,7 +137,7 @@ def test_criterion_04_sum_rule_sweep():
     checked = 0
     for name in _rank6_types():
         d = datum(name)
-        for lam in _dominant_weights_up_to(d, 300):
+        for lam in _dominant_weights_up_to(d, 300)[0]:
             g = _collect(rho_grading(irrep_character(d, lam)))
             assert g.total == weyl_dimension(d, lam), (name, lam)
             checked += 1

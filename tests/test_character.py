@@ -9,7 +9,7 @@ from fghodge.errors import UsageError
 from fghodge.rootdatum import weyl_orbit
 
 from conftest import ALL_TYPES_RANK8, SMALL_TYPES, datum, fw
-from oracles import root_coordinates
+from oracles import root_coordinates, weight_of_root
 
 
 def test_weyl_dimension_values():
@@ -48,7 +48,7 @@ def test_fundamental_dimensions_fixture(name):
 def test_weyl_dimension_adjoint_matches_closed_form():
     for name in ALL_TYPES_RANK8:
         d = datum(name)
-        assert weyl_dimension(d, adjoint_weight(d)) == d.adjoint_dim
+        assert weyl_dimension(d, adjoint_weight(d)) == 2 * len(d.positive_roots) + d.rank
 
 
 def test_weyl_dimension_rejects_non_dominant():
@@ -104,10 +104,10 @@ def test_adjoint_character_structure(name):
     c = irrep_character(d, adjoint_weight(d))
     assert c.mult[(0,) * d.rank] == d.rank
     for root in d.positive_roots:
-        w = d.weight_of_root(root)
+        w = weight_of_root(d, root)
         assert c.mult[w] == 1
         assert c.mult[tuple(-x for x in w)] == 1
-    assert c.dim == d.adjoint_dim
+    assert c.dim == 2 * len(d.positive_roots) + d.rank
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

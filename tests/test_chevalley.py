@@ -42,6 +42,7 @@ from oracles import (
     serre_relations_hold,
     string_length,
     to_dense,
+    weight_of_root,
 )
 
 
@@ -225,7 +226,7 @@ def test_e_theta_is_highest():
             for e_i in rep.e:
                 assert rep.e_theta.commutator(e_i).is_zero()
             # e_theta raises by theta in the weight grading
-            theta_wt = d.weight_of_root(d.theta)
+            theta_wt = weight_of_root(d, d.theta)
             for (r, c) in rep.e_theta.entries:
                 shifted = tuple(a + b for a, b in zip(rep.basis_weights[c], theta_wt))
                 assert rep.basis_weights[r] == shifted
@@ -318,8 +319,11 @@ def test_weight_rule_refuses_multiplicity_free_weights_it_cannot_build(name, lam
 
 
 def _rho_by_fractions(d, weights) -> SparseMatrix:
-    """RHO = diag(-<mu, rho^vee>) through the Fraction covector rho^vee."""
-    return SparseMatrix.diagonal([-pair(mu, d.rho_covector) for mu in weights])
+    """RHO = diag(-<mu, rho^vee>) through the Fraction covector rho^vee =
+    two_rho_covector / 2; an integral pairing is an int."""
+    rho_cov = [Fraction(c, 2) for c in d.two_rho_covector]
+    values = [-sum(m * c for m, c in zip(mu, rho_cov)) for mu in weights]
+    return SparseMatrix.diagonal([int(v) if v.denominator == 1 else v for v in values])
 
 
 def _value_types(m: SparseMatrix) -> dict:
@@ -522,7 +526,7 @@ def test_the_verify_path_runs_no_jacobi_check(monkeypatch, capsys):
     monkeypatch.setattr(chevalley, "_adjoint_memo", {})
     for name in ALL_TYPES_RANK8:
         d = datum(name)
-        assert adjoint_rep(d).dim == d.adjoint_dim
+        assert adjoint_rep(d).dim == 2 * len(d.positive_roots) + d.rank
     assert len(chevalley._adjoint_memo) == len(ALL_TYPES_RANK8)
     monkeypatch.setattr(chevalley, "_sc_memo", {})
     monkeypatch.setattr(chevalley, "_adjoint_memo", {})
@@ -722,10 +726,10 @@ def _bracket_table(sc):
         if kx == "cartan" and ky == "cartan":
             return {}
         if kx == "cartan":  # [h_i, x_b] = <b, alpha_i^vee> x_b
-            c = d.weight_of_root(py)[px]
+            c = weight_of_root(d, py)[px]
             return {y: c} if c else {}
         if ky == "cartan":
-            c = -d.weight_of_root(px)[py]
+            c = -weight_of_root(d, px)[py]
             return {x: c} if c else {}
         s = tuple(a + b for a, b in zip(px, py))
         if not any(s):  # [x_a, x_{-a}] = h_a, the coroot on the simple coroots
@@ -878,9 +882,9 @@ def _ad_from_every_basis_pair(sc):
         for col, (bkind, eta) in enumerate(basis):
             if kind == "cartan":
                 if bkind == "root":
-                    entries[(col, col)] = d.weight_of_root(eta)[xi]
+                    entries[(col, col)] = weight_of_root(d, eta)[xi]
             elif bkind == "cartan":
-                entries[(index[(kind, xi)], col)] = -d.weight_of_root(xi)[eta]
+                entries[(index[(kind, xi)], col)] = -weight_of_root(d, xi)[eta]
             elif not any(s := tuple(a + b for a, b in zip(xi, eta))):
                 sign = 1 if sum(xi) > 0 else -1
                 for j, c in enumerate(d.coroot_of[xi if sign > 0 else eta]):
@@ -1096,7 +1100,7 @@ def test_jacobi_check_runs_dim_minus_one_plus_2n_derivation_checks(monkeypatch):
         d = datum(name)
         calls.clear()
         verify_jacobi(structure_constants(d))
-        assert len(calls) == len(set(calls)) == d.adjoint_dim - 1 + 2 * d.rank
+        assert len(calls) == len(set(calls)) == (2 * len(d.positive_roots) + d.rank) - 1 + 2 * d.rank
         counts[name] = len(calls)
     assert counts["E8"] == 263
     assert counts["B8"] == 151

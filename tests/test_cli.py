@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fghodge import connection, grading, kkp, rootdatum
+from fghodge import cli, connection, grading, kkp, rootdatum
 from fghodge.character import irrep_character
-from fghodge.cli import DEFAULT_MAX_DIM, main
+from fghodge.cli import DEFAULT_MAX_DIM, MAX_SWEEP_DIMS, main
 
 from conftest import ALL_TYPES_RANK8, datum
 
@@ -264,6 +264,34 @@ def test_sweep_guards_every_kkp_orbit_before_building_one(capsys, monkeypatch):
     # B19 spin has 2^19 weights: the guard passes and the sweep reaches its first orbit
     with pytest.raises(AssertionError, match="Weyl orbit of A1"):
         main(["sweep", "--max-rank", "19", "--max-dim", "1"])
+
+
+def test_sweep_guards_the_dimensions_it_grades_before_printing(capsys, monkeypatch):
+    def no_grading(datum, lam):
+        raise AssertionError(f"graded {datum.stype} {lam}")
+
+    monkeypatch.setattr(cli, "principal_grading", no_grading)
+    # A1 alone has weights 0..99999 under --max-dim 10^5, about 5 * 10^9 vectors
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "sweep", "--max-rank", "2", "--max-dim", "100000")
+    assert (code, out) == (3, "")
+    assert err == (f"error: the sweep would grade more than {MAX_SWEEP_DIMS} vectors "
+                   "(sum of dim V) by A1; lower --max-dim or --max-rank\n")
+    assert time.monotonic() - t0 < 1.0
+    monkeypatch.undo()
+    # the default sweep grades exactly 48,463 vectors: the guard counts every one
+    monkeypatch.setattr(cli, "MAX_SWEEP_DIMS", 48463)
+    assert run(capsys, "sweep")[0] == 0
+    monkeypatch.setattr(cli, "MAX_SWEEP_DIMS", 48462)
+    code, out, err = run(capsys, "sweep")
+    assert (code, out) == (3, "") and "more than 48462 vectors (sum of dim V) by G2" in err
+
+
+@pytest.mark.parametrize("rank", ["0", "-1", "-5"])
+def test_sweep_refuses_a_rank_with_no_type(capsys, rank):
+    # no type has rank < 1, and "0/0 checks passed" would read as a pass
+    assert run(capsys, "sweep", "--max-rank", rank) == (
+        2, "", f"error: --max-rank must be at least 1, got {rank}\n")
 
 
 MALFORMED = ["", "1,,2", "1e3", "-1", "0,-2", "A0", "E9", "X3", "A" + "1" * 30, "x"]

@@ -93,7 +93,7 @@ def test_rmodule_pair_a1_matrices():
     assert integrability_residual(a, b).is_zero()
 
 
-def test_an_integral_certify_path_makes_no_fraction(monkeypatch):
+def test_an_integral_certify_path_makes_no_fraction(monkeypatch, fractions_made):
     # E6 adjoint and D8 std are integral throughout: RHO, x_theta, the
     # Chevalley-Serre commutators, the Jordan level sweep and the connection
     # must all stay on ints
@@ -101,18 +101,7 @@ def test_an_integral_certify_path_makes_no_fraction(monkeypatch):
              (datum("D8"), classical_std_rep, (15, 1))]
     for memo in ("_sc_memo", "_adjoint_memo", "_std_memo"):  # build both under the counter
         monkeypatch.setattr(chevalley, memo, {})
-    made = []
-    new = Q.__new__
-
-    def counting(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Q, "__new__", counting)
-    if hasattr(Q, "_from_coprime_ints"):  # arithmetic bypasses __new__ from Python 3.12
-        coprime = Q._from_coprime_ints
-        monkeypatch.setattr(Q, "_from_coprime_ints",
-                            classmethod(lambda cls, n, m: made.append((n, m)) or coprime(n, m)))
+    made = fractions_made
     for d, rep, blocks in cases:
         tr = principal_triple(rep(d))
         assert jordan_type(tr.N).blocks == blocks

@@ -85,7 +85,7 @@ def principal_string_levels(d, lam) -> list[int]:
 @given(name=st.sampled_from(RANK4_TYPES), data=st.data())
 def test_principal_grading_matches_freudenthal(name, data):
     d = datum(name)
-    lam = data.draw(st.sampled_from(_dominant_weights_up_to(d, 300)))
+    lam = data.draw(st.sampled_from(_dominant_weights_up_to(d, 300)[0]))
     g = principal_grading(d, lam)
     assert g.dims == rho_grading(irrep_character(d, lam)).dims
     assert sorted(g.dims) == principal_string_levels(d, lam)
@@ -192,7 +192,7 @@ def test_exponents_fixture_table(name):
     exps = exponents(d)
     assert exps == expected_exponents(name)
     assert max(exps) == d.coxeter - 1
-    assert sum(2 * m + 1 for m in exps) == d.adjoint_dim
+    assert sum(2 * m + 1 for m in exps) == 2 * len(d.positive_roots) + d.rank
     fam, n = name[0], int(name[1:])
     if not (fam == "D" and n % 2 == 0):
         assert len(set(exps)) == len(exps)  # distinct away from D_even

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fghodge.errors import ConfigurationError, ResourceLimitError, UsageError
+from fghodge import rootdatum
+from fghodge.errors import ConfigurationError, IntegrityError, ResourceLimitError, UsageError
 from fghodge.rootdatum import (
     SimpleType,
-    _invert_rational,
+    _symmetrizer,
     build_root_datum,
     check_size,
     pair,
@@ -19,7 +20,14 @@ from fghodge.rootdatum import (
 )
 
 from conftest import ALL_TYPES_RANK8, SMALL_TYPES, datum, fw
-from oracles import root_pairing
+from oracles import (
+    fraction_symmetrizer,
+    gram_matrix,
+    gram_norm2,
+    invert_rational,
+    root_pairing,
+    weight_of_root,
+)
 
 # Classical values, independent of the reflection-closure implementation.
 POSITIVE_COUNTS = {
@@ -40,6 +48,10 @@ ADJOINT_DIMS = {
     "F": {4: 52}.get,
     "G": {2: 14}.get,
 }
+# every type under the positive-root guard: A1-A31, B2-B22, C2-C22, D3-D22, E, F, G
+GUARDED_TYPES = ([f"A{n}" for n in range(1, 32)] + [f"B{n}" for n in range(2, 23)]
+                 + [f"C{n}" for n in range(2, 23)] + [f"D{n}" for n in range(3, 23)]
+                 + ["E6", "E7", "E8", "F4", "G2"])
 COXETER_NUMBERS = {
     "A": lambda n: n + 1,
     "B": lambda n: 2 * n,
@@ -64,17 +76,19 @@ def test_root_counts_and_coxeter(name):
 @pytest.mark.parametrize("name", ALL_TYPES_RANK8)
 def test_rho_pairings(name):
     d = datum(name)
-    # <alpha, rho^vee> = height(alpha) for every positive root
+    # <alpha, 2 rho^vee> = 2 height(alpha) for every positive root
     for root in d.positive_roots:
-        assert pair(d.weight_of_root(root), d.rho_covector) == sum(root)
+        assert pair(weight_of_root(d, root), d.two_rho_covector) == 2 * sum(root)
     # theta pairs to h - 1
-    assert pair(d.weight_of_root(d.theta), d.rho_covector) == d.coxeter - 1
-    # rho is the all-ones weight = sum of fundamental weights
-    assert d.rho == (1,) * d.rank
-    # rho_covector = sum of fundamental coweights: <alpha_i, rho^vee> = 1
+    assert pair(weight_of_root(d, d.theta), d.two_rho_covector) == 2 * (d.coxeter - 1)
+    # rho is the all-ones weight = sum of fundamental weights: the positive
+    # roots sum to 2 rho = (2, ..., 2) in weight coordinates
+    root_sum = [sum(col) for col in zip(*(weight_of_root(d, r) for r in d.positive_roots))]
+    assert root_sum == [2] * d.rank
+    # 2 rho^vee = twice the sum of fundamental coweights: <alpha_i, 2 rho^vee> = 2
     for i in range(d.rank):
-        alpha_i_wt = d.weight_of_root(d.simple_roots[i])
-        assert pair(alpha_i_wt, d.rho_covector) == 1
+        alpha_i_wt = weight_of_root(d, d.simple_roots[i])
+        assert pair(alpha_i_wt, d.two_rho_covector) == 2
 
 
 def test_cartan_matrices_spot():
@@ -110,8 +124,8 @@ def test_cartan_matrix_validity(name):
 
 def test_form_is_gram_matrix():
     # G2 simple roots: short norm^2 2, long norm^2 6, inner product -3
-    assert datum("G2").form == ((2, -3), (-3, 6))
-    b2 = datum("B2").form
+    assert gram_matrix(datum("G2")) == ((2, -3), (-3, 6))
+    b2 = gram_matrix(datum("B2"))
     assert b2 == ((4, -2), (-2, 2))
 
 
@@ -148,9 +162,11 @@ def test_pair_examples():
     assert pair(fw(e7, 7), e7.two_rho_covector) == 27
     assert pair((0,) * 6, e6.two_rho_covector) == 0
     a1 = datum("A1")
-    assert pair((1,), a1.rho_covector) == Fraction(1, 2)
+    # <omega_1, rho^vee> = 1/2 on A1, doubled
+    assert pair((1,), a1.two_rho_covector) == 1
+    assert type(pair((1,), a1.two_rho_covector)) is int
     with pytest.raises(UsageError):
-        pair((1, 0), a1.rho_covector)
+        pair((1, 0), a1.two_rho_covector)
 
 
 def test_a1_highest_root_is_the_simple_root():
@@ -196,7 +212,7 @@ def test_coroot_integrality_and_norms():
             co = d.coroot_of[root]
             assert all(isinstance(c, int) for c in co)
             # <alpha, alpha^vee> = 2
-            assert root_pairing(d, d.weight_of_root(root), root) == 2
+            assert root_pairing(d, weight_of_root(d, root), root) == 2
 
 
 def fraction_gauss_jordan_inverse(mat) -> list[list[Fraction]]:
@@ -218,24 +234,86 @@ def fraction_gauss_jordan_inverse(mat) -> list[list[Fraction]]:
 @pytest.mark.parametrize("name", ALL_TYPES_RANK8 + ["A20", "B20", "C20", "D20"])
 def test_cartan_inverse_matches_fraction_gauss_jordan(name):
     cartan = datum(name).cartan
-    inverse = _invert_rational(cartan)
+    inverse = invert_rational(cartan)
     assert inverse == fraction_gauss_jordan_inverse(cartan)
     assert all(type(x) is Fraction for row in inverse for x in row)
 
 
-TYPES_RANK20 = ([f"A{n}" for n in range(1, 21)] + [f"B{n}" for n in range(2, 21)]
-                + [f"C{n}" for n in range(2, 21)] + [f"D{n}" for n in range(3, 21)]
-                + ["E6", "E7", "E8", "F4", "G2"])
-
-
 def test_closure_keeps_each_roots_pairings_and_norm():
-    assert len(TYPES_RANK20) == 81
-    for name in TYPES_RANK20:
+    assert len(GUARDED_TYPES) == 98
+    for name in GUARDED_TYPES:
         d = datum(name)
         assert list(d.root_weights) == list(d.root_norm2) == list(d.positive_roots)
         for root in d.positive_roots:
-            assert d.root_weights[root] == d.weight_of_root(root)
-            assert d.root_norm2[root] == d.norm2_root(root)
+            assert d.root_weights[root] == weight_of_root(d, root)
+            assert d.root_norm2[root] == gram_norm2(d, root)
+
+
+def test_the_root_data_make_no_fraction(fractions_made):
+    # every root-datum quantity is an int: 98 fresh builds, past the per-type cache
+    for name in GUARDED_TYPES:
+        build_root_datum.__wrapped__(SimpleType.parse(name))
+    assert fractions_made == []
+    Fraction(1, 3) + 1  # the counter sees Fractions
+    assert fractions_made
+
+
+def test_the_int_symmetrizer_equals_the_fraction_route():
+    for name in GUARDED_TYPES:
+        d = datum(name)
+        assert _symmetrizer(d.cartan) == fraction_symmetrizer(d.cartan) == d.halfnorms
+        assert all(type(x) is int for x in d.halfnorms)
+    for cartan in (((2, 0), (0, 2)), ((2, -1, 0), (-1, 2, 0), (0, 0, 2))):
+        for route in (_symmetrizer, fraction_symmetrizer):
+            with pytest.raises(IntegrityError, match="Dynkin graph must be connected"):
+                route(cartan)
+    # a ratio of 5 is in no simple type: 6/5 is not an int, though Fractions scale it
+    assert fraction_symmetrizer(((2, -5), (-1, 2))) == (5, 1)
+    with pytest.raises(IntegrityError, match="symmetrizer ratio does not divide 6"):
+        _symmetrizer(((2, -5), (-1, 2)))
+
+
+def test_an_unsymmetrizable_cartan_matrix_is_refused(monkeypatch):
+    # A3 closed into a triangle with a double bond 1-3: the spanning tree gives
+    # d = (6, 6, 3), and the edge 2-3 is then not symmetric
+    triangle = ((2, -1, -2), (-1, 2, -1), (-1, -1, 2))
+    monkeypatch.setattr(rootdatum, "_cartan_matrix", lambda stype: triangle)
+    with pytest.raises(IntegrityError, match="symmetrizer failed"):
+        build_root_datum.__wrapped__(SimpleType("A", 3))
+
+
+def _build_on_roots(monkeypatch, name, removed, added):
+    """build_root_datum with the closure's root list rewritten: removed out,
+    added in, then sorted again so the highest root stays last."""
+    def rewritten(roots, key):
+        roots = [r for r in roots if r not in removed] + list(added)
+        return sorted(roots, key=key)
+
+    monkeypatch.setattr(rootdatum, "sorted", rewritten, raising=False)
+    return build_root_datum.__wrapped__(SimpleType.parse(name))
+
+
+def test_a_corrupt_root_set_fails_the_two_rho_covector_check(monkeypatch):
+    # B3 with (0, 1, 1) twice and no (1, 1, 0): the count and theta survive
+    with pytest.raises(IntegrityError, match="2 rho covector must pair to 2 with every simple root"):
+        _build_on_roots(monkeypatch, "B3", [(1, 1, 0)], [(0, 1, 1)])
+
+
+@pytest.mark.parametrize("name,removed,added", [
+    ("G2", [(1, 0), (1, 1)], [(3, 1), (3, 2)]),
+    ("B3", [(1, 0, 0), (0, 1, 1)], [(0, 1, 0), (1, 1, 2)]),
+    ("C3", [(1, 0, 0), (0, 1, 1)], [(0, 0, 1), (2, 2, 1)]),
+    ("F4", [(1, 0, 0, 0), (0, 1, 1, 0)], [(0, 1, 0, 0), (1, 1, 2, 0)]),
+])
+def test_a_corrupt_root_set_with_the_right_coroot_sum_fails_the_root_sum_check(
+        monkeypatch, name, removed, added):
+    # the swap keeps the sum of coroots, so 2 rho^vee still pairs to 2 with every
+    # simple root; only the sum of the roots themselves sees it
+    d = datum(name)
+    coroot_sum = [sum(col) for col in zip(*(d.coroot_of[r] for r in removed))]
+    assert coroot_sum == [sum(col) for col in zip(*(d.coroot_of[r] for r in added))]
+    with pytest.raises(IntegrityError, match="the positive roots must sum to 2 rho"):
+        _build_on_roots(monkeypatch, name, removed, added)
 
 
 def test_simple_type_is_equal_hashed_and_ordered_by_value():

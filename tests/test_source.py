@@ -36,6 +36,16 @@ def test_the_package_imports_only_the_standard_library():
     assert found == []
 
 
+def test_the_root_datum_imports_no_fractions():
+    # every root-datum quantity is an int
+    tree = ast.parse((SRC / "rootdatum.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "fractions" not in modules
+    assert not any(isinstance(node, ast.Name) and node.id == "Fraction" for node in ast.walk(tree))
+
+
 def test_the_export_list_matches_the_imports():
     import fghodge
 
