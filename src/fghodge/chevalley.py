@@ -11,9 +11,23 @@ antisymmetry, the norm relation for zero-sum triples
     N_{x,y}/(z,z) = N_{y,z}/(x,x) = N_{z,x}/(y,y)      (x + y + z = 0),
 
 and one Jacobi identity against the extraspecial pair, each term an exact
-integer division, and |N_{a,b}| = p+1 must hold.  Root codes: the special
-pairs, the recursion, the n_pos loop of StructureConstants._ad_columns and
-the theta chain take the root c as the int sum_i c_i 64**i (_BASE = 64).
+integer division, and |N_{a,b}| = p+1 must hold.
+
+The adjoint's generators read only the N_{alpha_i,b}, so adjoint_rep runs
+the same recursion over the special pairs whose first root is simple alone
+(_carter_constants with generators_only: 434 of the 2,240 keys of n_pos on
+E8).  Those pairs are closed under it.  The simple roots lead the order, so
+every gamma's extraspecial pair (ex_a, ex_b) has a simple first root.  For a
+pair (alpha_i, b) of gamma the recursion reads N_{ex_a,b-ex_a} and
+N_{alpha_i,b-ex_a}: pairs with a simple root, of b and of ex_b, which are
+lower roots and so come earlier in the loop.  The eps = alpha_i - ex_a term
+never fires, since a difference of two simple roots is not a root.  So each
+restricted constant comes from the same steps and checks as in the full
+table (structure_constants), and has the same value.
+
+Root codes: the special pairs, the recursion, the n_pos loop of
+StructureConstants._ad_columns and the theta chain take the root c as the
+int sum_i c_i 64**i (_BASE = 64).
 Codes are linear, and each vector those loops test is a sum or difference of
 two roots (b - (p+1) a = (b - p a) - a), with digits of absolute value <=
 2 * 6 = 12; signed base-64 digits below 32 are unique, so no two of those
@@ -25,9 +39,10 @@ x_{gamma-alpha_i}] / N along the chain of extraspecial pairs (alpha_i,
 gamma - alpha_i) up to theta, with N = +(p+1) read off a root string
 (_theta_matrix); _check_rep (Chevalley-Serre, the Serre relations implied)
 is the one certificate.  The adjoint writes only its 3n generators from the
-N_{alpha_i,b}, with the writer of the whole table (_ad_columns); V(omega_1)
-of A-D and the minuscule representations come from their weights alone
-(_weight_rep).  Only the tests build the table and call verify_jacobi.
+generator-only N_{alpha_i,b}, with the writer of the whole table
+(_ad_columns); V(omega_1) of A-D and the minuscule representations come
+from their weights alone (_weight_rep).  Only the tests build the table and
+call verify_jacobi.
 
 Matrix conventions for the principal triple (N, RHO, E):
 
@@ -50,6 +65,7 @@ from .errors import (
     IntegrityError,
     ResourceLimitError,
     UnsupportedRepresentationError,
+    UsageError,
 )
 from .grading import JordanPartition
 from .linalg import SparseMatrix, graded_blocks, power_ranks
@@ -80,14 +96,18 @@ def _root_weight(datum: RootDatum, root: Coords) -> Coords:
 
 class StructureConstants:
     """N_{a,b} for the ordered positive pairs (a, b) with a + b a root, the
-    root set (both signs) and every root's squared norm."""
+    root set (both signs) and every root's squared norm.  With
+    generators_only, n_pos holds only the pairs with a simple root, which is
+    all the adjoint's generators read, and no bracket table comes from it."""
 
     def __init__(self, datum: RootDatum, n_pos: dict[tuple[Coords, Coords], int],
-                 root_set: frozenset[Coords], norm2: dict[Coords, int]):
+                 root_set: frozenset[Coords], norm2: dict[Coords, int],
+                 generators_only: bool = False):
         self.datum = datum
         self.n_pos = n_pos
         self.root_set = root_set
         self.norm2 = norm2
+        self.generators_only = generators_only
 
     @functools.cached_property
     def ad(self) -> dict[tuple, SparseMatrix]:
@@ -117,7 +137,12 @@ class StructureConstants:
         are omega-equivariant by construction.  g = a + b is never simple, so
         the generators take four of the six from each pair (alpha_i, b) and
         nothing from the other pairs: 1,868 of the 16,694 entries on E8.
+        The generator-only constants hold 434 keys there, 224 of them
+        (alpha_i, b); they refuse full, since they lack the other pairs.
         """
+        if full and self.generators_only:
+            raise UsageError(f"the generator-only constants of {self.datum.stype} "
+                             "hold no bracket table")
         datum = self.datum
         ordered = sorted(datum.positive_roots, key=lambda r: (-sum(r), r))
         npos = len(ordered)
@@ -196,17 +221,24 @@ def _exact(num: int, den: int, what: str, *roots: Coords) -> int:
 def structure_constants(datum: RootDatum) -> StructureConstants:
     """Chevalley structure constants for one simple type on root codes, keyed by
     coordinate tuples (every message names roots); each derived one is an
-    exact integer with |N| = p + 1.  verify_jacobi(sc) certifies the table."""
+    exact integer with |N| = p + 1.  verify_jacobi(sc) certifies the table.
+    Memoized."""
+    cached = _sc_memo.get(datum.stype)
+    if cached is None:
+        cached = _sc_memo[datum.stype] = _carter_constants(datum, generators_only=False)
+    return cached
+
+
+def _carter_constants(datum: RootDatum, generators_only: bool) -> StructureConstants:
+    """The Carter recursion over every special pair, or with generators_only
+    over the special pairs whose first root is simple (see the module
+    docstring for why those are closed under it)."""
     if datum.rank > MAX_RANK:
         raise ResourceLimitError(
             f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
         )
-    cached = _sc_memo.get(datum.stype)
-    if cached is not None:
-        return cached
-
     root_of = _root_codes(datum)
-    positive = list(root_of)
+    positive = list(root_of)  # the simple roots lead: positive[:rank]
     norm = {c: datum.root_norm2[r] for c, r in root_of.items()}
     norm |= {-c: v for c, v in norm.items()}
     root_of |= {-c: _vneg(r) for c, r in root_of.items()}
@@ -215,7 +247,7 @@ def structure_constants(datum: RootDatum) -> StructureConstants:
     # Special pairs of every gamma, in the order of their first root, so the
     # extraspecial pair comes first.
     special: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i, a in enumerate(positive):
+    for i, a in enumerate(positive[:datum.rank] if generators_only else positive):
         for b in positive[i + 1:]:
             if (gamma := a + b) in codes:
                 special[gamma].append((a, b))
@@ -256,11 +288,10 @@ def structure_constants(datum: RootDatum) -> StructureConstants:
                 )
             put(a, b, val)
 
-    sc = StructureConstants(
+    return StructureConstants(
         datum=datum, n_pos={(root_of[a], root_of[b]): v for (a, b), v in n_code.items()},
-        root_set=frozenset(root_of.values()), norm2={root_of[c]: v for c, v in norm.items()})
-    _sc_memo[datum.stype] = sc
-    return sc
+        root_set=frozenset(root_of.values()), norm2={root_of[c]: v for c, v in norm.items()},
+        generators_only=generators_only)
 
 
 # -- Jacobi check ------------------------------------------------------------
@@ -469,8 +500,14 @@ def _adjoint_generators(datum: RootDatum, basis: list, ad: dict) -> RepMatrices:
 
 def adjoint_rep(datum: RootDatum) -> RepMatrices:
     """Adjoint representation on the basis (roots by descending height, Cartan,
-    negative roots): e_i, f_i, h_i written alone from the Carter constants
-    (StructureConstants.adjoint, no bracket table), x_theta from the e_i.
+    negative roots): e_i, f_i, h_i written alone (StructureConstants.adjoint,
+    no bracket table) from the generator-only Carter constants, x_theta from
+    the e_i.  The recursion derives just the special pairs with a simple first
+    root, and never leaves them: a pair (alpha_i, b) of gamma reads only
+    N_{ex_a,b-ex_a} and N_{alpha_i,b-ex_a}, pairs with a simple root of the
+    lower roots b and gamma - ex_a, and the term through alpha_i - ex_a never
+    fires, a difference of two simple roots being no root (module docstring).
+    So the constants are those of structure_constants, with the same checks.
 
     _check_rep is the one certificate.  By Serre's theorem the generators
     define a g-module V; the h_i check fixes its character (the roots, and 0
@@ -483,7 +520,7 @@ def adjoint_rep(datum: RootDatum) -> RepMatrices:
     """
     rep = _adjoint_memo.get(datum.stype)
     if rep is None:
-        rep = structure_constants(datum).adjoint
+        rep = _carter_constants(datum, generators_only=True).adjoint
         _check_rep(rep)
         _adjoint_memo[datum.stype] = rep
     return rep

@@ -481,11 +481,12 @@ SIGN_REBASINGS = {"A3": (0, 12), "B3": (1, 20), "C3": (1, 20), "G2": (5, 10),
 
 @pytest.mark.parametrize("name", list(SIGN_REBASINGS))
 def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, monkeypatch):
-    # Scale N_{alpha_i,beta} and N_{beta,alpha_i} by -1 or 2, rebuild the table
-    # and certify the adjoint as the verify path does.  A corruption that
-    # passes must be the true adjoint in a basis with some x_gamma negated.
+    # Scale N_{alpha_i,beta} and N_{beta,alpha_i} by -1 or 2 in the
+    # generator-only constants and certify the adjoint from them as the verify
+    # path does.  A corruption that passes must be the true adjoint in a basis
+    # with some x_gamma negated.
     d = datum(name)
-    sc = structure_constants(d)
+    sc = chevalley._carter_constants(d, generators_only=True)
     true = adjoint_rep(d)
     assert set(_sign_conjugation(true, true).values()) == {1}
     assert _sign_conjugation(true._replace(e_theta=true.e_theta.scale(2)), true) is None
@@ -497,8 +498,9 @@ def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, m
             n_pos = dict(sc.n_pos)
             n_pos[(a, b)] *= factor
             n_pos[(b, a)] *= factor
-            broken = StructureConstants(datum=d, n_pos=n_pos, root_set=sc.root_set, norm2=sc.norm2)
-            monkeypatch.setattr(chevalley, "structure_constants", lambda datum_: broken)
+            broken = StructureConstants(datum=d, n_pos=n_pos, root_set=sc.root_set,
+                                        norm2=sc.norm2, generators_only=True)
+            monkeypatch.setattr(chevalley, "_carter_constants", lambda datum_, generators_only: broken)
             monkeypatch.setattr(chevalley, "_adjoint_memo", {})
             try:
                 rep = adjoint_rep(d)
@@ -515,13 +517,15 @@ def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, m
 
 
 def test_the_verify_path_runs_no_jacobi_check(monkeypatch, capsys):
-    # nor does it build the bracket table: the adjoint writes its generators alone
+    # nor does it build the bracket table or derive the whole table of
+    # constants: the adjoint writes its generators alone, from their constants
     def refuse(*args):
-        raise AssertionError("the verify path ran a Jacobi check or built the bracket table")
+        raise AssertionError("the verify path ran a Jacobi check or built a whole table")
 
     monkeypatch.setattr(chevalley, "verify_jacobi", refuse)
     monkeypatch.setattr(chevalley, "_check_derivation", refuse)
     monkeypatch.setattr(StructureConstants, "ad", property(refuse))
+    monkeypatch.setattr(chevalley, "structure_constants", refuse)
     monkeypatch.setattr(chevalley, "_sc_memo", {})
     monkeypatch.setattr(chevalley, "_adjoint_memo", {})
     for name in ALL_TYPES_RANK8:
@@ -533,6 +537,37 @@ def test_the_verify_path_runs_no_jacobi_check(monkeypatch, capsys):
     assert main(["verify", "--type", "E8", "--rep", "adjoint"]) == 0
     assert capsys.readouterr() == ("PASS E8 adjoint: flatness residual is the zero matrix\n", "")
     assert "E8" in {str(t) for t in chevalley._adjoint_memo}
+    with pytest.raises(ResourceLimitError):
+        adjoint_rep(datum("A9"))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_the_generator_only_constants_are_the_table_on_pairs_with_a_simple_root(name):
+    # The Carter recursion over the special pairs with a simple first root
+    # derives exactly the table's constants on the pairs with a simple root:
+    # same keys in the same order, same values, all ints
+    d = datum(name)
+    full = structure_constants(d)
+    gen = chevalley._carter_constants(d, generators_only=True)
+    simple = set(d.simple_roots)
+    expect = [(k, v) for k, v in full.n_pos.items() if simple & set(k)]
+    assert list(gen.n_pos.items()) == expect
+    assert {type(v) for v in gen.n_pos.values()} <= {int}
+    assert (gen.root_set, gen.norm2) == (full.root_set, full.norm2)
+    assert gen.generators_only and not full.generators_only
+    if name == "E8":
+        assert (len(gen.n_pos), len(full.n_pos)) == (434, 2240)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "G2", "B3", "E6"])
+def test_the_generator_only_constants_yield_no_bracket_table(name):
+    # Up to rank 2 they hold every special pair, and they are refused all the
+    # same; their generators are the table's
+    gen = chevalley._carter_constants(datum(name), generators_only=True)
+    for build in (lambda: gen.ad, lambda: verify_jacobi(gen), lambda: gen._ad_columns(full=True)):
+        with pytest.raises(UsageError, match="hold no bracket table"):
+            build()
+    assert gen.adjoint == structure_constants(datum(name)).adjoint
 
 
 @pytest.mark.parametrize("name", ALL_TYPES_RANK8)
