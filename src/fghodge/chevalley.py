@@ -34,15 +34,17 @@ two roots (b - (p+1) a = (b - p a) - a), with digits of absolute value <=
 vectors collide.  _root_codes refuses a root coefficient of 16 (_BASE / 4) or more.
 
 Representation matrices: every representation takes one path.  Its
-generators e_i, f_i, h_i come from one source; x_theta is [e_i,
+generators e_i, f_i, h_i come from one source, and _check_rep
+(Chevalley-Serre, the Serre relations implied) is the one certificate.  The
+adjoint writes only its 3n generators from the generator-only
+N_{alpha_i,b}, with the writer of the whole table (_ad_columns), and builds
+ad x_theta column by column from [x_theta, x_{-theta}] = theta^vee along the
+raising tree from x_{-theta} (_theta_by_tree, the walk verify_jacobi takes).
+V(omega_1) of A-D and the minuscule representations come from their weights
+alone (_weight_rep); they have no bracket, so their x_theta is [e_i,
 x_{gamma-alpha_i}] / N along the chain of extraspecial pairs (alpha_i,
 gamma - alpha_i) up to theta, with N = +(p+1) read off a root string
-(_theta_matrix); _check_rep (Chevalley-Serre, the Serre relations implied)
-is the one certificate.  The adjoint writes only its 3n generators from the
-generator-only N_{alpha_i,b}, with the writer of the whole table
-(_ad_columns); V(omega_1) of A-D and the minuscule representations come
-from their weights alone (_weight_rep).  Only the tests build the table and
-call verify_jacobi.
+(_theta_matrix).  Only the tests build the table and call verify_jacobi.
 
 Matrix conventions for the principal triple (N, RHO, E):
 
@@ -75,6 +77,7 @@ MAX_RANK = 8
 _BASE = 64  # radix of the root codes
 
 _sc_memo: dict = {}
+_codes_memo: dict = {}
 _adjoint_memo: dict = {}
 _std_memo: dict = {}
 
@@ -116,7 +119,7 @@ class StructureConstants:
 
     @functools.cached_property
     def adjoint(self) -> "RepMatrices":
-        """The adjoint generators alone, x_theta from the chain; adjoint_rep certifies."""
+        """The adjoint generators alone, x_theta from the tree; adjoint_rep certifies."""
         return _adjoint_generators(self.datum, *self._ad_columns(full=False))
 
     def _ad_columns(self, full: bool) -> tuple[list, dict[tuple, SparseMatrix]]:
@@ -194,12 +197,17 @@ class StructureConstants:
 
 def _root_codes(datum: RootDatum) -> dict[int, Coords]:
     """Every positive root by its code sum_i c_i _BASE**i, after the guard that
-    keeps the codes injective on sums and differences of two roots."""
-    positive = datum.positive_roots
-    if 4 * max(map(max, positive)) >= _BASE:
-        raise IntegrityError(f"a root of {datum.stype} has a coefficient of {_BASE // 4} or more, "
-                             f"too large for root codes in base {_BASE}")
-    return {sum(c * _BASE ** i for i, c in enumerate(r)): r for r in positive}
+    keeps the codes injective on sums and differences of two roots.  Memoized
+    per (datum, _BASE); a caller that extends the dict takes a copy."""
+    key = (datum, _BASE)
+    codes = _codes_memo.get(key)
+    if codes is None:
+        positive = datum.positive_roots
+        if 4 * max(map(max, positive)) >= _BASE:
+            raise IntegrityError(f"a root of {datum.stype} has a coefficient of {_BASE // 4} or more, "
+                                 f"too large for root codes in base {_BASE}")
+        codes = _codes_memo[key] = {sum(c * _BASE ** i for i, c in enumerate(r)): r for r in positive}
+    return codes
 
 
 def _string_length(codes, a: int, b: int) -> int:
@@ -237,7 +245,7 @@ def _carter_constants(datum: RootDatum, generators_only: bool) -> StructureConst
         raise ResourceLimitError(
             f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
         )
-    root_of = _root_codes(datum)
+    root_of = dict(_root_codes(datum))  # extended by the negative roots below
     positive = list(root_of)  # the simple roots lead: positive[:rank]
     norm = {c: datum.root_norm2[r] for c, r in root_of.items()}
     norm |= {-c: v for c, v in norm.items()}
@@ -305,12 +313,11 @@ def verify_jacobi(sc: StructureConstants) -> None:
        omega-equivariant by construction; this names a corrupted one.
     2. Base: column x_{-theta} of every ad f_j is empty, and the derivation
        check runs for (f_j, x_{-theta}) and (h_j, x_{-theta}).
-    3. Tree: breadth first from x_{-theta} (every edge raises the height by
-       one, so this walks by ascending height), each simple e_i whose column w
-       holds exactly one entry c b with b not yet reached gives the derivation
-       check for (e_i, w) and reaches b.  Cartan elements are reached as
+    3. Tree: each edge [e_i, w] = c b of the raising tree from x_{-theta}
+       (_raising_tree, which must reach every basis element) gives the
+       derivation check for (e_i, w).  Cartan elements are reached as
        [e_j, f_j] = h_j, simple roots from a Cartan element as
-       [e_i, h_j] = -a_ij e_i.  Every basis element must be reached.
+       [e_i, h_j] = -a_ij e_i.
     4. Chevalley-Serre: _check_rep on the generators e_i, f_i, h_i and
        x_theta read off the table.  It runs last so that a table fault is named
        by the step above that sees it.
@@ -347,31 +354,39 @@ def verify_jacobi(sc: StructureConstants) -> None:
     e = [index[("root", a)] for a in datum.simple_roots]
     f = [index[("root", _vneg(a))] for a in datum.simple_roots]
     h = [index[("cartan", j)] for j in range(datum.rank)]
-    columns: dict[int, dict[int, list[tuple[int, int]]]] = {g: {} for g in e + f + h}
-    for g, column in columns.items():
-        for (k, y), v in ad[g].entries.items():
-            column.setdefault(y, []).append((k, v))
 
     base = index[("root", _vneg(datum.theta))]
     for fj, hj in zip(f, h):
-        if base in columns[fj]:
+        if base in ad[fj].cols:
             raise IntegrityError(f"{basis[fj]} does not kill the lowest root vector {basis[base]}")
-        _check_derivation(basis, ad, columns[fj], fj, base)
-        _check_derivation(basis, ad, columns[hj], hj, base)
+        _check_derivation(basis, ad, ad[fj].cols, fj, base)
+        _check_derivation(basis, ad, ad[hj].cols, hj, base)
+    for g, w, _, _ in _raising_tree(basis, {g: ad[g].cols for g in e}, base):
+        _check_derivation(basis, ad, ad[g].cols, g, w)
+    _check_rep(_adjoint_generators(datum, basis, sc.ad))
+
+
+def _raising_tree(basis: list, columns: dict, base: int):
+    """Yield the edges (g, w, b, c), [e_g, w] = c b, of the breadth-first tree
+    from base under the raising generators (columns: {g: e_g.cols}).
+
+    Each e_g whose column w holds exactly one entry c b, with b not yet
+    reached, reaches b.  Every edge raises the height by one, so this walks
+    by ascending height; every basis element must be reached."""
     reached = {base}
     order = [base]
     for w in order:
-        for g in e:
-            edge = columns[g].get(w)
+        for g, column in columns.items():
+            edge = column.get(w)
             if edge is not None and len(edge) == 1 and edge[0][0] not in reached:
-                _check_derivation(basis, ad, columns[g], g, w)
-                reached.add(edge[0][0])
-                order.append(edge[0][0])
+                b, c = edge[0]
+                reached.add(b)
+                order.append(b)
+                yield g, w, b, c
     if len(order) != len(basis):
         raise IntegrityError(
             f"the raising generators reach {len(order)} of {len(basis)} basis elements "
             f"from {basis[base]}")
-    _check_rep(_adjoint_generators(datum, basis, sc.ad))
 
 
 def _check_derivation(basis, ad: list[SparseMatrix], column, g: int, y: int) -> None:
@@ -449,7 +464,7 @@ def _check_rep(rep: RepMatrices) -> None:
 
 
 def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix:
-    """x_theta on a representation, via x_gamma = [e_i, x_{gamma-alpha_i}] / N.
+    """x_theta on a weight representation, via x_gamma = [e_i, x_{gamma-alpha_i}] / N.
 
     The first i with delta = gamma - alpha_i a positive root gives the
     extraspecial pair (alpha_i, delta) of gamma: in the (height,
@@ -460,7 +475,8 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
     (delta - k alpha_i with delta != alpha_i positive is a positive root or
     no root).  No runtime check sees the scale of x_theta ([e_theta, e_i] =
     0 and [E, RHO] = (h-1) E hold for any nonzero multiple): the tests pin
-    it against the structure constants of the bracket table.
+    it against the structure constants of the bracket table.  The adjoint
+    takes _theta_by_tree, whose seed theta^vee fixes the scale.
     """
     positive = _root_codes(datum)
     mats: dict[int, SparseMatrix] = {_BASE ** i: m for i, m in enumerate(e)}
@@ -485,7 +501,7 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
 
 def _adjoint_generators(datum: RootDatum, basis: list, ad: dict) -> RepMatrices:
     """e_i, f_i, h_i read off ad (the whole table or the generators alone), and
-    x_theta: ad's own column when it has one, else the chain's (_theta_matrix)."""
+    x_theta: ad's own column when it has one, else the tree's (_theta_by_tree)."""
     zero = (0,) * datum.rank
     e = tuple(ad[("root", a)] for a in datum.simple_roots)
     e_theta = ad.get(("root", datum.theta))
@@ -494,34 +510,78 @@ def _adjoint_generators(datum: RootDatum, basis: list, ad: dict) -> RepMatrices:
         basis_weights=tuple(_root_weight(datum, p) if kind == "root" else zero for kind, p in basis),
         e=e, f=tuple(ad[("root", _vneg(a))] for a in datum.simple_roots),
         h=tuple(ad[("cartan", i)] for i in range(datum.rank)),
-        e_theta=_theta_matrix(datum, e) if e_theta is None else e_theta,
+        e_theta=_theta_by_tree(datum, basis, e) if e_theta is None else e_theta,
         name=f"adjoint({datum.stype})")
+
+
+def _theta_by_tree(datum: RootDatum, basis: list, e: tuple[SparseMatrix, ...]) -> SparseMatrix:
+    """X = ad x_theta on the adjoint basis, one column per basis element:
+    column x_{-theta} is [x_theta, x_{-theta}] = theta^vee, and along each
+    edge [e_i, w] = c b of the raising tree from x_{-theta} column b is
+    (1/c) e_i (column w), which is [X, e_i] = 0 on the edge.  adjoint_rep
+    certifies X."""
+    cartan = basis.index(("cartan", 0))
+    base = basis.index(("root", _vneg(datum.theta)))
+    cols = {base: {cartan + j: c for j, c in enumerate(datum.coroot_of[datum.theta]) if c}}
+    columns = {i: m.cols for i, m in enumerate(e)}
+    for i, w, b, c in _raising_tree(basis, columns, base):
+        acc = defaultdict(int)
+        for k, v in cols[w].items():
+            for r, u in columns[i].get(k, ()):
+                acc[r] += u * v
+        cols[b] = {r: v // c if not v % c else Fraction(v, c) for r, v in acc.items() if v}
+    return SparseMatrix(len(basis), {(r, b): v for b, col in cols.items() for r, v in col.items()})
+
+
+def _check_theta_cartan_columns(rep: RepMatrices) -> None:
+    """x_theta h_j = -<theta, alpha_j^vee> u for every j and one vector u, as
+    on ad x_theta (u = x_theta); h_j sits after the positive roots."""
+    cartan = len(rep.datum.positive_roots)
+    pairing = rep.datum.root_weights[rep.datum.theta]
+    k = next(j for j, w in enumerate(pairing) if w)
+    cols = rep.e_theta.cols
+    for j, w in enumerate(pairing):
+        if ({r: pairing[k] * v for r, v in cols.get(cartan + j, ())}
+                != {r: w * v for r, v in cols.get(cartan + k, ()) if w}):
+            raise IntegrityError(f"{rep.name}: e_theta h_{j+1} is not "
+                                 f"-<theta, alpha_{j+1}^vee> times one vector")
 
 
 def adjoint_rep(datum: RootDatum) -> RepMatrices:
     """Adjoint representation on the basis (roots by descending height, Cartan,
     negative roots): e_i, f_i, h_i written alone (StructureConstants.adjoint,
-    no bracket table) from the generator-only Carter constants, x_theta from
-    the e_i.  The recursion derives just the special pairs with a simple first
-    root, and never leaves them: a pair (alpha_i, b) of gamma reads only
-    N_{ex_a,b-ex_a} and N_{alpha_i,b-ex_a}, pairs with a simple root of the
-    lower roots b and gamma - ex_a, and the term through alpha_i - ex_a never
-    fires, a difference of two simple roots being no root (module docstring).
-    So the constants are those of structure_constants, with the same checks.
+    no bracket table) from the generator-only Carter constants, which are
+    those of structure_constants with the same checks (module docstring), and
+    x_theta from the raising tree (_theta_by_tree).
 
-    _check_rep is the one certificate.  By Serre's theorem the generators
-    define a g-module V; the h_i check fixes its character (the roots, and 0
-    n times), which fixes a finite-dimensional module (Humphreys, Introduction
-    to Lie Algebras, 18.3, 22.5), so V is the adjoint module.  x_theta is a
-    Lie polynomial in the e_i, nonzero at each step of the chain, on a line
-    of weight theta, so _theta_matrix gives rho(c x_theta) with c != 0; only
-    the tests pin c = 1, against the table's ad x_theta.  The Jordan type and
-    the flatness identities read nothing else: no Jacobi check.  Memoized.
+    _check_rep and the Cartan-column check are the certificate.  By Serre's
+    theorem the generators define a g-module V; the h_i check fixes its
+    character (the roots, and 0 n times), which fixes a finite-dimensional
+    module (Humphreys, Introduction to Lie Algebras, 18.3, 22.5), so V is
+    the adjoint module, V = phi(g).  The tree's X is rho(x_theta):
+    - X has weight theta: it maps x_{-theta} into the Cartan, and each edge
+      raises both sides by alpha_i (the grading check).
+    - X commutes with every e_i: on the tree edges by construction, on all
+      of V by _check_rep's [e_theta, e_i] = 0.
+    - So X is a highest-weight vector of weight theta in End V.  Those form
+      the line of rho(x_theta), except on A_n, n >= 2, where the symmetric
+      product S(x) y = xy + yx - (2/(n+1)) tr(xy) adds S(x_theta) h_j =
+      (d_1j - d_nj) x_theta against ad x_theta h_j = -(d_1j + d_nj) x_theta.
+      phi scales the Cartan by one factor (e_j f_j = h_j and e_j h_k =
+      -a_kj e_j are written directly), so the Cartan-column check, X h_j =
+      -<theta, alpha_j^vee> u for one u, refuses every X with an S part.
+    - So X = rho(c x_theta), and X x_{-theta} = theta^vee = [x_theta,
+      x_{-theta}] makes c the ratio of phi's scales on x_{-theta} and on the
+      Cartan: 1 on the adjoint's own generators, -1 under a sign rebasing
+      that flips one against the other.
+    The Jordan type and the flatness identities read nothing else: no Jacobi
+    check.  Memoized.
     """
     rep = _adjoint_memo.get(datum.stype)
     if rep is None:
         rep = _carter_constants(datum, generators_only=True).adjoint
         _check_rep(rep)
+        _check_theta_cartan_columns(rep)
         _adjoint_memo[datum.stype] = rep
     return rep
 
@@ -605,6 +665,9 @@ def principal_triple(rep: RepMatrices) -> PrincipalTriple:
     returning; they force N to shift the RHO-grading by +1 and hence to be
     nilpotent, and H = 2 RHO carries the rho-grading spectrum.  H is the int
     level -<mu, 2 rho^vee>; RHO is half of it, a Fraction only at odd levels.
+    RHO is diagonal, so [X, RHO][r, c] = X[r, c] (RHO[c] - RHO[r]): the
+    identities hold exactly when levels[r] - levels[c] is 2 on every entry
+    (r, c) of N and -2 (h-1) on every entry of E, with no commutator.
     """
     datum = rep.datum
     N = functools.reduce(lambda a, b: a + b, rep.f, SparseMatrix.zero(rep.dim))
@@ -612,9 +675,9 @@ def principal_triple(rep: RepMatrices) -> PrincipalTriple:
     RHO = SparseMatrix.diagonal([Fraction(k, 2) if k % 2 else k // 2 for k in levels])
     H = SparseMatrix.diagonal(levels)
     E = rep.e_theta
-    if N.commutator(RHO) != N.scale(-1):
+    if any(levels[r] - levels[c] != 2 for r, c in N.entries):
         raise IntegrityError("[N, RHO] != -N")
-    if E.commutator(RHO) != E.scale(datum.coxeter - 1):
+    if any(levels[c] - levels[r] != 2 * (datum.coxeter - 1) for r, c in E.entries):
         raise IntegrityError("[E, RHO] != (h-1) E")
     return PrincipalTriple(datum=datum, dim=rep.dim, N=N, RHO=RHO, E=E, H=H,
                            basis_weights=rep.basis_weights)

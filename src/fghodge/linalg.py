@@ -102,6 +102,14 @@ class SparseMatrix:
             rows.setdefault(r, []).append((c, v))
         return rows
 
+    @functools.cached_property
+    def cols(self) -> dict[int, list[tuple[int, Entry]]]:
+        """Column index {col: [(row, value), ...]}, built once per matrix."""
+        cols: dict[int, list[tuple[int, Entry]]] = {}
+        for (r, c), v in self.entries.items():
+            cols.setdefault(c, []).append((r, v))
+        return cols
+
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.dim != other.dim:
             raise UsageError("matrix dimensions differ")

@@ -444,6 +444,127 @@ def test_adjoint_e_theta_has_the_scale_of_the_bracket_table(name):
     assert e_theta == table and _value_types(e_theta) == _value_types(table)
 
 
+# -- the adjoint's x_theta: the raising tree from x_{-theta} --
+
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_the_trees_x_theta_is_the_chains_and_the_tables(name):
+    d = datum(name)
+    rep = adjoint_rep(d)
+    for other in (chevalley._theta_matrix(d, rep.e), structure_constants(d).ad[("root", d.theta)]):
+        assert rep.e_theta == other and _value_types(rep.e_theta) == _value_types(other)
+
+
+def test_the_adjoint_builds_x_theta_without_the_chain(monkeypatch, capsys):
+    # the chain stays the route of the weight representations, which have no bracket
+    def refuse(*args):
+        raise AssertionError("built x_theta along the chain")
+
+    monkeypatch.setattr(chevalley, "_theta_matrix", refuse)
+    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
+    for name in ALL_TYPES_RANK8:
+        d = datum(name)
+        assert adjoint_rep(d).e_theta.nnz > 0
+    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
+    assert main(["verify", "--type", "E8", "--rep", "adjoint"]) == 0
+    assert capsys.readouterr() == ("PASS E8 adjoint: flatness residual is the zero matrix\n", "")
+    monkeypatch.setattr(chevalley, "_std_memo", {})
+    with pytest.raises(AssertionError, match="along the chain"):
+        classical_std_rep(datum("B3"))
+    g2 = datum("G2")
+    with pytest.raises(AssertionError, match="along the chain"):
+        _weight_rep(g2, fw(g2, 1))
+
+
+def test_the_e8_adjoint_forms_only_the_commutators_of_its_certificate(monkeypatch):
+    # _check_rep's 8 * 8 + 8; the tree, the Cartan-column check and the
+    # principal triple's two identities form none
+    calls = []
+    commutator = SparseMatrix.commutator
+
+    def counted(self, other):
+        calls.append(other)
+        return commutator(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "commutator", counted)
+    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
+    rep = adjoint_rep(datum("E8"))
+    assert len(calls) == 72
+    calls.clear()
+    principal_triple(rep)
+    assert calls == []
+
+
+def _adjoint_with_seed(name, seed, monkeypatch):
+    """adjoint_rep's generators with x_theta x_{-theta} = seed (in the h_j)
+    in place of theta^vee, through the path adjoint_rep takes."""
+    d = datum(name)
+    bad = copy.copy(d)
+    bad.coroot_of = {**d.coroot_of, d.theta: seed}
+    sc = chevalley._carter_constants(d, generators_only=True)
+    broken = StructureConstants(datum=bad, n_pos=sc.n_pos, root_set=sc.root_set,
+                                norm2=sc.norm2, generators_only=True)
+    monkeypatch.setattr(chevalley, "_carter_constants", lambda datum_, generators_only: broken)
+    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
+    return d, broken.adjoint
+
+
+@pytest.mark.parametrize("name,seed", [("B3", (1, 1, 1)), ("G2", (1, 1)), ("G2", (0, 1)),
+                                       ("E6", (1, 2, 2, 3, 2, 0))])
+def test_a_seed_off_the_coroot_line_is_refused(name, seed, monkeypatch):
+    # off the line of theta^vee, X is no highest-weight vector of End V
+    d, rep = _adjoint_with_seed(name, seed, monkeypatch)
+    with pytest.raises(IntegrityError, match=r"\[e_theta, e_\d\] != 0"):
+        adjoint_rep(d)
+
+
+def test_only_the_cartan_columns_refuse_the_symmetric_part_on_a3(monkeypatch):
+    # On A_n, n >= 2, End g holds a second weight-theta highest-weight vector,
+    # the symmetric product: the seed (-1, 0, 1) gives one that commutes with
+    # every e_i, and only the Cartan-column check sees that it is not ad x_theta
+    d, rep = _adjoint_with_seed("A3", (-1, 0, 1), monkeypatch)
+    _check_rep(rep)
+    assert all(rep.e_theta.commutator(e_i).is_zero() for e_i in rep.e)
+    with pytest.raises(IntegrityError, match=r"adjoint\(A3\): e_theta h_3 is not"):
+        adjoint_rep(d)
+    d, rep = _adjoint_with_seed("A3", (1, 1, 1), monkeypatch)  # theta^vee itself
+    assert adjoint_rep(d).e_theta == structure_constants(d).ad[("root", d.theta)]
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "E6"])
+def test_the_tree_refuses_generators_that_do_not_reach_every_basis_vector(name):
+    # [e_1, f_1] = h_1 is the only edge into h_1: without it x_theta has no
+    # column h_1 (on A1, x_theta is e_1 and no tree is walked)
+    d = datum(name)
+    basis, gens = chevalley._carter_constants(d, generators_only=True)._ad_columns(full=False)
+    a = d.simple_roots[0]
+    e1 = ("root", a)
+    entries = dict(gens[e1].entries)
+    del entries[(basis.index(("cartan", 0)), basis.index(("root", tuple(-x for x in a))))]
+    gens = {**gens, e1: SparseMatrix.from_entries(len(basis), entries)}
+    with pytest.raises(IntegrityError, match=f"reach {len(basis) - 1} of {len(basis)} basis elements"):
+        chevalley._adjoint_generators(d, basis, gens)
+
+
+@pytest.mark.parametrize("name,which", [("A3", "std"), ("B3", "std"), ("B3", "adjoint"),
+                                        ("G2", "adjoint")])
+def test_principal_triple_refuses_an_entry_off_its_level(name, which):
+    d = datum(name)
+    rep = classical_std_rep(d) if which == "std" else adjoint_rep(d)
+    principal_triple(rep)
+    for matrix, message in (("f", r"\[N, RHO\] != -N"), ("e_theta", r"\[E, RHO\] != \(h-1\) E")):
+        old = rep.f[0] if matrix == "f" else rep.e_theta
+        (r, c), v = sorted(old.entries.items())[0]
+        moved = dict(old.entries)
+        del moved[(r, c)]
+        moved[(c, r)] = v  # the level difference changes sign
+        if matrix == "f":
+            broken = _with_generator(rep, "f", 0, moved)
+        else:
+            broken = rep._replace(e_theta=SparseMatrix.from_entries(rep.dim, moved))
+        with pytest.raises(IntegrityError, match=message):
+            principal_triple(broken)
+
+
 # -- the adjoint's certificate: Chevalley-Serre on the generators, no Jacobi tree --
 
 def _sign_conjugation(rep, ref):
@@ -484,13 +605,18 @@ def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, m
     # Scale N_{alpha_i,beta} and N_{beta,alpha_i} by -1 or 2 in the
     # generator-only constants and certify the adjoint from them as the verify
     # path does.  A corruption that passes must be the true adjoint in a basis
-    # with some x_gamma negated.
+    # with some x_gamma negated.  x_theta is built from x_theta x_{-theta} =
+    # theta^vee, not as a Lie polynomial in the e_i, so it is the conjugate of
+    # the true one times s[x_{-theta}] s[h].
     d = datum(name)
     sc = chevalley._carter_constants(d, generators_only=True)
     true = adjoint_rep(d)
     assert set(_sign_conjugation(true, true).values()) == {1}
     assert _sign_conjugation(true._replace(e_theta=true.e_theta.scale(2)), true) is None
     blocks = jordan_type(principal_triple(true).N)
+    cartan = len(d.positive_roots)
+    lowest = cartan + d.rank  # x_{-theta}: theta leads the positive roots
+    zero = SparseMatrix.zero(true.dim)
     keys = [(a, b) for a, b in sc.n_pos if a in d.simple_roots]
     passed = 0
     for a, b in keys:
@@ -509,7 +635,12 @@ def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, m
             passed += 1
             assert factor == -1, (a, b)
             assert rep.e != true.e or rep.f != true.f
-            assert _sign_conjugation(rep, true) is not None, (a, b)
+            s = _sign_conjugation(rep._replace(e_theta=zero), true._replace(e_theta=zero))
+            assert s is not None, (a, b)
+            sign = s[lowest] * s[cartan]
+            expect = SparseMatrix(true.dim, {(r, c): sign * s[r] * s[c] * v
+                                             for (r, c), v in true.e_theta.entries.items()})
+            assert rep.e_theta == expect and _value_types(rep.e_theta) == _value_types(expect), (a, b)
             triple = principal_triple(rep)
             assert jordan_type(triple.N) == blocks
             assert integrability_residual(*rmodule_pair(triple, d.coxeter)).is_zero()
