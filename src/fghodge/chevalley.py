@@ -522,15 +522,15 @@ def _theta_by_tree(datum: RootDatum, basis: list, e: tuple[SparseMatrix, ...]) -
     certifies X."""
     cartan = basis.index(("cartan", 0))
     base = basis.index(("root", _vneg(datum.theta)))
-    cols = {base: {cartan + j: c for j, c in enumerate(datum.coroot_of[datum.theta]) if c}}
+    x = {base: {cartan + j: c for j, c in enumerate(datum.coroot_of[datum.theta]) if c}}
     columns = {i: m.cols for i, m in enumerate(e)}
     for i, w, b, c in _raising_tree(basis, columns, base):
         acc = defaultdict(int)
-        for k, v in cols[w].items():
+        for k, v in x[w].items():
             for r, u in columns[i].get(k, ()):
                 acc[r] += u * v
-        cols[b] = {r: v // c if not v % c else Fraction(v, c) for r, v in acc.items() if v}
-    return SparseMatrix(len(basis), {(r, b): v for b, col in cols.items() for r, v in col.items()})
+        x[b] = {r: v // c if not v % c else Fraction(v, c) for r, v in acc.items() if v}
+    return SparseMatrix(len(basis), {(r, b): v for b, col in x.items() for r, v in col.items()})
 
 
 def _check_theta_cartan_columns(rep: RepMatrices) -> None:
@@ -565,8 +565,9 @@ def adjoint_rep(datum: RootDatum) -> RepMatrices:
       of V by _check_rep's [e_theta, e_i] = 0.
     - So X is a highest-weight vector of weight theta in End V.  Those form
       the line of rho(x_theta), except on A_n, n >= 2, where the symmetric
-      product S(x) y = xy + yx - (2/(n+1)) tr(xy) adds S(x_theta) h_j =
-      (d_1j - d_nj) x_theta against ad x_theta h_j = -(d_1j + d_nj) x_theta.
+      product S(x) y = xy + yx - (2/(n+1)) tr(xy) 1 adds S(x_theta) h_j =
+      (delta_1j - delta_nj) x_theta, against ad x_theta h_j = -(delta_1j +
+      delta_nj) x_theta.
       phi scales the Cartan by one factor (e_j f_j = h_j and e_j h_k =
       -a_kj e_j are written directly), so the Cartan-column check, X h_j =
       -<theta, alpha_j^vee> u for one u, refuses every X with an S part.

@@ -495,8 +495,8 @@ def test_the_e8_adjoint_forms_only_the_commutators_of_its_certificate(monkeypatc
 
 
 def _adjoint_with_seed(name, seed, monkeypatch):
-    """adjoint_rep's generators with x_theta x_{-theta} = seed (in the h_j)
-    in place of theta^vee, through the path adjoint_rep takes."""
+    """adjoint_rep's generators with [x_theta, x_{-theta}] = seed (in the
+    h_j) in place of theta^vee, through the path adjoint_rep takes."""
     d = datum(name)
     bad = copy.copy(d)
     bad.coroot_of = {**d.coroot_of, d.theta: seed}
@@ -512,7 +512,7 @@ def _adjoint_with_seed(name, seed, monkeypatch):
                                        ("E6", (1, 2, 2, 3, 2, 0))])
 def test_a_seed_off_the_coroot_line_is_refused(name, seed, monkeypatch):
     # off the line of theta^vee, X is no highest-weight vector of End V
-    d, rep = _adjoint_with_seed(name, seed, monkeypatch)
+    d, _ = _adjoint_with_seed(name, seed, monkeypatch)
     with pytest.raises(IntegrityError, match=r"\[e_theta, e_\d\] != 0"):
         adjoint_rep(d)
 
@@ -526,7 +526,7 @@ def test_only_the_cartan_columns_refuse_the_symmetric_part_on_a3(monkeypatch):
     assert all(rep.e_theta.commutator(e_i).is_zero() for e_i in rep.e)
     with pytest.raises(IntegrityError, match=r"adjoint\(A3\): e_theta h_3 is not"):
         adjoint_rep(d)
-    d, rep = _adjoint_with_seed("A3", (1, 1, 1), monkeypatch)  # theta^vee itself
+    d, _ = _adjoint_with_seed("A3", (1, 1, 1), monkeypatch)  # theta^vee itself
     assert adjoint_rep(d).e_theta == structure_constants(d).ad[("root", d.theta)]
 
 
@@ -605,9 +605,9 @@ def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, m
     # Scale N_{alpha_i,beta} and N_{beta,alpha_i} by -1 or 2 in the
     # generator-only constants and certify the adjoint from them as the verify
     # path does.  A corruption that passes must be the true adjoint in a basis
-    # with some x_gamma negated.  x_theta is built from x_theta x_{-theta} =
-    # theta^vee, not as a Lie polynomial in the e_i, so it is the conjugate of
-    # the true one times s[x_{-theta}] s[h].
+    # with some x_gamma negated.  x_theta is built from [x_theta, x_{-theta}]
+    # = theta^vee, not as a Lie polynomial in the e_i, so it is the conjugate
+    # of the true one times s[x_{-theta}] s[h].
     d = datum(name)
     sc = chevalley._carter_constants(d, generators_only=True)
     true = adjoint_rep(d)
