@@ -318,9 +318,9 @@ def verify_jacobi(sc: StructureConstants) -> None:
        derivation check for (e_i, w).  Cartan elements are reached as
        [e_j, f_j] = h_j, simple roots from a Cartan element as
        [e_i, h_j] = -a_ij e_i.
-    4. Chevalley-Serre: _check_rep on the generators e_i, f_i, h_i and
-       x_theta read off the table.  It runs last so that a table fault is named
-       by the step above that sees it.
+    4. Chevalley-Serre: _check_rep on the generators e_i, f_i, h_i read off
+       the table, with x_theta from them (_theta_by_tree).  It runs last so
+       that a table fault is named by the step above that sees it.
 
     That is dim - 1 + 2n derivation checks (_check_derivation), and they
     give the full Jacobi identity.  By step 4 and Serre's theorem the
@@ -501,16 +501,15 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
 
 def _adjoint_generators(datum: RootDatum, basis: list, ad: dict) -> RepMatrices:
     """e_i, f_i, h_i read off ad (the whole table or the generators alone), and
-    x_theta: ad's own column when it has one, else the tree's (_theta_by_tree)."""
+    x_theta from the e_i (_theta_by_tree)."""
     zero = (0,) * datum.rank
     e = tuple(ad[("root", a)] for a in datum.simple_roots)
-    e_theta = ad.get(("root", datum.theta))
     return RepMatrices(
         datum=datum, dim=len(basis),
         basis_weights=tuple(_root_weight(datum, p) if kind == "root" else zero for kind, p in basis),
         e=e, f=tuple(ad[("root", _vneg(a))] for a in datum.simple_roots),
         h=tuple(ad[("cartan", i)] for i in range(datum.rank)),
-        e_theta=_theta_by_tree(datum, basis, e) if e_theta is None else e_theta,
+        e_theta=_theta_by_tree(datum, basis, e),
         name=f"adjoint({datum.stype})")
 
 
