@@ -70,7 +70,7 @@ from .errors import (
     UsageError,
 )
 from .grading import JordanPartition
-from .linalg import SparseMatrix, graded_blocks, power_ranks
+from .linalg import SparseMatrix, graded_blocks
 from .rootdatum import Coords, RootDatum, pair
 
 MAX_RANK = 8
@@ -650,7 +650,7 @@ def classical_std_rep(datum: RootDatum) -> RepMatrices:
 
 # -- principal triple ---------------------------------------------------------
 
-class PrincipalTriple(namedtuple("PrincipalTriple", "datum dim N RHO E H basis_weights")):
+class PrincipalTriple(namedtuple("PrincipalTriple", "datum dim N RHO E basis_weights")):
     __slots__ = ()
 
     @property
@@ -663,38 +663,36 @@ def principal_triple(rep: RepMatrices) -> PrincipalTriple:
 
     [N, RHO] = -N and [E, RHO] = (h-1) E are verified entrywise before
     returning; they force N to shift the RHO-grading by +1 and hence to be
-    nilpotent, and H = 2 RHO carries the rho-grading spectrum.  H is the int
-    level -<mu, 2 rho^vee>; RHO is half of it, a Fraction only at odd levels.
-    RHO is diagonal, so [X, RHO][r, c] = X[r, c] (RHO[c] - RHO[r]): the
-    identities hold exactly when levels[r] - levels[c] is 2 on every entry
-    (r, c) of N and -2 (h-1) on every entry of E, with no commutator.
+    nilpotent.  RHO is half the int level -<mu, 2 rho^vee>, a Fraction only
+    at odd levels.  RHO is diagonal, so [X, RHO][r, c] = X[r, c] (RHO[c] -
+    RHO[r]): the identities hold exactly when levels[r] - levels[c] is 2 on
+    every entry (r, c) of N and -2 (h-1) on every entry of E, with no
+    commutator.
     """
     datum = rep.datum
     N = functools.reduce(lambda a, b: a + b, rep.f, SparseMatrix.zero(rep.dim))
     levels = [-pair(w, datum.two_rho_covector) for w in rep.basis_weights]
     RHO = SparseMatrix.diagonal([Fraction(k, 2) if k % 2 else k // 2 for k in levels])
-    H = SparseMatrix.diagonal(levels)
     E = rep.e_theta
     if any(levels[r] - levels[c] != 2 for r, c in N.entries):
         raise IntegrityError("[N, RHO] != -N")
     if any(levels[c] - levels[r] != 2 * (datum.coxeter - 1) for r, c in E.entries):
         raise IntegrityError("[E, RHO] != (h-1) E")
-    return PrincipalTriple(datum=datum, dim=rep.dim, N=N, RHO=RHO, E=E, H=H,
+    return PrincipalTriple(datum=datum, dim=rep.dim, N=N, RHO=RHO, E=E,
                            basis_weights=rep.basis_weights)
 
 
 def jordan_type(matrix: SparseMatrix) -> JordanPartition:
-    """Jordan partition of a nilpotent matrix, exactly.
+    """Jordan partition of a graded nilpotent matrix, exactly.
 
     N = sum f_i on a weight basis raises <mu, rho^vee> by <alpha_i, rho^vee>
-    = 1 on every nonzero entry, so graded_blocks sweeps it.  A support with
-    no such levels falls back to r_{s-1} - 2 r_s + r_{s+1} blocks of size s,
-    r_k = rank(M^k) from power_ranks, which refuses a non-nilpotent M.
+    = 1 on every nonzero entry, so graded_blocks sweeps it.  A matrix whose
+    support raises no grading by one (a nonzero diagonal entry, or (0,1),
+    (1,2) and (0,2)) is refused with UsageError before any elimination.
     """
     blocks = graded_blocks(matrix)
-    if blocks is None:  # a negative count would leave blocks summing past dim
-        r = [matrix.dim] + power_ranks(matrix) + [0]
-        blocks = [s for s in range(1, len(r) - 1) for _ in range(r[s - 1] - 2 * r[s] + r[s + 1])]
+    if blocks is None:
+        raise UsageError("matrix raises no grading by exactly one")
     part = JordanPartition(tuple(blocks))
     if part.total != matrix.dim:
         raise IntegrityError("Jordan blocks do not sum to the dimension")

@@ -3,9 +3,9 @@
 Connection coefficients are matrix-valued Laurent polynomials in t and z.
 A LaurentMatrix stores one exact scalar SparseMatrix per monomial t^a z^b
 and never stores a zero coefficient.  Sums, scalings and derivatives act
-on each coefficient; a product adds exponents and multiplies coefficients
-with SparseMatrix's matmul, a commutator takes their SparseMatrix
-commutators; int coefficients stay ints.
+on each coefficient; the commutator, the one product, adds exponents and
+takes the SparseMatrix commutators of the coefficients; int coefficients
+stay ints.
 
 The Frenkel-Gross connection is d + (N + E t) dt/t on the trivial bundle
 over the punctured line; rmodule_pair returns the coefficient pair of its
@@ -93,21 +93,14 @@ class LaurentMatrix:
             return LaurentMatrix.zero(self.dim)
         return LaurentMatrix(self.dim, {mono: m.scale(c) for mono, m in self.coeffs.items()})
 
-    def _convolve(self, other: "LaurentMatrix", product) -> "LaurentMatrix":
-        """sum of t^(a1+a2) z^(b1+b2) product(m1, m2) over both coefficient sets."""
+    def commutator(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """AB - BA as the sum of the coefficient commutators [A_m, B_m'] t^(m+m')."""
         self._match(other)
         out: dict[Monomial, SparseMatrix] = {}
         for (t1, z1), m1 in self.coeffs.items():
             for (t2, z2), m2 in other.coeffs.items():
-                _accumulate(out, (t1 + t2, z1 + z2), product(m1, m2))
+                _accumulate(out, (t1 + t2, z1 + z2), m1.commutator(m2))
         return LaurentMatrix(self.dim, out)
-
-    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return self._convolve(other, SparseMatrix.__matmul__)
-
-    def commutator(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """AB - BA as the sum of the coefficient commutators [A_m, B_m'] t^(m+m')."""
-        return self._convolve(other, SparseMatrix.commutator)
 
     def d_t(self) -> "LaurentMatrix":
         return LaurentMatrix(self.dim, {(a - 1, b): m.scale(a)

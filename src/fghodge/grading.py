@@ -140,17 +140,8 @@ def principal_grading(datum: RootDatum, lam) -> HodgeTable:
 
 
 def hodge_numbers(datum: RootDatum, lam) -> HodgeTable:
-    """Irregular Hodge table of one dominant weight, or of a list of them.
-
-    Each irreducible summand is graded by principal_grading; for a list the
-    representation is the direct sum and the tables add pointwise.
-    """
-    if not (isinstance(lam, (list, tuple)) and lam and isinstance(lam[0], (list, tuple))):
-        return principal_grading(datum, lam)
-    dims: Counter[int] = Counter()
-    for entry in lam:
-        dims.update(principal_grading(datum, entry).dims)
-    return HodgeTable(dict(dims))
+    """Irregular Hodge table of V_lam for one dominant weight: its principal grading."""
+    return principal_grading(datum, lam)
 
 
 def partition_from_grading(g: HodgeTable) -> JordanPartition:

@@ -1,12 +1,13 @@
 """Exact sparse matrices over the rationals.
 
 Minimal square-matrix type for representation matrices, and the Jordan types
-of nilpotent ones: rank, power_ranks and graded_blocks share one
-fraction-free elimination step, _insert, with one pivot row per leading
-column.  Entries are Python ints or Fractions; nothing here ever touches a
-float, and an integral matrix stays on ints.  A SparseMatrix holds no zero
-entry and no Fraction with denominator 1: from_entries, the arithmetic and
-the commutator drop zeros and normalise as they build.  Elimination rows hold
+of graded nilpotent ones: rank and graded_blocks share one fraction-free
+elimination step, _insert, with one pivot row per leading column.  The
+commutator is the one matrix product here; the package forms no other.
+Entries are Python ints or Fractions; nothing here ever touches a float, and
+an integral matrix stays on ints.  A SparseMatrix holds no zero entry and no
+Fraction with denominator 1: from_entries, the sum, the scaling and the
+commutator drop zeros and normalise as they build.  Elimination rows hold
 no zero either: _insert and the row product _row_times drop each zero as it
 arises, and _insert divides a row by its content only when it is not 1.
 """
@@ -86,9 +87,6 @@ class SparseMatrix:
                 out[k] = _norm(s)
         return SparseMatrix(self.dim, out)
 
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(-1)
-
     def scale(self, c: Entry) -> "SparseMatrix":
         if c == 0:
             return SparseMatrix.zero(self.dim)
@@ -109,24 +107,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             cols.setdefault(c, []).append((r, v))
         return cols
-
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.dim != other.dim:
-            raise UsageError("matrix dimensions differ")
-        rows_b = other.rows
-        out: Entries = {}
-        for (r, k), va in self.entries.items():
-            row = rows_b.get(k)
-            if row is None:
-                continue
-            for c, vb in row:
-                key = (r, c)
-                s = out.get(key, 0) + va * vb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SparseMatrix(self.dim, {k: _norm(v) for k, v in out.items()})
 
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
         """AB - BA in one accumulator over both row indexes, normalised once."""
@@ -199,25 +179,6 @@ def rank(matrix: SparseMatrix) -> int:
     _echelon eliminates the rows of matrix, whose denominators are cleared
     once so that int and Fraction entries run on ints."""
     return len(_echelon(_int_rows(matrix).values()))
-
-
-def power_ranks(matrix: SparseMatrix) -> list[int]:
-    """[rank M, rank M^2, ..., 0] for a nilpotent M, without forming any power.
-
-    rowspace(M^(k+1)) = rowspace(M^k) M, so an echelon basis of rowspace(M^k)
-    times M, re-echelonized, gives rank M^(k+1); the chain starts from the
-    identity.  Raises UsageError as soon as a rank fails to fall: M is then
-    not nilpotent.
-    """
-    rows = _int_rows(matrix)
-    ranks = [matrix.dim]
-    basis = {r: {r: 1} for r in range(matrix.dim)}
-    while ranks[-1]:
-        basis = _echelon([_row_times(row, rows) for row in basis.values()])
-        if len(basis) >= ranks[-1]:
-            raise UsageError("matrix is not nilpotent")
-        ranks.append(len(basis))
-    return ranks[1:]
 
 
 def graded_blocks(matrix: SparseMatrix) -> list[int] | None:

@@ -127,9 +127,14 @@ class SimpleType:
     def parse(cls, text: str) -> "SimpleType":
         """Parse strings like "A3", "e8", "D10" (case-insensitive)."""
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        try:
+            # isdigit() keeps out signs, spaces and "_"; int() refuses "²" and over 4,300 digits
+            rank = int(text[1:]) if len(text) >= 2 and text[1:].isdigit() else None
+        except ValueError:
+            rank = None
+        if rank is None:
             raise ConfigurationError(f"cannot parse simple type {text!r}; expected e.g. 'A3' or 'E8'")
-        return cls(text[0], int(text[1:]))
+        return cls(text[0], rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

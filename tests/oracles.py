@@ -9,7 +9,11 @@ Cartan matrix's rational inverse, the weight and the Gram norm of a root, a
 coroot pairing).  carter_structure_constants is the tuple-arithmetic build
 of the bracket table that the package's int-coded one must reproduce bit
 for bit.  serre_relations_hold forms the Serre commutators that the
-package's Chevalley-Serre check proves implied.
+package's Chevalley-Serre check proves implied.  The package forms no
+matrix product but the commutator and reads a Jordan type only off the
+level sweep: matrix_product and laurent_product are the products its
+commutators are checked against, and power_ranks is the row-space rank
+chain that checks the sweep, on any nilpotent matrix.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from fghodge.character import Character
 from fghodge.chevalley import PrincipalTriple, StructureConstants
 from fghodge.connection import LaurentMatrix
 from fghodge.grading import HodgeTable
-from fghodge.errors import IntegrityError
-from fghodge.linalg import Entry, SparseMatrix
+from fghodge.errors import IntegrityError, UsageError
+from fghodge.linalg import Entry, SparseMatrix, _echelon, _int_rows, _row_times
 from fghodge.rootdatum import Coords, RootDatum
 
 
@@ -54,6 +58,55 @@ def dump_triplets(m: SparseMatrix) -> str:
         v = Fraction(m.entries[(r, c)])
         lines.append(f"{r} {c} {v.numerator}/{v.denominator}")
     return "\n".join(lines) + "\n"
+
+
+def matrix_product(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """AB, summed entry by entry over the rows of b, zeros dropped and
+    values normalised by from_entries."""
+    rows_b: dict[int, list[tuple[int, Entry]]] = defaultdict(list)
+    for (k, c), v in b.entries.items():
+        rows_b[k].append((c, v))
+    out: dict[tuple[int, int], Entry] = defaultdict(int)
+    for (r, k), v in a.entries.items():
+        for c, w in rows_b[k]:
+            out[(r, c)] += v * w
+    return SparseMatrix.from_entries(a.dim, out)
+
+
+def laurent_product(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """AB: t^(a1+a2) z^(b1+b2) times the product of the coefficients, summed
+    over both coefficient sets."""
+    out = LaurentMatrix.zero(a.dim)
+    for (t1, z1), m1 in a.coeffs.items():
+        for (t2, z2), m2 in b.coeffs.items():
+            out = out + LaurentMatrix.from_scalar_matrix(matrix_product(m1, m2), t1 + t2, z1 + z2)
+    return out
+
+
+def power_ranks(matrix: SparseMatrix) -> list[int]:
+    """[rank M, rank M^2, ..., 0] for a nilpotent M, without forming any power.
+
+    rowspace(M^(k+1)) = rowspace(M^k) M, so an echelon basis of rowspace(M^k)
+    times M, re-echelonized, gives rank M^(k+1); the chain starts from the
+    identity.  Raises UsageError as soon as a rank fails to fall: M is then
+    not nilpotent.
+    """
+    rows = _int_rows(matrix)
+    ranks = [matrix.dim]
+    basis = {r: {r: 1} for r in range(matrix.dim)}
+    while ranks[-1]:
+        basis = _echelon([_row_times(row, rows) for row in basis.values()])
+        if len(basis) >= ranks[-1]:
+            raise UsageError("matrix is not nilpotent")
+        ranks.append(len(basis))
+    return ranks[1:]
+
+
+def rank_chain_blocks(matrix: SparseMatrix) -> tuple[int, ...]:
+    """Jordan blocks of a nilpotent matrix, descending: r_{s-1} - 2 r_s + r_{s+1}
+    blocks of size s, r_k = rank M^k from power_ranks."""
+    r = [matrix.dim] + power_ranks(matrix) + [0]
+    return tuple(s for s in range(len(r) - 2, 0, -1) for _ in range(r[s - 1] - 2 * r[s] + r[s + 1]))
 
 
 def tensor_grading(g1: HodgeTable, g2: HodgeTable) -> HodgeTable:

@@ -39,6 +39,7 @@ from conftest import ALL_TYPES_RANK8, datum, fw
 from oracles import (
     carter_structure_constants,
     dump_triplets,
+    rank_chain_blocks,
     serre_relations_hold,
     string_length,
     to_dense,
@@ -199,7 +200,7 @@ def test_principal_triple_a1_std():
     assert to_dense(tr.N) == [[0, 0], [1, 0]]
     assert to_dense(tr.E) == [[0, 1], [0, 0]]
     assert to_dense(tr.RHO) == [[Fraction(-1, 2), 0], [0, Fraction(1, 2)]]
-    assert tr.H == tr.RHO.scale(2)
+    assert tr._fields == ("datum", "dim", "N", "RHO", "E", "basis_weights")
 
 
 @pytest.mark.parametrize("name,which", [
@@ -212,10 +213,10 @@ def test_principal_triple_identities(name, which):
     tr = principal_triple(rep)
     assert tr.N.commutator(tr.RHO) == tr.N.scale(-1)
     assert tr.E.commutator(tr.RHO) == tr.E.scale(d.coxeter - 1)
-    # H spectrum = rho-grading level multiset
+    # 2 RHO spectrum = rho-grading level multiset
     lam = fw(d, 1) if which == "std" else adjoint_weight(d)
     g = rho_grading(irrep_character(d, lam))
-    spectrum = Counter(int(tr.H.get(i, i)) for i in range(tr.dim))
+    spectrum = Counter(int(2 * tr.RHO.get(i, i)) for i in range(tr.dim))
     assert spectrum == Counter(g.dims)
 
 
@@ -349,16 +350,14 @@ def test_rho_on_ints_matches_the_fraction_covector(name, node, which):
     tr = principal_triple(rep)
     expect = _rho_by_fractions(d, rep.basis_weights)
     assert tr.RHO == expect and _value_types(tr.RHO) == _value_types(expect)
-    assert tr.H == expect.scale(2) and _value_types(tr.H) == _value_types(expect.scale(2))
 
 
 @pytest.mark.parametrize("name,node,which", ALL_REPS_RANK8)
-def test_the_level_sweep_gives_the_rank_chain_blocks(name, node, which, monkeypatch):
+def test_the_level_sweep_gives_the_rank_chain_blocks(name, node, which):
     n = principal_triple(_rep(name, node, which)).N
     blocks = graded_blocks(n)
     assert blocks is not None
-    monkeypatch.setattr(chevalley, "graded_blocks", lambda matrix: None)
-    assert JordanPartition(tuple(blocks)) == jordan_type(n)
+    assert jordan_type(n) == JordanPartition(tuple(blocks)) == JordanPartition(rank_chain_blocks(n))
 
 
 # -- x_theta: the root-string chain against the bracket table --

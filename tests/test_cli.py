@@ -70,10 +70,20 @@ def test_exit_codes(capsys):
     assert code == 3 and "max-dim" in err
 
 
+@pytest.mark.parametrize("text", ["A\u00b2", "A" + "5" * 5000], ids=["superscript", "5000-digits"])
+def test_a_type_that_int_refuses_exits_2(capsys, text):
+    # str.isdigit() accepts "\u00b2" (superscript two) and any run of ASCII
+    # digits; int() refuses "\u00b2" and more than 4,300 digits
+    assert run(capsys, "exponents", "--type", text) == (
+        2, "", f"error: cannot parse simple type {text!r}; expected e.g. 'A3' or 'E8'\n")
+
+
 def test_exponents_output(capsys):
     code, out, _ = run(capsys, "exponents", "--type", "E8")
     assert code == 0
     assert out.strip() == "1 7 11 13 17 19 23 29"
+    # a fullwidth digit passes both str.isdigit() and int()
+    assert run(capsys, "exponents", "--type", "E\uff18") == (0, "1 7 11 13 17 19 23 29\n", "")
     code, out, _ = run(capsys, "exponents", "--type", "A4", "--json")
     assert json.loads(out) == {"type": "A4", "exponents": [1, 2, 3, 4]}
 

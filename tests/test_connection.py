@@ -21,7 +21,7 @@ from fghodge.errors import UsageError
 from fghodge.linalg import SparseMatrix
 
 from conftest import datum
-from oracles import fg_matrix
+from oracles import fg_matrix, laurent_product
 
 
 def scalar(dim, entries, dt=0, dz=0):
@@ -34,7 +34,7 @@ def test_laurent_matrix_arithmetic_acts_on_coefficients():
     one = SparseMatrix.from_entries(1, {(0, 0): 1})
     assert (p + scalar(1, {(0, 0): -2}, dt=1)).coeffs == {(0, -1): one.scale(Q(1, 2))}
     assert (p - p).is_zero()
-    assert (p @ p).coeffs == {(2, 0): one.scale(4), (1, -1): one.scale(2),
+    assert laurent_product(p, p).coeffs == {(2, 0): one.scale(4), (1, -1): one.scale(2),
                               (0, -2): one.scale(Q(1, 4))}
     assert p.d_t().coeffs == {(0, 0): one.scale(2)}
     assert p.d_z().coeffs == {(0, -2): one.scale(Q(-1, 2))}
@@ -55,11 +55,12 @@ def test_laurent_matrix_never_stores_zero_coefficients():
 def test_laurent_matrix_ops():
     a = scalar(2, {(0, 1): 1})
     b = scalar(2, {(1, 0): 1})
-    assert (a @ b).coeffs == {(0, 0): SparseMatrix.from_entries(2, {(0, 0): 1})}
-    assert (a @ a).is_zero()
+    assert laurent_product(a, b).coeffs == {(0, 0): SparseMatrix.from_entries(2, {(0, 0): 1})}
+    assert laurent_product(a, a).is_zero()
     assert a.commutator(a).is_zero()
+    assert not hasattr(LaurentMatrix, "__matmul__")
     with pytest.raises(UsageError):
-        a @ LaurentMatrix.zero(3)
+        a.commutator(LaurentMatrix.zero(3))
     with pytest.raises(UsageError):
         a + LaurentMatrix.zero(3)
 
@@ -122,7 +123,7 @@ def test_rmodule_pair_rejects_zero_dimension():
     d = datum("A1")
     degenerate = PrincipalTriple(datum=d, dim=0, N=SparseMatrix.zero(0),
                                  RHO=SparseMatrix.zero(0), E=SparseMatrix.zero(0),
-                                 H=SparseMatrix.zero(0), basis_weights=())
+                                 basis_weights=())
     with pytest.raises(UsageError):
         rmodule_pair(degenerate, 2)
 
@@ -190,7 +191,7 @@ def test_scaling_e_leaves_residual_zero():
     tr = principal_triple(classical_std_rep(d))
     for c in (Q(3, 7), -2, Q(-5, 3)):
         scaled = PrincipalTriple(datum=tr.datum, dim=tr.dim, N=tr.N, RHO=tr.RHO,
-                                 E=tr.E.scale(c), H=tr.H, basis_weights=tr.basis_weights)
+                                 E=tr.E.scale(c), basis_weights=tr.basis_weights)
         a, b = rmodule_pair(scaled, d.coxeter)
         assert integrability_residual(a, b).is_zero()
 
@@ -212,16 +213,17 @@ def test_commutator_identity_n_plus_te_with_rho():
 @pytest.mark.parametrize("name,which", [("E6", "adjoint"), ("E7", "adjoint"), ("E8", "adjoint"),
                                         ("B8", "std"), ("C8", "std"), ("D8", "std")])
 def test_commutator_is_ab_minus_ba_on_the_certify_cases(name, which):
-    # one SparseMatrix commutator per monomial pair against the two products,
-    # value type for value type, and the residual of a broken B with them
+    # one SparseMatrix commutator per monomial pair against the two oracle
+    # products, value type for value type, and the residual of a broken B with them
     d = datum(name)
     tr = principal_triple(classical_std_rep(d) if which == "std" else adjoint_rep(d))
     a, b = rmodule_pair(tr, d.coxeter)
     broken = b + LaurentMatrix.from_scalar_matrix(tr.E, dt=2, dz=-1, factor=Q(3, 2))
     types = lambda lm: {mono: {k: type(v) for k, v in m.entries.items()} for mono, m in lm.coeffs.items()}
     for other in (b, broken):
-        got, want = a.commutator(other), (a @ other) - (other @ a)
+        got, want = a.commutator(other), laurent_product(a, other) - laurent_product(other, a)
         assert got == want and types(got) == types(want)
     residual = integrability_residual(a, broken)
     assert not residual.is_zero()
-    assert residual == a.d_z() - broken.d_t() - ((a @ broken) - (broken @ a))
+    product = laurent_product(a, broken) - laurent_product(broken, a)
+    assert residual == a.d_z() - broken.d_t() - product

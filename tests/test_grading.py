@@ -145,14 +145,6 @@ def test_hodge_numbers_a_n_standard(n):
     assert t.dim == n + 1
 
 
-def test_hodge_numbers_accepts_weight_lists():
-    b2 = datum("B2")
-    single = hodge_numbers(b2, fw(b2, 1))
-    doubled = hodge_numbers(b2, [fw(b2, 1), fw(b2, 1)])
-    assert doubled.dim == 2 * single.dim
-    assert doubled.dims == {k: 2 * v for k, v in single.dims.items()}
-
-
 def test_partition_extraction():
     e7 = datum("E7")
     part = partition_from_grading(rho_grading(irrep_character(e7, fw(e7, 7))))

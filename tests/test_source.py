@@ -66,3 +66,13 @@ def test_the_cli_imports_no_dataclasses_or_introspection_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_the_bench_span_wrapper_installs_against_the_package():
+    # bench/spans.py wraps the functions its WRAPPED table names, by name;
+    # installing it fails if the package drops one of them
+    bench = SRC.parents[1] / "bench"
+    probe = "import fghodge, fghodge.cli, spans; spans.Tracer().install()"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(bench)])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
