@@ -58,6 +58,7 @@ brackets and the flatness of the two-variable connection all flip sign).
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections import defaultdict, namedtuple
 from fractions import Fraction
@@ -90,13 +91,6 @@ def _vneg(a: Coords) -> Coords:
     return tuple(map(operator.neg, a))
 
 
-def _root_weight(datum: RootDatum, root: Coords) -> Coords:
-    """<root, alpha_j^vee> for every j, from the pairings the root closure kept."""
-    if sum(root) > 0:
-        return datum.root_weights[root]
-    return _vneg(datum.root_weights[_vneg(root)])
-
-
 class StructureConstants:
     """N_{a,b} for the ordered positive pairs (a, b) with a + b a root, the
     root set (both signs) and every root's squared norm.  With
@@ -115,20 +109,19 @@ class StructureConstants:
     @functools.cached_property
     def ad(self) -> dict[tuple, SparseMatrix]:
         """ad(b) for every adjoint basis element b in basis order (_ad_columns)."""
-        return self._ad_columns(full=True)[1]
+        return self._ad_columns(full=True)[2]
 
     @functools.cached_property
     def adjoint(self) -> "RepMatrices":
         """The adjoint generators alone, x_theta from the tree; adjoint_rep certifies."""
         return _adjoint_generators(self.datum, *self._ad_columns(full=False))
 
-    def _ad_columns(self, full: bool) -> tuple[list, dict[tuple, SparseMatrix]]:
-        """The adjoint basis, and ad(b) for every b in it when full, else for
-        the 3n generators e_i = x_{alpha_i}, f_i = x_{-alpha_i} and h_i only.
+    def _ad_columns(self, full: bool) -> tuple[list, tuple, dict[tuple, SparseMatrix]]:
+        """The adjoint basis and its weights (_adjoint_basis), and ad(b) for
+        every b in the basis when full, else for the 3n generators e_i =
+        x_{alpha_i}, f_i = x_{-alpha_i} and h_i only.
 
-        The basis is ("root", r) for the positive roots by descending height,
-        then ("cartan", i), then the negative roots in the same order, so x_{-r}
-        sits |Phi+| + n places after x_r.  Column z of ad(b_y) holds
+        x_{-r} sits |Phi+| + n places after x_r.  Column z of ad(b_y) holds
         [b_y, b_z].  Only nonzero int entries are written, so each matrix is
         built as is, without from_entries.  The Cartan and x_{+-a} entries are
         written directly; each ordered positive pair (a, b) of n_pos with
@@ -147,10 +140,9 @@ class StructureConstants:
             raise UsageError(f"the generator-only constants of {self.datum.stype} "
                              "hold no bracket table")
         datum = self.datum
-        ordered = sorted(datum.positive_roots, key=lambda r: (-sum(r), r))
+        ordered = datum.positive_roots[::-1]
         npos = len(ordered)
-        basis = ([("root", r) for r in ordered] + [("cartan", i) for i in range(datum.rank)]
-                 + [("root", _vneg(r)) for r in ordered])
+        basis, weights = _adjoint_basis(datum)
         code = {r: c for c, r in _root_codes(datum).items()}
         col = {r: (i, code[r]) for i, r in enumerate(ordered)}
         at = {c: i for i, c in col.values()}  # g = a + b located by its code
@@ -159,20 +151,18 @@ class StructureConstants:
         rows = range(len(basis)) if full else {  # e_i, f_i and h_i
             col[a][0] + s for a in datum.simple_roots for s in (0, shift)} | {*range(npos, shift)}
         entries: list[dict[tuple[int, int], int]] = [{} for _ in basis]
-        for x, (kind, root) in enumerate(basis):
-            if kind == "root":
-                weight = _root_weight(datum, root)
+        for x, weight in enumerate(weights):
+            for j, w in enumerate(weight):
+                if w:  # [h_j, x_r] = <r, alpha_j^vee> x_r
+                    entries[npos + j][(x, x)] = w
+            if x in rows and not npos <= x < shift:
+                sign = 1 if x < shift else -1
                 for j, w in enumerate(weight):
-                    if w:  # [h_j, x_r] = <r, alpha_j^vee> x_r
-                        entries[npos + j][(x, x)] = w
-                if x in rows:
-                    sign = 1 if x < shift else -1
-                    for j, w in enumerate(weight):
-                        if w:
-                            entries[x][(x, npos + j)] = -w
-                    for j, c in enumerate(datum.coroot_of[root if sign > 0 else _vneg(root)]):
-                        if c:  # [x_r, x_{-r}] = r^vee
-                            entries[x][(npos + j, x + sign * shift)] = sign * c
+                    if w:
+                        entries[x][(x, npos + j)] = -w
+                for j, c in enumerate(datum.coroot_of[ordered[x % shift]]):
+                    if c:  # [x_r, x_{-r}] = r^vee
+                        entries[x][(npos + j, x + sign * shift)] = sign * c
         for (a, b), n in self.n_pos.items():
             ia, ca = col[a]
             if ia not in rows:
@@ -191,8 +181,21 @@ class StructureConstants:
             if full:
                 entries[ig][(ib, ina)] = -m  # [x_g, x_{-a}] = -m x_b
                 entries[ing][(inb, ia)] = m
-        return basis, {b: SparseMatrix(len(basis), entries[x]) for x, b in enumerate(basis)
-                       if x in rows}
+        return basis, weights, {b: SparseMatrix(len(basis), entries[x])
+                                for x, b in enumerate(basis) if x in rows}
+
+
+def _adjoint_basis(datum: RootDatum) -> tuple[list, tuple[Coords, ...]]:
+    """The adjoint basis, ("root", r) for the positive roots by descending
+    height (the reverse of their order in the datum, so lex within a
+    height), then ("cartan", i), then the negative roots in the same order;
+    and its weights, each root's read once from the datum and negated."""
+    ordered = datum.positive_roots[::-1]
+    rank = datum.rank
+    up = [datum.root_weights[r] for r in ordered]
+    return ([("root", r) for r in ordered] + [("cartan", i) for i in range(rank)]
+            + [("root", _vneg(r)) for r in ordered],
+            (*up, *((0,) * rank,) * rank, *map(_vneg, up)))
 
 
 def _root_codes(datum: RootDatum) -> dict[int, Coords]:
@@ -206,7 +209,8 @@ def _root_codes(datum: RootDatum) -> dict[int, Coords]:
         if 4 * max(map(max, positive)) >= _BASE:
             raise IntegrityError(f"a root of {datum.stype} has a coefficient of {_BASE // 4} or more, "
                                  f"too large for root codes in base {_BASE}")
-        codes = _codes_memo[key] = {sum(c * _BASE ** i for i, c in enumerate(r)): r for r in positive}
+        powers = [_BASE ** i for i in range(datum.rank)]
+        codes = _codes_memo[key] = {sum(map(operator.mul, r, powers)): r for r in positive}
     return codes
 
 
@@ -363,7 +367,7 @@ def verify_jacobi(sc: StructureConstants) -> None:
         _check_derivation(basis, ad, ad[hj].cols, hj, base)
     for g, w, _, _ in _raising_tree(basis, {g: ad[g].cols for g in e}, base):
         _check_derivation(basis, ad, ad[g].cols, g, w)
-    _check_rep(_adjoint_generators(datum, basis, sc.ad))
+    _check_rep(_adjoint_generators(datum, basis, _adjoint_basis(datum)[1], sc.ad))
 
 
 def _raising_tree(basis: list, columns: dict, base: int):
@@ -427,6 +431,17 @@ def _check_rep(rep: RepMatrices) -> None:
     a_ji e_j and [h_i, f_j] = -a_ji f_j, a_ji = <alpha_j, alpha_i^vee>.
     Then [e_i, f_j] = delta_ij h_i is checked, n^2 commutators.
 
+    The grading runs on int codes: the basis weights (int n-tuples) and the
+    alpha_j each become sum_i mu_i B^i, B = 4M + 7 with M the largest
+    |mu_i|, and an entry (r, c) of e_j passes when codes[r] = codes[c] +
+    code(alpha_j).  That is the tuple test w_r = w_c + alpha_j: codes are
+    linear, and every digit d_i of w_r - w_c - alpha_j has |d_i| <= 2M + 3
+    < B/2, since Cartan entries lie in [-3, 2].  A nonzero vector of such
+    digits has a nonzero code: with d_k its lowest nonzero digit, the code is
+    B^k (d_k + B q) for an int q, and 0 < |d_k| < B rules out d_k = -B q.
+    Any B > 2M + 3 would do.  In base 2M + 1 the digits (-(2M + 1), 1) code
+    to 0; w_r = (-1, 0), w_c = (0, 0) and alpha_1 = (2, -1) on A2 give them.
+
     The Serre relations need no commutator of their own.  By the checks
     above (e_i, h_i, f_i) is an sl_2-triple in gl(V), so End V is a
     finite-dimensional sl_2-module under ad.  For j != i, e_j is killed by
@@ -446,13 +461,15 @@ def _check_rep(rep: RepMatrices) -> None:
         if rep.h[i].dim != len(weights) or rep.h[i].entries != {
                 (k, k): w[i] for k, w in enumerate(weights) if w[i]}:
             raise IntegrityError(f"{rep.name}: h_{i+1} disagrees with basis weights")
+    base = 4 * max(map(abs, itertools.chain.from_iterable(weights)), default=0) + 7
+    powers = [base ** i for i in range(n)]
+    codes = [sum(map(operator.mul, w, powers)) for w in weights]
     for j, alpha in enumerate(datum.cartan):  # row j is alpha_j in weight coordinates
-        for (r, c) in rep.e[j].entries:
-            if weights[r] != _vadd(weights[c], alpha):
-                raise IntegrityError(f"{rep.name}: e_{j+1} breaks the weight grading")
-        for (r, c) in rep.f[j].entries:
-            if weights[c] != _vadd(weights[r], alpha):
-                raise IntegrityError(f"{rep.name}: f_{j+1} breaks the weight grading")
+        a = sum(map(operator.mul, alpha, powers))
+        if any(codes[r] != codes[c] + a for r, c in rep.e[j].entries):
+            raise IntegrityError(f"{rep.name}: e_{j+1} breaks the weight grading")
+        if any(codes[c] != codes[r] + a for r, c in rep.f[j].entries):
+            raise IntegrityError(f"{rep.name}: f_{j+1} breaks the weight grading")
     for i in range(n):
         for j in range(n):
             expect = rep.h[i] if i == j else SparseMatrix.zero(rep.dim)
@@ -499,14 +516,12 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
     return build(next(c for c, r in positive.items() if r == datum.theta))
 
 
-def _adjoint_generators(datum: RootDatum, basis: list, ad: dict) -> RepMatrices:
+def _adjoint_generators(datum: RootDatum, basis: list, weights: tuple, ad: dict) -> RepMatrices:
     """e_i, f_i, h_i read off ad (the whole table or the generators alone), and
     x_theta from the e_i (_theta_by_tree)."""
-    zero = (0,) * datum.rank
     e = tuple(ad[("root", a)] for a in datum.simple_roots)
     return RepMatrices(
-        datum=datum, dim=len(basis),
-        basis_weights=tuple(_root_weight(datum, p) if kind == "root" else zero for kind, p in basis),
+        datum=datum, dim=len(basis), basis_weights=weights,
         e=e, f=tuple(ad[("root", _vneg(a))] for a in datum.simple_roots),
         h=tuple(ad[("cartan", i)] for i in range(datum.rank)),
         e_theta=_theta_by_tree(datum, basis, e),
@@ -518,9 +533,10 @@ def _theta_by_tree(datum: RootDatum, basis: list, e: tuple[SparseMatrix, ...]) -
     column x_{-theta} is [x_theta, x_{-theta}] = theta^vee, and along each
     edge [e_i, w] = c b of the raising tree from x_{-theta} column b is
     (1/c) e_i (column w), which is [X, e_i] = 0 on the edge.  adjoint_rep
-    certifies X."""
-    cartan = basis.index(("cartan", 0))
-    base = basis.index(("root", _vneg(datum.theta)))
+    certifies X.  theta, the one root of greatest height, leads the
+    positive roots, so x_{-theta} follows the n Cartan elements."""
+    cartan = len(datum.positive_roots)
+    base = cartan + datum.rank
     x = {base: {cartan + j: c for j, c in enumerate(datum.coroot_of[datum.theta]) if c}}
     columns = {i: m.cols for i, m in enumerate(e)}
     for i, w, b, c in _raising_tree(basis, columns, base):

@@ -4,8 +4,9 @@ Minimal square-matrix type for representation matrices, and the Jordan types
 of graded nilpotent ones: rank and graded_blocks share one fraction-free
 elimination step, _insert, with one pivot row per leading column.  The
 commutator is the one matrix product here; the package forms no other.
-Entries are Python ints or Fractions; nothing here ever touches a float, and
-an integral matrix stays on ints.  A SparseMatrix holds no zero entry and no
+Entries are Python ints or Fractions, and from_entries and scale refuse any
+other value with UsageError; nothing here ever touches a float, and an
+integral matrix stays on ints.  A SparseMatrix holds no zero entry and no
 Fraction with denominator 1: from_entries, the sum, the scaling and the
 commutator drop zeros and normalise as they build.  Elimination rows hold
 no zero either: _insert and the row product _row_times drop each zero as it
@@ -24,6 +25,15 @@ from .errors import UsageError
 
 Entry = int | Fraction
 Entries = dict[tuple[int, int], Entry]
+
+
+def _entry(x) -> Entry:
+    """x as an int or a Fraction (an int subclass such as bool as an int)."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, int):
+        return int(x)
+    raise UsageError(f"matrix entry {x!r} is not an int or a Fraction")
 
 
 def _norm(x: Entry) -> Entry:
@@ -58,7 +68,7 @@ class SparseMatrix:
         for (r, c), v in dict(entries).items():
             if not (0 <= r < dim and 0 <= c < dim):
                 raise UsageError(f"entry ({r},{c}) outside a {dim}x{dim} matrix")
-            if v != 0:
+            if v := _entry(v):
                 clean[(r, c)] = _norm(v)
         return cls(dim, clean)
 
@@ -88,6 +98,10 @@ class SparseMatrix:
         return SparseMatrix(self.dim, out)
 
     def scale(self, c: Entry) -> "SparseMatrix":
+        """c times the matrix, which is its own 1-multiple (no matrix is mutated)."""
+        c = _entry(c)
+        if c == 1:
+            return self
         if c == 0:
             return SparseMatrix.zero(self.dim)
         return SparseMatrix(self.dim, {k: _norm(v * c) for k, v in self.entries.items()})
@@ -109,16 +123,37 @@ class SparseMatrix:
         return cols
 
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
-        """AB - BA in one accumulator over both row indexes, normalised once."""
+        """XY - YX, X = self and Y = other, by two exact identities or by one
+        accumulator over both row indexes, normalised once.
+
+        - Y = cX is zero: XY - YX = c (XX - XX).  It is detected as the same
+          key set with X[k] y0 = Y[k] x0 on every key k, x0 = X[k0] and
+          y0 = Y[k0] at one key k0: then Y = (y0 / x0) X, as x0 != 0 (with
+          no key, both are zero).
+        - Y = diag(d) gives (XY)[r, c] = X[r, c] d_c and (YX)[r, c] = d_r
+          X[r, c], so [X, Y][r, c] = X[r, c] (d_c - d_r), one pass over X.
+        Otherwise XY is added and YX subtracted, each loop with its own sign.
+        """
         if self.dim != other.dim:
             raise UsageError("matrix dimensions differ")
-        out: Entries = defaultdict(int)
-        for a, b, sign in ((self, other, 1), (other, self, -1)):
-            rows_b = b.rows
-            for (r, k), va in a.entries.items():
-                for c, vb in rows_b.get(k, ()):
-                    out[(r, c)] += sign * va * vb
-        return SparseMatrix(self.dim, {k: _norm(v) for k, v in out.items() if v})
+        x, y = self.entries, other.entries
+        if x.keys() == y.keys():
+            k0 = next(iter(x), None)
+            if k0 is None or all(v * y[k0] == y[k] * x[k0] for k, v in x.items()):
+                return SparseMatrix(self.dim, {})
+        if all(r == c for r, c in y):
+            return SparseMatrix(self.dim, {(r, c): _norm(v * s) for (r, c), v in x.items()
+                                           if (s := y.get((c, c), 0) - y.get((r, r), 0))})
+        acc: Entries = defaultdict(int)
+        rows = other.rows
+        for (r, k), v in x.items():
+            for c, u in rows.get(k, ()):
+                acc[(r, c)] += v * u
+        rows = self.rows
+        for (r, k), v in y.items():
+            for c, u in rows.get(k, ()):
+                acc[(r, c)] -= v * u
+        return SparseMatrix(self.dim, {k: _norm(v) for k, v in acc.items() if v})
 
 
 def _int_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:

@@ -247,7 +247,14 @@ class RootDatum:
         return all(m >= 0 for m in mu)
 
     def check_weight(self, mu) -> Coords:
-        mu = tuple(int(m) for m in mu)
+        """mu as rank ints; an entry that int() refuses or changes (1.5, "3") is refused."""
+        given = tuple(mu)
+        try:
+            mu = tuple(map(int, given))
+        except (TypeError, ValueError, OverflowError):
+            mu = None
+        if mu != given:
+            raise UsageError(f"weight {given} has an entry that is not an integer")
         if len(mu) != self.rank:
             raise UsageError(f"weight {mu} has length {len(mu)}, expected rank {self.rank}")
         return mu

@@ -534,7 +534,7 @@ def test_the_tree_refuses_generators_that_do_not_reach_every_basis_vector(name):
     # [e_1, f_1] = h_1 is the only edge into h_1: without it x_theta has no
     # column h_1, and on A1 none at e_1 either, which only h_1 reaches
     d = datum(name)
-    basis, gens = chevalley._carter_constants(d, generators_only=True)._ad_columns(full=False)
+    basis, weights, gens = chevalley._carter_constants(d, generators_only=True)._ad_columns(full=False)
     a = d.simple_roots[0]
     e1 = ("root", a)
     entries = dict(gens[e1].entries)
@@ -542,7 +542,7 @@ def test_the_tree_refuses_generators_that_do_not_reach_every_basis_vector(name):
     gens = {**gens, e1: SparseMatrix.from_entries(len(basis), entries)}
     reached = 1 if name == "A1" else len(basis) - 1
     with pytest.raises(IntegrityError, match=f"reach {reached} of {len(basis)} basis elements"):
-        chevalley._adjoint_generators(d, basis, gens)
+        chevalley._adjoint_generators(d, basis, weights, gens)
 
 
 @pytest.mark.parametrize("name,which", [("A3", "std"), ("B3", "std"), ("B3", "adjoint"),
@@ -708,12 +708,12 @@ def test_the_generator_build_writes_the_bracket_tables_generator_columns(name):
     # and value type for value type
     d = datum(name)
     sc = structure_constants(d)
-    basis, gens = sc._ad_columns(full=False)
+    basis, weights, gens = sc._ad_columns(full=False)
     assert basis == list(sc.ad)
     assert list(gens) == [b for b in sc.ad if b in gens] and len(gens) == 3 * d.rank
     for b, m in gens.items():
         assert m == sc.ad[b] and _value_types(m) == _value_types(sc.ad[b]), b
-    rep, table = sc.adjoint, chevalley._adjoint_generators(d, basis, sc.ad)
+    rep, table = sc.adjoint, chevalley._adjoint_generators(d, basis, weights, sc.ad)
     assert rep._replace(e_theta=None) == table._replace(e_theta=None)
 
 
@@ -768,6 +768,48 @@ def test_every_fault_the_check_passes_satisfies_the_serre_relations(name):
         assert holds
         tally["passed"] += 1
     assert (tally[False], tally[True], tally["passed"]) == SERRE_FAULTS[name], tally
+
+
+def _moved(m, old, new):
+    """m with its entry at old moved to new."""
+    entries = dict(m.entries)
+    entries[new] = entries.pop(old)
+    return SparseMatrix(m.dim, entries)
+
+
+@pytest.mark.parametrize("name,which", [("B3", "std"), ("G2", "weight"), ("E8", "adjoint")])
+def test_the_weight_codes_refuse_an_entry_moved_to_a_wrong_weight_row(name, which):
+    # G2's Cartan entry -3 is the largest in absolute value; for every j one
+    # entry of e_j and one of f_j goes to the first row of another weight
+    d = datum(name)
+    rep = {"std": classical_std_rep, "adjoint": adjoint_rep}.get(which, lambda d: _weight_rep(d, fw(d, 1)))(d)
+    weights = rep.basis_weights
+    _check_rep(rep)
+    for j in range(d.rank):
+        for kind in ("e", "f"):
+            mats = list(getattr(rep, kind))
+            (r, c) = min(mats[j].entries)
+            to = next(k for k in range(rep.dim) if weights[k] != weights[r] and (k, c) not in mats[j].entries)
+            mats[j] = _moved(mats[j], (r, c), (to, c))
+            with pytest.raises(IntegrityError, match=rf"{kind}_{j + 1} breaks the weight grading"):
+                _check_rep(rep._replace(**{kind: tuple(mats)}))
+
+
+def test_the_weight_codes_separate_digits_that_collide_in_base_2m_plus_1():
+    # Declared weights (0, 0) and (-1, 0) on A2, M = 1: an e_1 entry from the
+    # first to the second leaves w_r - w_c - alpha_1 = (-3, 1), which codes to
+    # -3 + 3 = 0 in base 2M + 1 = 3 and to -3 + 11 in base 4M + 7 = 11
+    d = datum("A2")
+    weights = ((0, 0), (-1, 0))
+    h = tuple(SparseMatrix.diagonal([w[i] for w in weights]) for i in range(2))
+    zero = SparseMatrix.zero(2)
+    rep = RepMatrices(datum=d, dim=2, basis_weights=weights, e=(zero, zero), f=(zero, zero),
+                      h=h, e_theta=zero, name="toy")
+    moved_up = SparseMatrix.from_entries(2, {(1, 0): 1})
+    with pytest.raises(IntegrityError, match="toy: e_1 breaks the weight grading"):
+        _check_rep(rep._replace(e=(moved_up, zero)))
+    with pytest.raises(IntegrityError, match="toy: f_1 breaks the weight grading"):
+        _check_rep(rep._replace(f=(SparseMatrix.from_entries(2, {(0, 1): 1}), zero)))
 
 
 def test_check_rep_forms_n_squared_plus_n_commutators(monkeypatch):

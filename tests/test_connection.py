@@ -227,3 +227,18 @@ def test_commutator_is_ab_minus_ba_on_the_certify_cases(name, which):
     assert not residual.is_zero()
     product = laurent_product(a, broken) - laurent_product(broken, a)
     assert residual == a.d_z() - broken.d_t() - product
+
+
+def test_the_e8_residual_forms_only_the_cancelling_products(monkeypatch):
+    # A = N/(tz) + E/z and B = -hN/z^2 - hE t/z^2 + RHO/z: [N, -hN] and
+    # [E, -hE] are multiples, the two RHO pairs Hadamard scalings, so only
+    # [N, -hE] and [E, -hN] read row indexes, one of each factor
+    d = datum("E8")
+    a, b = rmodule_pair(principal_triple(adjoint_rep(d)), d.coxeter)
+    reads = []
+    build = SparseMatrix.__dict__["rows"].func
+    monkeypatch.setattr(SparseMatrix, "rows", property(lambda m: reads.append(m) or build(m)))
+    assert integrability_residual(a, b).is_zero()
+    n, e = a.coeffs[(-1, -1)], a.coeffs[(0, -1)]
+    hn, he = b.coeffs[(0, -2)], b.coeffs[(1, -2)]
+    assert sorted(map(id, reads)) == sorted(map(id, [n, he, e, hn]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from fghodge import grading
 from fghodge.character import adjoint_weight, irrep_character, weyl_dimension
 from fghodge.cli import _dominant_weights_up_to
 from fghodge.errors import IntegrityError, UsageError
-from fghodge.rootdatum import pair
+from fghodge.rootdatum import pair, weyl_orbit
 from fghodge.grading import (
     HodgeTable,
     JordanPartition,
@@ -293,3 +294,21 @@ def test_tables_compare_by_value():
     assert HodgeTable({0: 1}) != HodgeTable({0: 2})
     d = datum("B3")
     assert hodge_numbers(d, (1, 0, 0)) == hodge_numbers(d, (1, 0, 0))
+
+
+@pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), (1, 0), "x", "1", None, float("nan"), float("inf")])
+def test_a_non_integral_weight_entry_is_refused(entry):
+    # int() used to truncate 1.5 and 3/2 to 1 and answer for (1, 0)
+    d = datum("B2")
+    for call in (grading.hodge_numbers, grading.principal_grading, weyl_dimension, weyl_orbit):
+        with pytest.raises(UsageError, match=r"has an entry that is not an integer"):
+            call(d, (entry, 0))
+
+
+def test_integral_weight_entries_keep_their_answers():
+    d = datum("B2")
+    for call in (grading.hodge_numbers, grading.principal_grading, weyl_dimension, weyl_orbit):
+        expect = call(d, (1, 0))
+        for mu in ([1, 0], (Fraction(2, 2), 0), (1.0, 0), (True, False), iter((1, 0))):
+            assert call(d, mu) == expect, (call, mu)
+    assert {type(m) for mu in weyl_orbit(d, (1.0, 0)) for m in mu} == {int}

@@ -85,20 +85,49 @@ def test_rank_examples():
 
 @st.composite
 def commuting_or_not(draw):
-    """A pair (A, B) of equal size: B unrelated to A, or a multiple of A, or
-    A^2 plus a scalar, so that AB - BA cancels to zero entry by entry."""
+    """(A, B, commute) of equal size for each path of commutator: B
+    unrelated to A or on the support of A; B = c A with c an int, a negative
+    int or a Fraction; A^2 plus a scalar, so that AB - BA cancels entry by
+    entry; B diagonal (general, zero, or half-integral like RHO on C_n std);
+    A diagonal; an empty matrix on either side or of dimension 0."""
     dense = draw(sparse_matrices())
     dim = len(dense)
     a = SparseMatrix.from_entries(dim, {(r, c): v for r, row in enumerate(dense)
                                         for c, v in enumerate(row) if v != 0})
-    kind = draw(st.sampled_from(["other", "multiple", "polynomial"]))
-    if kind == "multiple":
-        return a, a.scale(draw(entries)), True
+    index = st.integers(0, dim - 1)
+    other = st.dictionaries(st.tuples(index, index), entries, max_size=3 * dim).map(
+        lambda e: SparseMatrix.from_entries(dim, e))
+    diagonal = st.lists(entries, min_size=dim, max_size=dim).map(SparseMatrix.diagonal)
+    kind = draw(st.sampled_from(["other", "same support", "int multiple", "negative multiple",
+                                 "fraction multiple", "polynomial", "diagonal", "zero diagonal",
+                                 "half diagonal", "diagonal A", "empty A", "empty B", "dimension 0"]))
+    if kind == "same support":  # mostly not a multiple
+        nonzero = entries.filter(lambda v: v != 0)
+        return a, SparseMatrix.from_entries(dim, {k: draw(nonzero) for k in a.entries}), False
+    if kind == "int multiple":
+        return a, a.scale(draw(st.integers(0, 6))), True
+    if kind == "negative multiple":
+        return a, a.scale(draw(st.integers(-6, -1))), True
+    if kind == "fraction multiple":
+        return a, a.scale(draw(st.fractions(-6, 6, max_denominator=7).filter(lambda c: c.denominator > 1))), True
     if kind == "polynomial":
         return a, matrix_product(a, a) + SparseMatrix.diagonal([draw(entries)] * dim), True
-    index = st.integers(0, dim - 1)
-    other = draw(st.dictionaries(st.tuples(index, index), entries, max_size=3 * dim))
-    return a, SparseMatrix.from_entries(dim, other), False
+    if kind == "diagonal":
+        return a, draw(diagonal), False
+    if kind == "zero diagonal":
+        return a, SparseMatrix.diagonal([0] * dim), True
+    if kind == "half diagonal":
+        halves = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
+        return a, SparseMatrix.diagonal([Fraction(k, 2) for k in halves]), False
+    if kind == "diagonal A":
+        return draw(diagonal), draw(other), False
+    if kind == "empty A":
+        return SparseMatrix.zero(dim), draw(other), True
+    if kind == "empty B":
+        return a, SparseMatrix.zero(dim), True
+    if kind == "dimension 0":
+        return SparseMatrix.zero(0), SparseMatrix.zero(0), True
+    return a, draw(other), False
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -112,6 +141,20 @@ def test_commutator_is_ab_minus_ba(pair):
     assert all(v != 0 and not (type(v) is Fraction and v.denominator == 1) for v in got.entries.values())
     if commute:
         assert got.is_zero()
+
+
+def test_matrices_refuse_values_that_are_not_ints_or_fractions():
+    # a float used to be stored, and the Jordan sweep then failed on its missing denominator
+    for value in (0.5, 1.0, 0.0, "1", None, 1 + 0j):
+        with pytest.raises(UsageError, match="is not an int or a Fraction"):
+            SparseMatrix.from_entries(2, {(0, 1): value})
+        with pytest.raises(UsageError, match="is not an int or a Fraction"):
+            SparseMatrix.from_entries(2, {(0, 1): 1}).scale(value)
+    m = SparseMatrix.from_entries(2, {(0, 1): True, (1, 0): Fraction(4, 2), (1, 1): 0})
+    assert m.entries == {(0, 1): 1, (1, 0): 2} and {type(v) for v in m.entries.values()} == {int}
+    assert m.scale(1) is m and m.scale(Fraction(-1, 2)).entries == {(0, 1): Fraction(-1, 2), (1, 0): -1}
+    assert m.scale(False).is_zero() and m.scale(True) is m
+    assert jordan_type(SparseMatrix.from_entries(2, {(0, 1): Fraction(1, 2)})) == JordanPartition((2,))
 
 
 def test_commutator_refuses_different_dimensions():
