@@ -15,8 +15,8 @@ integer division, and |N_{a,b}| = p+1 must hold.
 
 The adjoint's generators read only the N_{alpha_i,b}, so adjoint_rep runs
 the same recursion over the special pairs whose first root is simple alone
-(_carter_constants with generators_only: 434 of the 2,240 keys of n_pos on
-E8).  Those pairs are closed under it.  The simple roots lead the order, so
+(_carter_constants(full=False): 434 of the 2,240 constants of the table
+on E8).  Those pairs are closed under it.  The simple roots lead the order, so
 every gamma's extraspecial pair (ex_a, ex_b) has a simple first root.  For a
 pair (alpha_i, b) of gamma the recursion reads N_{ex_a,b-ex_a} and
 N_{alpha_i,b-ex_a}: pairs with a simple root, of b and of ex_b, which are
@@ -25,9 +25,8 @@ never fires, since a difference of two simple roots is not a root.  So each
 restricted constant comes from the same steps and checks as in the full
 table (structure_constants), and has the same value.
 
-Root codes: the special pairs, the recursion, the n_pos loop of
-StructureConstants._ad_columns and the theta chain take the root c as the
-int sum_i c_i 64**i (_BASE = 64).
+Root codes: the special pairs, the recursion, the writer _ad_columns and
+the theta chain take the root c as the int sum_i c_i 64**i (_BASE = 64).
 Codes are linear, and each vector those loops test is a sum or difference of
 two roots (b - (p+1) a = (b - p a) - a), with digits of absolute value <=
 2 * 6 = 12; signed base-64 digits below 32 are unique, so no two of those
@@ -53,6 +52,7 @@ Matrix conventions for the principal triple (N, RHO, E):
 With these, [N, RHO] = -N and [E, RHO] = (h-1) E hold as honest matrix
 commutators (the minus sign in RHO is forced: with +<mu, rho^vee> the two
 brackets and the flatness of the two-variable connection all flip sign).
+_check_rep's grading implies both (principal_triple).
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ MAX_RANK = 8
 _BASE = 64  # radix of the root codes
 
 _sc_memo: dict = {}
-_codes_memo: dict = {}
 _adjoint_memo: dict = {}
 _std_memo: dict = {}
 
@@ -93,96 +92,84 @@ def _vneg(a: Coords) -> Coords:
 
 class StructureConstants:
     """N_{a,b} for the ordered positive pairs (a, b) with a + b a root, the
-    root set (both signs) and every root's squared norm.  With
-    generators_only, n_pos holds only the pairs with a simple root, which is
-    all the adjoint's generators read, and no bracket table comes from it."""
+    root set (both signs) and every root's squared norm, by root tuples."""
 
     def __init__(self, datum: RootDatum, n_pos: dict[tuple[Coords, Coords], int],
-                 root_set: frozenset[Coords], norm2: dict[Coords, int],
-                 generators_only: bool = False):
+                 root_set: frozenset[Coords], norm2: dict[Coords, int]):
         self.datum = datum
         self.n_pos = n_pos
         self.root_set = root_set
         self.norm2 = norm2
-        self.generators_only = generators_only
 
     @functools.cached_property
     def ad(self) -> dict[tuple, SparseMatrix]:
         """ad(b) for every adjoint basis element b in basis order (_ad_columns)."""
-        return self._ad_columns(full=True)[2]
+        positive = _root_codes(self.datum)
+        code = {r: c for c, r in positive.items()}
+        n_code = {(code[a], code[b]): v for (a, b), v in self.n_pos.items()}
+        norm = {c: self.norm2[r] for c, r in positive.items()}
+        return _ad_columns(self.datum, positive, n_code, norm, full=True)[2]
 
-    @functools.cached_property
-    def adjoint(self) -> "RepMatrices":
-        """The adjoint generators alone, x_theta from the tree; adjoint_rep certifies."""
-        return _adjoint_generators(self.datum, *self._ad_columns(full=False))
 
-    def _ad_columns(self, full: bool) -> tuple[list, tuple, dict[tuple, SparseMatrix]]:
-        """The adjoint basis and its weights (_adjoint_basis), and ad(b) for
-        every b in the basis when full, else for the 3n generators e_i =
-        x_{alpha_i}, f_i = x_{-alpha_i} and h_i only.
+def _ad_columns(datum: RootDatum, positive: dict[int, Coords], n_code: dict[tuple[int, int], int],
+                norm: dict[int, int], full: bool) -> tuple[list, tuple, dict[tuple, SparseMatrix]]:
+    """The adjoint basis and its weights (_adjoint_basis), and ad(b) for every
+    b in the basis when full, else for the 3n generators e_i = x_{alpha_i},
+    f_i = x_{-alpha_i} and h_i only, from N and norms by root code.
 
-        x_{-r} sits |Phi+| + n places after x_r.  Column z of ad(b_y) holds
-        [b_y, b_z].  Only nonzero int entries are written, so each matrix is
-        built as is, without from_entries.  The Cartan and x_{+-a} entries are
-        written directly; each ordered positive pair (a, b) of n_pos with
-        g = a + b and n = N_{a,b} gives the six root pairs with a root sum
-        (a, b), (-a, -b), (g, -a), (-g, a), (-a, g) and (a, -g).  With
-        m = n |b|^2 / |g|^2 (the norm relation on the zero-sum triple
-        (g, -a, -b)) their constants are n, -n, -m, m, m and -m, the values
-        antisymmetry and the norm relation give, so the root-root entries
-        are omega-equivariant by construction.  g = a + b is never simple, so
-        the generators take four of the six from each pair (alpha_i, b) and
-        nothing from the other pairs: 1,868 of the 16,694 entries on E8.
-        The generator-only constants hold 434 keys there, 224 of them
-        (alpha_i, b); they refuse full, since they lack the other pairs.
-        """
-        if full and self.generators_only:
-            raise UsageError(f"the generator-only constants of {self.datum.stype} "
-                             "hold no bracket table")
-        datum = self.datum
-        ordered = datum.positive_roots[::-1]
-        npos = len(ordered)
-        basis, weights = _adjoint_basis(datum)
-        code = {r: c for c, r in _root_codes(datum).items()}
-        col = {r: (i, code[r]) for i, r in enumerate(ordered)}
-        at = {c: i for i, c in col.values()}  # g = a + b located by its code
-        nrm = [self.norm2[r] for r in ordered]
-        shift = npos + datum.rank  # h_j sits at npos + j, x_{-r} shift places after x_r
-        rows = range(len(basis)) if full else {  # e_i, f_i and h_i
-            col[a][0] + s for a in datum.simple_roots for s in (0, shift)} | {*range(npos, shift)}
-        entries: list[dict[tuple[int, int], int]] = [{} for _ in basis]
-        for x, weight in enumerate(weights):
+    x_{-r} sits |Phi+| + n places after x_r.  Column z of ad(b_y) holds
+    [b_y, b_z].  Only nonzero int entries are written, so each matrix is
+    built as is, without from_entries.  The Cartan and x_{+-a} entries are
+    written directly; each ordered positive pair (a, b) of n_code with
+    g = a + b and n = N_{a,b} gives the six root pairs with a root sum
+    (a, b), (-a, -b), (g, -a), (-g, a), (-a, g) and (a, -g).  With
+    m = n |b|^2 / |g|^2 (the norm relation on the zero-sum triple
+    (g, -a, -b)) their constants are n, -n, -m, m, m and -m, the values
+    antisymmetry and the norm relation give, so the root-root entries
+    are omega-equivariant by construction.  g = a + b is never simple, so
+    the generators take four of the six from each pair (alpha_i, b) and
+    nothing from the other pairs: 1,868 of the 16,694 entries on E8.
+    """
+    ordered = datum.positive_roots[::-1]
+    npos = len(ordered)
+    basis, weights = _adjoint_basis(datum)
+    index = {r: i for i, r in enumerate(ordered)}
+    at = {c: index[r] for c, r in positive.items()}  # g = a + b located by its code
+    shift = npos + datum.rank  # h_j sits at npos + j, x_{-r} shift places after x_r
+    rows = range(len(basis)) if full else {  # e_i, f_i and h_i
+        index[a] + s for a in datum.simple_roots for s in (0, shift)} | {*range(npos, shift)}
+    entries: list[dict[tuple[int, int], int]] = [{} for _ in basis]
+    for x, weight in enumerate(weights):
+        for j, w in enumerate(weight):
+            if w:  # [h_j, x_r] = <r, alpha_j^vee> x_r
+                entries[npos + j][(x, x)] = w
+        if x in rows and not npos <= x < shift:
+            sign = 1 if x < shift else -1
             for j, w in enumerate(weight):
-                if w:  # [h_j, x_r] = <r, alpha_j^vee> x_r
-                    entries[npos + j][(x, x)] = w
-            if x in rows and not npos <= x < shift:
-                sign = 1 if x < shift else -1
-                for j, w in enumerate(weight):
-                    if w:
-                        entries[x][(x, npos + j)] = -w
-                for j, c in enumerate(datum.coroot_of[ordered[x % shift]]):
-                    if c:  # [x_r, x_{-r}] = r^vee
-                        entries[x][(npos + j, x + sign * shift)] = sign * c
-        for (a, b), n in self.n_pos.items():
-            ia, ca = col[a]
-            if ia not in rows:
-                continue
-            ib, cb = col[b]
-            ig = at[ca + cb]
-            m, rem = divmod(n * nrm[ib], nrm[ig])
-            if rem or m == 0:
-                raise IntegrityError(
-                    f"N_{ordered[ig]},{_vneg(a)} = {Fraction(-n * nrm[ib], nrm[ig])} is not a nonzero integer")
-            ina, inb, ing = ia + shift, ib + shift, ig + shift
-            entries[ia][(ig, ib)] = n  # [x_a, x_b] = n x_g
-            entries[ina][(ing, inb)] = -n
-            entries[ina][(ib, ig)] = m
-            entries[ia][(inb, ing)] = -m
-            if full:
-                entries[ig][(ib, ina)] = -m  # [x_g, x_{-a}] = -m x_b
-                entries[ing][(inb, ia)] = m
-        return basis, weights, {b: SparseMatrix(len(basis), entries[x])
-                                for x, b in enumerate(basis) if x in rows}
+                if w:
+                    entries[x][(x, npos + j)] = -w
+            for j, c in enumerate(datum.coroot_of[ordered[x % shift]]):
+                if c:  # [x_r, x_{-r}] = r^vee
+                    entries[x][(npos + j, x + sign * shift)] = sign * c
+    for (ca, cb), n in n_code.items():
+        ia = at[ca]
+        if ia not in rows:
+            continue
+        ib, ig = at[cb], at[ca + cb]
+        m, rem = divmod(n * norm[cb], norm[ca + cb])
+        if rem or m == 0:
+            raise IntegrityError(f"N_{ordered[ig]},{_vneg(ordered[ia])} = "
+                                 f"{Fraction(-n * norm[cb], norm[ca + cb])} is not a nonzero integer")
+        ina, inb, ing = ia + shift, ib + shift, ig + shift
+        entries[ia][(ig, ib)] = n  # [x_a, x_b] = n x_g
+        entries[ina][(ing, inb)] = -n
+        entries[ina][(ib, ig)] = m
+        entries[ia][(inb, ing)] = -m
+        if full:
+            entries[ig][(ib, ina)] = -m  # [x_g, x_{-a}] = -m x_b
+            entries[ing][(inb, ia)] = m
+    return basis, weights, {b: SparseMatrix(len(basis), entries[x])
+                            for x, b in enumerate(basis) if x in rows}
 
 
 def _adjoint_basis(datum: RootDatum) -> tuple[list, tuple[Coords, ...]]:
@@ -199,19 +186,15 @@ def _adjoint_basis(datum: RootDatum) -> tuple[list, tuple[Coords, ...]]:
 
 
 def _root_codes(datum: RootDatum) -> dict[int, Coords]:
-    """Every positive root by its code sum_i c_i _BASE**i, after the guard that
-    keeps the codes injective on sums and differences of two roots.  Memoized
-    per (datum, _BASE); a caller that extends the dict takes a copy."""
-    key = (datum, _BASE)
-    codes = _codes_memo.get(key)
-    if codes is None:
-        positive = datum.positive_roots
-        if 4 * max(map(max, positive)) >= _BASE:
-            raise IntegrityError(f"a root of {datum.stype} has a coefficient of {_BASE // 4} or more, "
-                                 f"too large for root codes in base {_BASE}")
-        powers = [_BASE ** i for i in range(datum.rank)]
-        codes = _codes_memo[key] = {sum(map(operator.mul, r, powers)): r for r in positive}
-    return codes
+    """Every positive root by its code sum_i c_i _BASE**i, in datum order,
+    after the guard that keeps the codes injective on sums and differences
+    of two roots."""
+    positive = datum.positive_roots
+    if 4 * max(map(max, positive)) >= _BASE:
+        raise IntegrityError(f"a root of {datum.stype} has a coefficient of {_BASE // 4} or more, "
+                             f"too large for root codes in base {_BASE}")
+    powers = [_BASE ** i for i in range(datum.rank)]
+    return {sum(map(operator.mul, r, powers)): r for r in positive}
 
 
 def _string_length(codes, a: int, b: int) -> int:
@@ -231,37 +214,39 @@ def _exact(num: int, den: int, what: str, *roots: Coords) -> int:
 
 
 def structure_constants(datum: RootDatum) -> StructureConstants:
-    """Chevalley structure constants for one simple type on root codes, keyed by
-    coordinate tuples (every message names roots); each derived one is an
-    exact integer with |N| = p + 1.  verify_jacobi(sc) certifies the table.
-    Memoized."""
+    """The whole table of Chevalley structure constants for one simple type,
+    decoded once from root codes; each derived one is an exact integer with
+    |N| = p + 1.  verify_jacobi(sc) certifies it.  Memoized."""
     cached = _sc_memo.get(datum.stype)
     if cached is None:
-        cached = _sc_memo[datum.stype] = _carter_constants(datum, generators_only=False)
+        if datum.rank > MAX_RANK:
+            raise ResourceLimitError(
+                f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
+            )
+        positive, n_code, norm = _carter_constants(datum, full=True)
+        root_of = positive | {-c: _vneg(r) for c, r in positive.items()}
+        cached = _sc_memo[datum.stype] = StructureConstants(
+            datum=datum, n_pos={(root_of[a], root_of[b]): v for (a, b), v in n_code.items()},
+            root_set=frozenset(root_of.values()), norm2={root_of[c]: v for c, v in norm.items()})
     return cached
 
 
-def _carter_constants(datum: RootDatum, generators_only: bool) -> StructureConstants:
-    """The Carter recursion over every special pair, or with generators_only
-    over the special pairs whose first root is simple (see the module
-    docstring for why those are closed under it)."""
-    if datum.rank > MAX_RANK:
-        raise ResourceLimitError(
-            f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
-        )
-    root_of = dict(_root_codes(datum))  # extended by the negative roots below
-    positive = list(root_of)  # the simple roots lead: positive[:rank]
-    norm = {c: datum.root_norm2[r] for c, r in root_of.items()}
+def _carter_constants(datum: RootDatum, full: bool) -> tuple[dict[int, Coords], dict, dict[int, int]]:
+    """The Carter recursion over every special pair when full, else over those
+    whose first root is simple (module docstring): the positive roots by code
+    (_root_codes), then N and every root's squared norm, keyed by codes."""
+    positive = _root_codes(datum)
+    codes = list(positive)  # the simple roots lead: codes[:rank]
+    root_of = positive | {-c: _vneg(r) for c, r in positive.items()}  # names roots in messages
+    norm = {c: datum.root_norm2[r] for c, r in positive.items()}
     norm |= {-c: v for c, v in norm.items()}
-    root_of |= {-c: _vneg(r) for c, r in root_of.items()}
-    codes = frozenset(root_of)
 
     # Special pairs of every gamma, in the order of their first root, so the
     # extraspecial pair comes first.
     special: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i, a in enumerate(positive[:datum.rank] if generators_only else positive):
-        for b in positive[i + 1:]:
-            if (gamma := a + b) in codes:
+    for i, a in enumerate(codes if full else codes[:datum.rank]):
+        for b in codes[i + 1:]:
+            if (gamma := a + b) in root_of:
                 special[gamma].append((a, b))
 
     n_code: dict[tuple[int, int], int] = {}
@@ -270,14 +255,14 @@ def _carter_constants(datum: RootDatum, generators_only: bool) -> StructureConst
         n_code[(a, b)] = val
         n_code[(b, a)] = -val
 
-    for gamma in positive:
+    for gamma in codes:
         if sum(root_of[gamma]) == 1:
             continue
         pairs = special.get(gamma)
         if not pairs:
             raise IntegrityError(f"no decomposition found for positive root {root_of[gamma]}")
         ex_a, ex_b = pairs[0]
-        p = _string_length(codes, ex_a, ex_b)
+        p = _string_length(root_of, ex_a, ex_b)
         put(ex_a, ex_b, p + 1)
         # N_{-ex_a,gamma} from the norm relation on (-ex_a, gamma, -ex_b).
         n_minus_gamma = _exact(norm[ex_b] * (p + 1), norm[gamma], "N_{},{}",
@@ -286,24 +271,21 @@ def _carter_constants(datum: RootDatum, generators_only: bool) -> StructureConst
             # Jacobi on (x_{-ex_a}, x_a, x_b), all terms proportional to x_{ex_b}:
             #   N_{a,b} N_{-ex_a,gamma} + N_{b,-ex_a} N_{a,b-ex_a} + N_{-ex_a,a} N_{b,a-ex_a} = 0
             acc = 0
-            if (delta := b - ex_a) in codes:
+            if (delta := b - ex_a) in root_of:
                 acc += _exact(-norm[delta] * n_code[(ex_a, delta)], norm[b], "N_{},{}",
                               root_of[b], root_of[-ex_a]) * n_code[(a, delta)]
-            if (eps := a - ex_a) in codes:
+            if (eps := a - ex_a) in root_of:
                 acc += _exact(norm[eps] * n_code[(ex_a, eps)], norm[a], "N_{},{}",
                               root_of[-ex_a], root_of[a]) * n_code[(b, eps)]
             val = _exact(-acc, n_minus_gamma, "derived constant N_{},{}", root_of[a], root_of[b])
-            expect = _string_length(codes, a, b) + 1
+            expect = _string_length(root_of, a, b) + 1
             if abs(val) != expect:
                 raise IntegrityError(
                     f"derived constant N_{root_of[a]},{root_of[b]} = {val}, |N| should be {expect}"
                 )
             put(a, b, val)
 
-    return StructureConstants(
-        datum=datum, n_pos={(root_of[a], root_of[b]): v for (a, b), v in n_code.items()},
-        root_set=frozenset(root_of.values()), norm2={root_of[c]: v for c, v in norm.items()},
-        generators_only=generators_only)
+    return positive, n_code, norm
 
 
 # -- Jacobi check ------------------------------------------------------------
@@ -425,22 +407,28 @@ def _check_rep(rep: RepMatrices) -> None:
     """Enforce the Chevalley-Serre relations and weight compatibility.
 
     h_i must be diag(<mu, alpha_i^vee>) over the declared basis weights mu,
-    and every entry of e_j (f_j) must move a weight mu to mu + alpha_j
-    (mu - alpha_j).  With h_i diagonal, [h_i, x] has entry
-    (h_i[r] - h_i[c]) x[r, c], so this grading is exactly [h_i, e_j] =
-    a_ji e_j and [h_i, f_j] = -a_ji f_j, a_ji = <alpha_j, alpha_i^vee>.
-    Then [e_i, f_j] = delta_ij h_i is checked, n^2 commutators.
+    every entry of e_j (f_j) must move a weight mu to mu + alpha_j
+    (mu - alpha_j), and every entry of e_theta must move mu to mu + theta.
+    With h_i diagonal, [h_i, x] has entry (h_i[r] - h_i[c]) x[r, c], so this
+    grading is exactly [h_i, e_j] = a_ji e_j and [h_i, f_j] = -a_ji f_j,
+    a_ji = <alpha_j, alpha_i^vee>.
 
-    The grading runs on int codes: the basis weights (int n-tuples) and the
-    alpha_j each become sum_i mu_i B^i, B = 4M + 7 with M the largest
-    |mu_i|, and an entry (r, c) of e_j passes when codes[r] = codes[c] +
-    code(alpha_j).  That is the tuple test w_r = w_c + alpha_j: codes are
-    linear, and every digit d_i of w_r - w_c - alpha_j has |d_i| <= 2M + 3
-    < B/2, since Cartan entries lie in [-3, 2].  A nonzero vector of such
-    digits has a nonzero code: with d_k its lowest nonzero digit, the code is
-    B^k (d_k + B q) for an int q, and 0 < |d_k| < B rules out d_k = -B q.
-    Any B > 2M + 3 would do.  In base 2M + 1 the digits (-(2M + 1), 1) code
-    to 0; w_r = (-1, 0), w_c = (0, 0) and alpha_1 = (2, -1) on A2 give them.
+    The grading runs on int codes: the basis weights (int n-tuples), the
+    alpha_j and theta each become sum_i mu_i B^i, B = 4M + 7 with M the
+    largest |mu_i|, and an entry (r, c) of e_j passes when codes[r] =
+    codes[c] + code(alpha_j).  That is the tuple test w_r = w_c + alpha_j:
+    codes are linear, and every digit d_i of w_r - w_c - alpha_j (or theta)
+    has |d_i| <= 2M + 3 < B/2, since Cartan entries lie in [-3, 2] and
+    theta's weight entries in [0, 2].  A nonzero vector of such digits has a nonzero
+    code: with d_k its lowest nonzero digit, the code is B^k (d_k + B q) for
+    an int q, and 0 < |d_k| < B rules out d_k = -B q.  In base 2M + 1 the
+    digits (-(2M + 1), 1) code to 0: w_r = (-1, 0), w_c = (0, 0) and
+    alpha_1 = (2, -1) on A2.
+
+    [e_i, N] = h_i, N = sum_j f_j, is [e_i, f_j] = delta_ij h_i for all j:
+    by the grading every entry (r, c) of [e_i, f_j] has w_r - w_c = alpha_i
+    - alpha_j, a shift that differs for each j, so the terms sit on disjoint
+    entries, and h_i, at shift 0, must be the j = i term.
 
     The Serre relations need no commutator of their own.  By the checks
     above (e_i, h_i, f_i) is an sl_2-triple in gl(V), so End V is a
@@ -470,11 +458,13 @@ def _check_rep(rep: RepMatrices) -> None:
             raise IntegrityError(f"{rep.name}: e_{j+1} breaks the weight grading")
         if any(codes[c] != codes[r] + a for r, c in rep.f[j].entries):
             raise IntegrityError(f"{rep.name}: f_{j+1} breaks the weight grading")
+    t = sum(map(operator.mul, datum.root_weights[datum.theta], powers))
+    if any(codes[r] != codes[c] + t for r, c in rep.e_theta.entries):
+        raise IntegrityError(f"{rep.name}: e_theta breaks the weight grading")
+    N = functools.reduce(operator.add, rep.f)
     for i in range(n):
-        for j in range(n):
-            expect = rep.h[i] if i == j else SparseMatrix.zero(rep.dim)
-            if rep.e[i].commutator(rep.f[j]) != expect:
-                raise IntegrityError(f"{rep.name}: [e_{i+1}, f_{j+1}] relation fails")
+        if rep.e[i].commutator(N) != rep.h[i]:
+            raise IntegrityError(f"{rep.name}: [e_{i+1}, N] != h_{i+1}")
     for i in range(n):
         if not rep.e_theta.commutator(rep.e[i]).is_zero():
             raise IntegrityError(f"{rep.name}: [e_theta, e_{i+1}] != 0")
@@ -517,8 +507,8 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
 
 
 def _adjoint_generators(datum: RootDatum, basis: list, weights: tuple, ad: dict) -> RepMatrices:
-    """e_i, f_i, h_i read off ad (the whole table or the generators alone), and
-    x_theta from the e_i (_theta_by_tree)."""
+    """e_i, f_i, h_i read off ad (_ad_columns, the whole table or the
+    generators alone), and x_theta from the e_i (_theta_by_tree)."""
     e = tuple(ad[("root", a)] for a in datum.simple_roots)
     return RepMatrices(
         datum=datum, dim=len(basis), basis_weights=weights,
@@ -564,10 +554,10 @@ def _check_theta_cartan_columns(rep: RepMatrices) -> None:
 
 def adjoint_rep(datum: RootDatum) -> RepMatrices:
     """Adjoint representation on the basis (roots by descending height, Cartan,
-    negative roots): e_i, f_i, h_i written alone (StructureConstants.adjoint,
-    no bracket table) from the generator-only Carter constants, which are
-    those of structure_constants with the same checks (module docstring), and
-    x_theta from the raising tree (_theta_by_tree).
+    negative roots): e_i, f_i, h_i written alone (_ad_columns, no bracket
+    table) from the generator-only Carter constants, which are those of
+    structure_constants with the same checks (module docstring), and x_theta
+    from the raising tree (_theta_by_tree).  No rank guard applies.
 
     _check_rep and the Cartan-column check are the certificate.  By Serre's
     theorem the generators define a g-module V; the h_i check fixes its
@@ -595,7 +585,8 @@ def adjoint_rep(datum: RootDatum) -> RepMatrices:
     """
     rep = _adjoint_memo.get(datum.stype)
     if rep is None:
-        rep = _carter_constants(datum, generators_only=True).adjoint
+        rep = _adjoint_generators(datum, *_ad_columns(datum, *_carter_constants(datum, full=False),
+                                                       full=False))
         _check_rep(rep)
         _check_theta_cartan_columns(rep)
         _adjoint_memo[datum.stype] = rep
@@ -677,25 +668,20 @@ class PrincipalTriple(namedtuple("PrincipalTriple", "datum dim N RHO E basis_wei
 def principal_triple(rep: RepMatrices) -> PrincipalTriple:
     """N = sum f_i, E = x_theta, RHO = diag(-<basis weight, rho^vee>).
 
-    [N, RHO] = -N and [E, RHO] = (h-1) E are verified entrywise before
-    returning; they force N to shift the RHO-grading by +1 and hence to be
-    nilpotent.  RHO is half the int level -<mu, 2 rho^vee>, a Fraction only
-    at odd levels.  RHO is diagonal, so [X, RHO][r, c] = X[r, c] (RHO[c] -
-    RHO[r]): the identities hold exactly when levels[r] - levels[c] is 2 on
-    every entry (r, c) of N and -2 (h-1) on every entry of E, with no
-    commutator.
+    RHO is half the int level -<mu, 2 rho^vee>, a Fraction only at odd
+    levels.  [N, RHO] = -N and [E, RHO] = (h-1) E are not checked here: they
+    follow from _check_rep, which every rep passed.  Its grading puts each
+    entry (r, c) of f_j at w_r = w_c - alpha_j and of e_theta at w_r = w_c +
+    theta, and [X, RHO][r, c] = X[r, c] (RHO[c] - RHO[r]) for diagonal RHO,
+    with <alpha_j, 2 rho^vee> = 2 and <theta, 2 rho^vee> = 2 (h-1).  The
+    flatness residual certifies both again.
     """
     datum = rep.datum
-    N = functools.reduce(lambda a, b: a + b, rep.f, SparseMatrix.zero(rep.dim))
     levels = [-pair(w, datum.two_rho_covector) for w in rep.basis_weights]
-    RHO = SparseMatrix.diagonal([Fraction(k, 2) if k % 2 else k // 2 for k in levels])
-    E = rep.e_theta
-    if any(levels[r] - levels[c] != 2 for r, c in N.entries):
-        raise IntegrityError("[N, RHO] != -N")
-    if any(levels[c] - levels[r] != 2 * (datum.coxeter - 1) for r, c in E.entries):
-        raise IntegrityError("[E, RHO] != (h-1) E")
-    return PrincipalTriple(datum=datum, dim=rep.dim, N=N, RHO=RHO, E=E,
-                           basis_weights=rep.basis_weights)
+    return PrincipalTriple(datum=datum, dim=rep.dim,
+                           N=functools.reduce(operator.add, rep.f),
+                           RHO=SparseMatrix.diagonal([Fraction(k, 2) if k % 2 else k // 2 for k in levels]),
+                           E=rep.e_theta, basis_weights=rep.basis_weights)
 
 
 def jordan_type(matrix: SparseMatrix) -> JordanPartition:

@@ -310,6 +310,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
+        if args.max_dim < 1:  # no V has dimension below 1: sweep would grade nothing and pass
+            raise UsageError(f"--max-dim must be at least 1, got {args.max_dim}")
         code = args.func(args)
         sys.stdout.flush()
         return code

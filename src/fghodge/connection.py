@@ -22,11 +22,9 @@ are formal on Laurent exponents and every coefficient is canonical, so
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .chevalley import PrincipalTriple
 from .errors import UsageError
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _entry
 
 Monomial = tuple[int, int]  # (t-exponent, z-exponent)
 
@@ -70,9 +68,9 @@ class LaurentMatrix:
     @classmethod
     def from_scalar_matrix(cls, m: SparseMatrix, dt: int = 0, dz: int = 0,
                            factor=1) -> "LaurentMatrix":
-        """Lift an exact scalar matrix to factor * t^dt z^dz * m; an int factor
-        scales as is, any other is made an exact Fraction first."""
-        m = m.scale(factor if type(factor) is int else Fraction(factor))
+        """Lift an exact scalar matrix to factor * t^dt z^dz * m; factor is an
+        int or a Fraction, as SparseMatrix.scale requires."""
+        m = m.scale(factor)
         return cls(m.dim, {} if m.is_zero() else {(dt, dz): m})
 
     def is_zero(self) -> bool:
@@ -89,6 +87,7 @@ class LaurentMatrix:
         return self + other.scale(-1)
 
     def scale(self, c) -> "LaurentMatrix":
+        c = _entry(c)  # an int or a Fraction, even when no coefficient is scaled
         if c == 0:
             return LaurentMatrix.zero(self.dim)
         return LaurentMatrix(self.dim, {mono: m.scale(c) for mono, m in self.coeffs.items()})

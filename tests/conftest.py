@@ -25,6 +25,15 @@ ALL_TYPES_RANK8 = (
     + ["E6", "E7", "E8", "F4", "G2"]
 )
 
+# Every type under the positive-root guard (rootdatum.MAX_POSITIVE_ROOTS = 500)
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 32)]
+    + [f"B{n}" for n in range(2, 23)]
+    + [f"C{n}" for n in range(2, 23)]
+    + [f"D{n}" for n in range(3, 23)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "D4", "G2", "F4"]
 
 

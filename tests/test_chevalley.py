@@ -35,7 +35,7 @@ from fghodge.grading import JordanPartition, partition_from_grading, principal_g
 from fghodge.kkp import minuscule_nodes
 from fghodge.linalg import SparseMatrix, graded_blocks
 from fghodge.rootdatum import pair
-from conftest import ALL_TYPES_RANK8, datum, fw
+from conftest import ALL_TYPES, ALL_TYPES_RANK8, datum, fw
 from oracles import (
     carter_structure_constants,
     dump_triplets,
@@ -315,7 +315,7 @@ def test_weight_rule_refuses_multiplicity_free_weights_it_cannot_build(name, lam
     # path-dependent; the Chevalley-Serre check refuses instead of answering
     d = datum(name)
     assert len(irrep_character(d, lam).mult) == weyl_dimension(d, lam)
-    with pytest.raises(IntegrityError, match=r"\[e_1, f_2\] relation fails"):
+    with pytest.raises(IntegrityError, match=r"\[e_1, N\] != h_1"):
         _weight_rep(d, lam)
 
 
@@ -475,8 +475,8 @@ def test_the_adjoint_builds_x_theta_without_the_chain(monkeypatch, capsys):
 
 
 def test_the_e8_adjoint_forms_only_the_commutators_of_its_certificate(monkeypatch):
-    # _check_rep's 8 * 8 + 8; the tree, the Cartan-column check and the
-    # principal triple's two identities form none
+    # _check_rep's 8 + 8; the tree, the Cartan-column check and the
+    # principal triple form none
     calls = []
     commutator = SparseMatrix.commutator
 
@@ -487,24 +487,22 @@ def test_the_e8_adjoint_forms_only_the_commutators_of_its_certificate(monkeypatc
     monkeypatch.setattr(SparseMatrix, "commutator", counted)
     monkeypatch.setattr(chevalley, "_adjoint_memo", {})
     rep = adjoint_rep(datum("E8"))
-    assert len(calls) == 72
+    assert len(calls) == 16
     calls.clear()
     principal_triple(rep)
     assert calls == []
 
 
 def _adjoint_with_seed(name, seed, monkeypatch):
-    """adjoint_rep's generators with [x_theta, x_{-theta}] = seed (in the
-    h_j) in place of theta^vee, through the path adjoint_rep takes."""
+    """A copy of the datum with theta^vee replaced by seed, and the adjoint
+    that adjoint_rep builds on it before its checks: x_theta from
+    [x_theta, x_{-theta}] = seed (in the h_j)."""
     d = datum(name)
     bad = copy.copy(d)
     bad.coroot_of = {**d.coroot_of, d.theta: seed}
-    sc = chevalley._carter_constants(d, generators_only=True)
-    broken = StructureConstants(datum=bad, n_pos=sc.n_pos, root_set=sc.root_set,
-                                norm2=sc.norm2, generators_only=True)
-    monkeypatch.setattr(chevalley, "_carter_constants", lambda datum_, generators_only: broken)
     monkeypatch.setattr(chevalley, "_adjoint_memo", {})
-    return d, broken.adjoint
+    columns = chevalley._ad_columns(bad, *chevalley._carter_constants(bad, full=False), full=False)
+    return bad, chevalley._adjoint_generators(bad, *columns)
 
 
 @pytest.mark.parametrize("name,seed", [("B3", (1, 1, 1)), ("G2", (1, 1)), ("G2", (0, 1)),
@@ -534,7 +532,8 @@ def test_the_tree_refuses_generators_that_do_not_reach_every_basis_vector(name):
     # [e_1, f_1] = h_1 is the only edge into h_1: without it x_theta has no
     # column h_1, and on A1 none at e_1 either, which only h_1 reaches
     d = datum(name)
-    basis, weights, gens = chevalley._carter_constants(d, generators_only=True)._ad_columns(full=False)
+    basis, weights, gens = chevalley._ad_columns(d, *chevalley._carter_constants(d, full=False),
+                                                 full=False)
     a = d.simple_roots[0]
     e1 = ("root", a)
     entries = dict(gens[e1].entries)
@@ -548,10 +547,14 @@ def test_the_tree_refuses_generators_that_do_not_reach_every_basis_vector(name):
 @pytest.mark.parametrize("name,which", [("A3", "std"), ("B3", "std"), ("B3", "adjoint"),
                                         ("G2", "adjoint")])
 def test_principal_triple_refuses_an_entry_off_its_level(name, which):
+    # principal_triple runs no check: _check_rep's grading of f_j and e_theta
+    # implies its two identities, so _check_rep refuses such an entry, and
+    # the flatness residual sees it again
     d = datum(name)
     rep = classical_std_rep(d) if which == "std" else adjoint_rep(d)
     principal_triple(rep)
-    for matrix, message in (("f", r"\[N, RHO\] != -N"), ("e_theta", r"\[E, RHO\] != \(h-1\) E")):
+    for matrix, message in (("f", "f_1 breaks the weight grading"),
+                            ("e_theta", "e_theta breaks the weight grading")):
         old = rep.f[0] if matrix == "f" else rep.e_theta
         (r, c), v = sorted(old.entries.items())[0]
         moved = dict(old.entries)
@@ -562,7 +565,9 @@ def test_principal_triple_refuses_an_entry_off_its_level(name, which):
         else:
             broken = rep._replace(e_theta=SparseMatrix.from_entries(rep.dim, moved))
         with pytest.raises(IntegrityError, match=message):
-            principal_triple(broken)
+            _check_rep(broken)
+        triple = principal_triple(broken)
+        assert not integrability_residual(*rmodule_pair(triple, d.coxeter)).is_zero()
 
 
 # -- the adjoint's certificate: Chevalley-Serre on the generators, no Jacobi tree --
@@ -609,7 +614,8 @@ def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, m
     # = theta^vee, not as a Lie polynomial in the e_i, so it is the conjugate
     # of the true one times s[x_{-theta}] s[h].
     d = datum(name)
-    sc = chevalley._carter_constants(d, generators_only=True)
+    positive, n_code, norm = chevalley._carter_constants(d, full=False)
+    simple = set(list(positive)[:d.rank])  # the simple roots lead the codes
     true = adjoint_rep(d)
     assert set(_sign_conjugation(true, true).values()) == {1}
     assert _sign_conjugation(true._replace(e_theta=true.e_theta.scale(2)), true) is None
@@ -617,16 +623,15 @@ def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, m
     cartan = len(d.positive_roots)
     lowest = cartan + d.rank  # x_{-theta}: theta leads the positive roots
     zero = SparseMatrix.zero(true.dim)
-    keys = [(a, b) for a, b in sc.n_pos if a in d.simple_roots]
+    keys = [(a, b) for a, b in n_code if a in simple]
     passed = 0
     for a, b in keys:
         for factor in (-1, 2):
-            n_pos = dict(sc.n_pos)
-            n_pos[(a, b)] *= factor
-            n_pos[(b, a)] *= factor
-            broken = StructureConstants(datum=d, n_pos=n_pos, root_set=sc.root_set,
-                                        norm2=sc.norm2, generators_only=True)
-            monkeypatch.setattr(chevalley, "_carter_constants", lambda datum_, generators_only: broken)
+            broken = dict(n_code)
+            broken[(a, b)] *= factor
+            broken[(b, a)] *= factor
+            monkeypatch.setattr(chevalley, "_carter_constants",
+                                lambda datum_, full: (positive, broken, norm))
             monkeypatch.setattr(chevalley, "_adjoint_memo", {})
             try:
                 rep = adjoint_rep(d)
@@ -668,53 +673,53 @@ def test_the_verify_path_runs_no_jacobi_check(monkeypatch, capsys):
     assert main(["verify", "--type", "E8", "--rep", "adjoint"]) == 0
     assert capsys.readouterr() == ("PASS E8 adjoint: flatness residual is the zero matrix\n", "")
     assert "E8" in {str(t) for t in chevalley._adjoint_memo}
-    with pytest.raises(ResourceLimitError):
-        adjoint_rep(datum("A9"))
+    # no rank guard on the adjoint: A9 builds and passes, still with no table
+    assert main(["verify", "--type", "A9", "--rep", "adjoint"]) == 0
+    assert capsys.readouterr() == ("PASS A9 adjoint: flatness residual is the zero matrix\n", "")
 
 
 @pytest.mark.parametrize("name", ALL_TYPES_RANK8)
 def test_the_generator_only_constants_are_the_table_on_pairs_with_a_simple_root(name):
     # The Carter recursion over the special pairs with a simple first root
     # derives exactly the table's constants on the pairs with a simple root:
-    # same keys in the same order, same values, all ints
+    # same keys in the same order, same values, all ints; on root codes, with
+    # the same codes and norms as the whole recursion and the decoded table
     d = datum(name)
-    full = structure_constants(d)
-    gen = chevalley._carter_constants(d, generators_only=True)
-    simple = set(d.simple_roots)
-    expect = [(k, v) for k, v in full.n_pos.items() if simple & set(k)]
-    assert list(gen.n_pos.items()) == expect
-    assert {type(v) for v in gen.n_pos.values()} <= {int}
-    assert (gen.root_set, gen.norm2) == (full.root_set, full.norm2)
-    assert gen.generators_only and not full.generators_only
+    positive, gen, norm = chevalley._carter_constants(d, full=False)
+    whole = chevalley._carter_constants(d, full=True)
+    simple = set(list(positive)[:d.rank])
+    expect = [(k, v) for k, v in whole[1].items() if simple & set(k)]
+    assert list(gen.items()) == expect
+    assert {type(v) for v in gen.values()} <= {int}
+    assert (list(positive.items()), list(norm.items())) == (list(whole[0].items()), list(whole[2].items()))
+    assert list(positive.values()) == list(d.positive_roots)
+    sc = structure_constants(d)
+    code = {r: c for c, r in positive.items()}
+    code |= {tuple(-x for x in r): -c for r, c in code.items()}
+    assert list(whole[1].items()) == [((code[a], code[b]), v) for (a, b), v in sc.n_pos.items()]
+    assert list(norm.items()) == [(code[r], v) for r, v in sc.norm2.items()]
+    assert set(norm) == {code[r] for r in sc.root_set}
     if name == "E8":
-        assert (len(gen.n_pos), len(full.n_pos)) == (434, 2240)
-
-
-@pytest.mark.parametrize("name", ["A1", "A2", "G2", "B3", "E6"])
-def test_the_generator_only_constants_yield_no_bracket_table(name):
-    # Up to rank 2 they hold every special pair, and they are refused all the
-    # same; their generators are the table's
-    gen = chevalley._carter_constants(datum(name), generators_only=True)
-    for build in (lambda: gen.ad, lambda: verify_jacobi(gen), lambda: gen._ad_columns(full=True)):
-        with pytest.raises(UsageError, match="hold no bracket table"):
-            build()
-    assert gen.adjoint == structure_constants(datum(name)).adjoint
+        assert (len(gen), len(whole[1])) == (434, 2240)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES_RANK8)
 def test_the_generator_build_writes_the_bracket_tables_generator_columns(name):
-    # StructureConstants.adjoint writes ad e_i, ad f_i and ad h_i without the
-    # rest of the table; each must be the table's own column, entry for entry
-    # and value type for value type
+    # adjoint_rep writes ad e_i, ad f_i and ad h_i from the generator-only
+    # constants without the rest of the table; each must be the table's own
+    # column, entry for entry and value type for value type
     d = datum(name)
     sc = structure_constants(d)
-    basis, weights, gens = sc._ad_columns(full=False)
+    basis, weights, gens = chevalley._ad_columns(d, *chevalley._carter_constants(d, full=False),
+                                                 full=False)
     assert basis == list(sc.ad)
     assert list(gens) == [b for b in sc.ad if b in gens] and len(gens) == 3 * d.rank
     for b, m in gens.items():
         assert m == sc.ad[b] and _value_types(m) == _value_types(sc.ad[b]), b
-    rep, table = sc.adjoint, chevalley._adjoint_generators(d, basis, weights, sc.ad)
+    rep, table = (chevalley._adjoint_generators(d, basis, weights, gens),
+                  chevalley._adjoint_generators(d, basis, weights, sc.ad))
     assert rep._replace(e_theta=None) == table._replace(e_theta=None)
+    assert rep == adjoint_rep(d)
 
 
 @pytest.mark.parametrize("name,node,which", ALL_REPS_RANK8)
@@ -780,7 +785,8 @@ def _moved(m, old, new):
 @pytest.mark.parametrize("name,which", [("B3", "std"), ("G2", "weight"), ("E8", "adjoint")])
 def test_the_weight_codes_refuse_an_entry_moved_to_a_wrong_weight_row(name, which):
     # G2's Cartan entry -3 is the largest in absolute value; for every j one
-    # entry of e_j and one of f_j goes to the first row of another weight
+    # entry of e_j and one of f_j goes to the first row of another weight,
+    # and so does one entry of e_theta, graded by theta
     d = datum(name)
     rep = {"std": classical_std_rep, "adjoint": adjoint_rep}.get(which, lambda d: _weight_rep(d, fw(d, 1)))(d)
     weights = rep.basis_weights
@@ -793,6 +799,18 @@ def test_the_weight_codes_refuse_an_entry_moved_to_a_wrong_weight_row(name, whic
             mats[j] = _moved(mats[j], (r, c), (to, c))
             with pytest.raises(IntegrityError, match=rf"{kind}_{j + 1} breaks the weight grading"):
                 _check_rep(rep._replace(**{kind: tuple(mats)}))
+    (r, c) = min(rep.e_theta.entries)
+    to = next(k for k in range(rep.dim) if weights[k] != weights[r] and (k, c) not in rep.e_theta.entries)
+    with pytest.raises(IntegrityError, match="e_theta breaks the weight grading"):
+        _check_rep(rep._replace(e_theta=_moved(rep.e_theta, (r, c), (to, c))))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_theta_has_weight_entries_in_0_to_2(name):
+    # the premise of _check_rep's proof that base 4M + 7 grades e_theta:
+    # the digits of w_r - w_c - theta stay within 2M + 2
+    d = datum(name)
+    assert all(0 <= x <= 2 for x in d.root_weights[d.theta])
 
 
 def test_the_weight_codes_separate_digits_that_collide_in_base_2m_plus_1():
@@ -813,7 +831,8 @@ def test_the_weight_codes_separate_digits_that_collide_in_base_2m_plus_1():
 
 
 def test_check_rep_forms_n_squared_plus_n_commutators(monkeypatch):
-    # [e_i, f_j] for every i, j and [e_theta, e_i]: 72 on E8, no Serre commutator
+    # [e_i, N] and [e_theta, e_i] for every i: 16 on E8, where the n^2
+    # commutators [e_i, f_j] made 72; no Serre commutator
     rep = adjoint_rep(datum("E8"))
     calls = []
     commutator = SparseMatrix.commutator
@@ -824,7 +843,7 @@ def test_check_rep_forms_n_squared_plus_n_commutators(monkeypatch):
 
     monkeypatch.setattr(SparseMatrix, "commutator", counted)
     _check_rep(rep)
-    assert len(calls) == 8 * 8 + 8 == 72
+    assert len(calls) == 8 + 8 == 16
 
 
 def test_standard_and_minuscule_reps_build_no_lie_algebra(monkeypatch):
@@ -859,7 +878,7 @@ def test_check_rep_catches_a_wrong_coefficient_on_the_short_string():
     entries = dict(rep.f[2].entries)
     key = next(k for k, v in sorted(entries.items()) if v == 2)
     entries[key] = 1
-    with pytest.raises(IntegrityError, match=r"\[e_3, f_3\]"):
+    with pytest.raises(IntegrityError, match=r"\[e_3, N\] != h_3"):
         _check_rep(_with_generator(rep, "f", 2, entries))
 
 
@@ -1056,8 +1075,13 @@ def test_a_non_integral_norm_ratio_in_the_bracket_table_is_caught():
     broken = StructureConstants(datum=sc.datum, n_pos=sc.n_pos, root_set=sc.root_set, norm2=norm2)
     with pytest.raises(IntegrityError, match="is not a nonzero integer"):
         broken.ad
+    positive, n_code, norm = chevalley._carter_constants(sc.datum, full=False)
+    long_root = next(c for c, r in positive.items() if r == (3, 1))
+    assert norm[long_root] == norm[-long_root] == 6
+    norm = {**norm, long_root: 4, -long_root: 4}
     with pytest.raises(IntegrityError, match="is not a nonzero integer"):
-        broken.adjoint  # (1, 0) + (2, 1) = (3, 1): a generator entry divides by that norm too
+        # (1, 0) + (2, 1) = (3, 1): a generator entry divides by that norm too
+        chevalley._ad_columns(sc.datum, positive, n_code, norm, full=False)
 
 
 def test_exceptional_adjoint_matrices_match_their_recorded_digest():

@@ -52,6 +52,20 @@ def test_laurent_matrix_never_stores_zero_coefficients():
     assert (a.d_t() + a.d_z()).coeffs.keys() == {(2, 3), (3, 2)}
 
 
+@pytest.mark.parametrize("value", [0.1, 0.0, 0.5, 1.0, "1/2", None])
+def test_laurent_matrices_refuse_a_factor_that_is_not_an_int_or_a_fraction(value):
+    # as SparseMatrix.scale does: 0.1 is no exact 1/10, and a zero matrix or
+    # a zero float is no excuse to accept the value
+    one = SparseMatrix.from_entries(1, {(0, 0): 1})
+    for build in (lambda: LaurentMatrix.from_scalar_matrix(one, factor=value),
+                  lambda: LaurentMatrix.from_scalar_matrix(SparseMatrix.zero(1), factor=value),
+                  lambda: scalar(1, {(0, 0): 1}).scale(value),
+                  lambda: LaurentMatrix.zero(1).scale(value),
+                  lambda: one.scale(value)):
+        with pytest.raises(UsageError, match="is not an int or a Fraction"):
+            build()
+
+
 def test_laurent_matrix_ops():
     a = scalar(2, {(0, 1): 1})
     b = scalar(2, {(1, 0): 1})

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fghodge"
 
@@ -76,3 +79,30 @@ def test_the_bench_span_wrapper_installs_against_the_package():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(bench)])}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_the_bench_worker_certifies_every_case(tmp_path, trace):
+    # bench/worker.py runs each certify case in a fresh interpreter, and with
+    # trace it reads the spans that bench/spans.py wraps by name; a change to
+    # either would otherwise show only as a failed bench run
+    bench = SRC.parents[1] / "bench"
+    cases = [("E6", "adjoint"), ("E7", "adjoint"), ("E8", "adjoint"),
+             ("B8", "std"), ("C8", "std"), ("D8", "std")]
+    ops = [{"kind": "certify", "type": t, "rep": rep, "id": i} for i, (t, rep) in enumerate(cases)]
+    spec, result = tmp_path / "spec.json", tmp_path / "result.json"
+    spec.write_text(json.dumps({"ops": ops, "trace": trace}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(bench)]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, str(bench / "worker.py"), str(spec), str(result)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    out = json.loads(result.read_text())
+    assert [op["error"] for op in out["ops"]] == [None] * len(cases)
+    assert all(op["answer"]["residual_zero"] for op in out["ops"])
+    names = {span[0] for span in out["spans"]}
+    if trace:
+        assert {"chevalley.adjoint_rep", "connection.integrability_residual"} <= names
+        assert {span[4] for span in out["spans"] if span[0] == "chevalley.adjoint_rep"} == {0, 1, 2}
+    else:
+        assert names == set()
