@@ -49,6 +49,9 @@ Matrix conventions for the principal triple (N, RHO, E):
 
     N = sum_i f_i,  E = x_theta,  RHO = diag(-<basis weight, rho^vee>).
 
+N is RepMatrices.N, summed once per representation: _check_rep's [e_i, N]
+and the triple use the same matrix and its cached row and column indexes.
+
 With these, [N, RHO] = -N and [E, RHO] = (h-1) E hold as honest matrix
 commutators (the minus sign in RHO is forced: with +<mu, rho^vee> the two
 brackets and the flatness of the two-variable connection all flip sign).
@@ -398,9 +401,17 @@ def _check_derivation(basis, ad: list[SparseMatrix], column, g: int, y: int) -> 
 
 # -- representation matrices --------------------------------------------------
 
-# e, f, h: tuples of the n generator matrices; e_theta: x_theta; name labels messages
-RepMatrices = namedtuple("RepMatrices", "datum dim basis_weights e f h e_theta name",
-                         defaults=("rep",))
+class RepMatrices(namedtuple("RepMatrices", "datum dim basis_weights e f h e_theta name",
+                             defaults=("rep",))):
+    """e, f, h: tuples of the n generator matrices; e_theta: x_theta; name labels messages."""
+
+    @functools.cached_property
+    def N(self) -> SparseMatrix:
+        """sum_j f_j, formed once per representation (a _replace forms it
+        anew): _check_rep and principal_triple share it, and with it the row
+        and column indexes that the [e_i, N] commutators build and the Jordan
+        sweep reads again."""
+        return functools.reduce(operator.add, self.f)
 
 
 def _check_rep(rep: RepMatrices) -> None:
@@ -425,7 +436,7 @@ def _check_rep(rep: RepMatrices) -> None:
     digits (-(2M + 1), 1) code to 0: w_r = (-1, 0), w_c = (0, 0) and
     alpha_1 = (2, -1) on A2.
 
-    [e_i, N] = h_i, N = sum_j f_j, is [e_i, f_j] = delta_ij h_i for all j:
+    [e_i, N] = h_i, N = sum_j f_j (rep.N), is [e_i, f_j] = delta_ij h_i for all j:
     by the grading every entry (r, c) of [e_i, f_j] has w_r - w_c = alpha_i
     - alpha_j, a shift that differs for each j, so the terms sit on disjoint
     entries, and h_i, at shift 0, must be the j = i term.
@@ -461,9 +472,8 @@ def _check_rep(rep: RepMatrices) -> None:
     t = sum(map(operator.mul, datum.root_weights[datum.theta], powers))
     if any(codes[r] != codes[c] + t for r, c in rep.e_theta.entries):
         raise IntegrityError(f"{rep.name}: e_theta breaks the weight grading")
-    N = functools.reduce(operator.add, rep.f)
     for i in range(n):
-        if rep.e[i].commutator(N) != rep.h[i]:
+        if rep.e[i].commutator(rep.N) != rep.h[i]:
             raise IntegrityError(f"{rep.name}: [e_{i+1}, N] != h_{i+1}")
     for i in range(n):
         if not rep.e_theta.commutator(rep.e[i]).is_zero():
@@ -522,7 +532,9 @@ def _theta_by_tree(datum: RootDatum, basis: list, e: tuple[SparseMatrix, ...]) -
     """X = ad x_theta on the adjoint basis, one column per basis element:
     column x_{-theta} is [x_theta, x_{-theta}] = theta^vee, and along each
     edge [e_i, w] = c b of the raising tree from x_{-theta} column b is
-    (1/c) e_i (column w), which is [X, e_i] = 0 on the edge.  adjoint_rep
+    (1/c) e_i (column w), which is [X, e_i] = 0 on the edge.  So a zero
+    column w gives a zero column b, and that edge forms nothing; the tree
+    still walks every edge, so its reach check is unchanged.  adjoint_rep
     certifies X.  theta, the one root of greatest height, leads the
     positive roots, so x_{-theta} follows the n Cartan elements."""
     cartan = len(datum.positive_roots)
@@ -530,6 +542,8 @@ def _theta_by_tree(datum: RootDatum, basis: list, e: tuple[SparseMatrix, ...]) -
     x = {base: {cartan + j: c for j, c in enumerate(datum.coroot_of[datum.theta]) if c}}
     columns = {i: m.cols for i, m in enumerate(e)}
     for i, w, b, c in _raising_tree(basis, columns, base):
+        if not x.get(w):
+            continue
         acc = defaultdict(int)
         for k, v in x[w].items():
             for r, u in columns[i].get(k, ()):
@@ -666,7 +680,8 @@ class PrincipalTriple(namedtuple("PrincipalTriple", "datum dim N RHO E basis_wei
 
 
 def principal_triple(rep: RepMatrices) -> PrincipalTriple:
-    """N = sum f_i, E = x_theta, RHO = diag(-<basis weight, rho^vee>).
+    """N = sum f_i (rep.N, the one _check_rep used), E = x_theta,
+    RHO = diag(-<basis weight, rho^vee>).
 
     RHO is half the int level -<mu, 2 rho^vee>, a Fraction only at odd
     levels.  [N, RHO] = -N and [E, RHO] = (h-1) E are not checked here: they
@@ -679,7 +694,7 @@ def principal_triple(rep: RepMatrices) -> PrincipalTriple:
     datum = rep.datum
     levels = [-pair(w, datum.two_rho_covector) for w in rep.basis_weights]
     return PrincipalTriple(datum=datum, dim=rep.dim,
-                           N=functools.reduce(operator.add, rep.f),
+                           N=rep.N,
                            RHO=SparseMatrix.diagonal([Fraction(k, 2) if k % 2 else k // 2 for k in levels]),
                            E=rep.e_theta, basis_weights=rep.basis_weights)
 

@@ -4,8 +4,9 @@ Connection coefficients are matrix-valued Laurent polynomials in t and z.
 A LaurentMatrix stores one exact scalar SparseMatrix per monomial t^a z^b
 and never stores a zero coefficient.  Sums, scalings and derivatives act
 on each coefficient; the commutator, the one product, adds exponents and
-takes the SparseMatrix commutators of the coefficients; int coefficients
-stay ints.
+takes the SparseMatrix commutators of the coefficients, except two on one
+monomial that cancel, (X, Y) and (aY, bX) with ab = 1 (commutator proves
+it); int coefficients stay ints.
 
 The Frenkel-Gross connection is d + (N + E t) dt/t on the trivial bundle
 over the punctured line; rmodule_pair returns the coefficient pair of its
@@ -17,14 +18,17 @@ namely A = (N + tE)/(tz) and B = -h (N + tE)/z^2 + RHO/z, with h the
 Coxeter number.  Flatness is the algebraic identity dA/dz - dB/dt = [A, B],
 certified by integrability_residual returning the zero matrix; derivatives
 are formal on Laurent exponents and every coefficient is canonical, so
-"is zero" is a structural test on exact rationals.
+"is zero" is a structural test on exact rationals.  [A, B] forms no general
+matrix product: of its six coefficient pairs, (N, -hN) and (E, -hE) are
+multiples, the two with RHO diagonal scalings, and (N, -hE) and (E, -hN)
+the cancelling pair, which is skipped.
 """
 
 from __future__ import annotations
 
 from .chevalley import PrincipalTriple
 from .errors import UsageError
-from .linalg import SparseMatrix, _entry
+from .linalg import SparseMatrix, _entry, _ratio
 
 Monomial = tuple[int, int]  # (t-exponent, z-exponent)
 
@@ -35,6 +39,12 @@ def _accumulate(out: dict[Monomial, SparseMatrix], mono: Monomial, m: SparseMatr
         out.pop(mono, None)
     else:
         out[mono] = s
+
+
+def _cancel(x: SparseMatrix, y: SparseMatrix, x2: SparseMatrix, y2: SparseMatrix) -> bool:
+    """(x2, y2) = (a y, b x) with ab = 1, so that [x, y] + [x2, y2] = 0."""
+    a, b = _ratio(y.entries, x2.entries), _ratio(x.entries, y2.entries)
+    return a is not None and b is not None and a[0] * b[0] == a[1] * b[1]
 
 
 def _term(c, a: int, b: int) -> str:
@@ -93,12 +103,28 @@ class LaurentMatrix:
         return LaurentMatrix(self.dim, {mono: m.scale(c) for mono, m in self.coeffs.items()})
 
     def commutator(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """AB - BA as the sum of the coefficient commutators [A_m, B_m'] t^(m+m')."""
+        """AB - BA as the sum of the coefficient commutators [A_m, B_m'] t^(m+m'),
+        less the pairs of them that cancel.
+
+        Two coefficient pairs on one monomial of the form (X, Y) and
+        (aY, bX) with ab = 1 are skipped: [aY, bX] = ab [Y, X] = -ab [X, Y],
+        so [X, Y] + [aY, bX] = (1 - ab) [X, Y] = 0.  _ratio gives X' = aY as
+        (p, q) with a = p/q and Y' = bX as (p', q') with b = p'/q', and
+        ab = 1 is tested as p p' = q q', so no Fraction is formed.  Every
+        rmodule_pair has one such pair on t^0 z^-3: (N, -hE) and (E, -hN),
+        with a = -1/h and b = -h.
+        """
         self._match(other)
+        pairs = [((t1 + t2, z1 + z2), m1, m2) for (t1, z1), m1 in self.coeffs.items()
+                 for (t2, z2), m2 in other.coeffs.items()]
         out: dict[Monomial, SparseMatrix] = {}
-        for (t1, z1), m1 in self.coeffs.items():
-            for (t2, z2), m2 in other.coeffs.items():
-                _accumulate(out, (t1 + t2, z1 + z2), m1.commutator(m2))
+        while pairs:
+            mono, x, y = pairs.pop(0)
+            twin = next((j for j, (m, x2, y2) in enumerate(pairs) if m == mono and _cancel(x, y, x2, y2)), None)
+            if twin is None:
+                _accumulate(out, mono, x.commutator(y))
+            else:
+                del pairs[twin]
         return LaurentMatrix(self.dim, out)
 
     def d_t(self) -> "LaurentMatrix":

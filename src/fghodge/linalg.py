@@ -3,7 +3,12 @@
 Minimal square-matrix type for representation matrices, and the Jordan types
 of graded nilpotent ones: rank and graded_blocks share one fraction-free
 elimination step, _insert, with one pivot row per leading column.  The
-commutator is the one matrix product here; the package forms no other.
+commutator is the one matrix product here; the package forms no other.  Its
+product branch walks the entries of the sparser operand only, against the
+other's row and column indexes (rows, cols), which each matrix builds once
+and keeps; the Jordan sweep reads the same two indexes for its levels and,
+on an int matrix, takes its rows as they are.  The sum and the commutator
+refuse operands of different dimensions with UsageError.
 Entries are Python ints or Fractions, and from_entries and scale refuse any
 other value with UsageError; nothing here ever touches a float, and an
 integral matrix stays on ints.  A SparseMatrix holds no zero entry and no
@@ -88,6 +93,8 @@ class SparseMatrix:
         return not self.entries
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.dim != other.dim:
+            raise UsageError("matrix dimensions differ")
         out = dict(self.entries)
         for k, v in other.entries.items():
             s = out.get(k, 0) + v
@@ -124,42 +131,57 @@ class SparseMatrix:
 
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
         """XY - YX, X = self and Y = other, by two exact identities or by one
-        accumulator over both row indexes, normalised once.
+        accumulator over the entries of the sparser operand, normalised once.
 
-        - Y = cX is zero: XY - YX = c (XX - XX).  It is detected as the same
-          key set with X[k] y0 = Y[k] x0 on every key k, x0 = X[k0] and
-          y0 = Y[k0] at one key k0: then Y = (y0 / x0) X, as x0 != 0 (with
-          no key, both are zero).
+        - Y = cX is zero: XY - YX = c (XX - XX).  _ratio detects it.
         - Y = diag(d) gives (XY)[r, c] = X[r, c] d_c and (YX)[r, c] = d_r
           X[r, c], so [X, Y][r, c] = X[r, c] (d_c - d_r), one pass over X.
-        Otherwise XY is added and YX subtracted, each loop with its own sign.
+        Otherwise, if Y has fewer entries than X, [X, Y] = -[Y, X]: the two
+        swap and the sum is negated, so that X is the sparser.  An entry
+        X[r, k] = v takes part in (XY)[r, c] = sum_k X[r, k] Y[k, c] once for
+        each Y[k, c] in row k of Y, in (YX)[i, k] = sum_r Y[i, r] X[r, k]
+        once for each Y[i, r] in column r of Y, and in no other term.  So one
+        walk over the entries of X, reading Y's cached rows and cols, forms
+        every product term once: on E8 [e_i, N] walks the ~60 entries of e_i
+        and not the 478 of N.
         """
         if self.dim != other.dim:
             raise UsageError("matrix dimensions differ")
         x, y = self.entries, other.entries
-        if x.keys() == y.keys():
-            k0 = next(iter(x), None)
-            if k0 is None or all(v * y[k0] == y[k] * x[k0] for k, v in x.items()):
-                return SparseMatrix(self.dim, {})
+        if _ratio(x, y) is not None:
+            return SparseMatrix(self.dim, {})
         if all(r == c for r, c in y):
             return SparseMatrix(self.dim, {(r, c): _norm(v * s) for (r, c), v in x.items()
                                            if (s := y.get((c, c), 0) - y.get((r, r), 0))})
+        x, other, sign = (y, self, -1) if len(y) < len(x) else (x, other, 1)
+        rows, cols = other.rows, other.cols
         acc: Entries = defaultdict(int)
-        rows = other.rows
         for (r, k), v in x.items():
             for c, u in rows.get(k, ()):
                 acc[(r, c)] += v * u
-        rows = self.rows
-        for (r, k), v in y.items():
-            for c, u in rows.get(k, ()):
-                acc[(r, c)] -= v * u
-        return SparseMatrix(self.dim, {k: _norm(v) for k, v in acc.items() if v})
+            for i, u in cols.get(r, ()):
+                acc[(i, k)] -= u * v
+        return SparseMatrix(self.dim, {k: _norm(sign * v) for k, v in acc.items() if v})
 
 
-def _int_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
-    """The nonzero rows of den * matrix as {col: int}, den the lcm of all denominators."""
+def _ratio(x: Entries, y: Entries) -> tuple[Entry, Entry] | None:
+    """(p, q) = (y[k0], x[k0]), k0 the first key of x, when x is not zero and
+    y = (p/q) x, else None.  y has x's keys and y[k] q = x[k] p on each: a
+    cross-multiplication, so no Fraction is formed on int entries."""
+    k0 = next(iter(x), None)
+    p, q = y.get(k0), x.get(k0)
+    if p is not None and x.keys() == y.keys() and all(y[k] * q == v * p for k, v in x.items()):
+        return p, q
+    return None
+
+
+def _int_rows(matrix: SparseMatrix) -> dict[int, list[tuple[int, int]]]:
+    """The nonzero rows of den * matrix as [(col, int), ...], den the lcm of
+    all denominators: the cached rows themselves when every entry is an int."""
+    if all(type(v) is int for v in matrix.entries.values()):
+        return matrix.rows
     den = lcm(*(v.denominator for v in matrix.entries.values()))
-    return {r: {c: v.numerator * (den // v.denominator) for c, v in row}
+    return {r: [(c, v.numerator * (den // v.denominator)) for c, v in row]
             for r, row in matrix.rows.items()}
 
 
@@ -197,11 +219,11 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _row_times(row: dict[int, int], rows: dict[int, dict[int, int]]) -> dict[int, int]:
-    """The integer row times the matrix whose nonzero rows are rows."""
+def _row_times(row: dict[int, int], rows: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+    """The integer row times the matrix whose nonzero rows are rows (_int_rows)."""
     out: dict[int, int] = {}
     for k, x in row.items():
-        for c, y in rows.get(k, {}).items():
+        for c, y in rows.get(k, ()):
             if v := out.get(c, 0) + x * y:
                 out[c] = v
             else:
@@ -213,34 +235,32 @@ def rank(matrix: SparseMatrix) -> int:
     """Rank over Q: the number of leading columns that get a pivot when
     _echelon eliminates the rows of matrix, whose denominators are cleared
     once so that int and Fraction entries run on ints."""
-    return len(_echelon(_int_rows(matrix).values()))
+    return len(_echelon(map(dict, _int_rows(matrix).values())))
 
 
 def graded_blocks(matrix: SparseMatrix) -> list[int] | None:
     """Jordan blocks of a matrix all of whose nonzero (r, c) raise a level by
     one, in one sweep over the levels; None if its support has no such levels.
 
-    A BFS over the support finds the levels.  Each level carries an echelon
-    basis, each row tagged with its birth level, completed by unit rows born
-    there.  The images of the rows born by b span the image of level b; one
-    that reduces to zero, inserted oldest first, closes a block of size
-    level - birth + 1 (the elder rule for the bars of the graded k[x]-module,
+    A BFS over the cached rows and cols finds the levels: an entry (r, c)
+    puts c one level above r.  Each level carries an echelon basis, each row
+    tagged with its birth level, completed by unit rows born there.  The
+    images of the rows born by b span the image of level b; one that
+    reduces to zero, inserted oldest first, closes a block of size level -
+    birth + 1 (the elder rule for the bars of the graded k[x]-module,
     Zomorodian-Carlsson, DCG 33, 2005); the rest are carried up.
     """
-    edges: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for r, c in matrix.entries:
-        edges[r].append((c, 1))
-        edges[c].append((r, -1))
     level: dict[int, int] = {}
     for start in range(matrix.dim):
         queue = [] if start in level else [start]
         level.setdefault(start, 0)
         for u in queue:
-            for v, step in edges[u]:
-                if v not in level:
-                    queue.append(v)
-                if level.setdefault(v, level[u] + step) != level[u] + step:
-                    return None
+            for index, step in ((matrix.rows, 1), (matrix.cols, -1)):
+                for v, _ in index.get(u, ()):
+                    if v not in level:
+                        queue.append(v)
+                    if level.setdefault(v, level[u] + step) != level[u] + step:
+                        return None
     rows, blocks, carried, pivots = _int_rows(matrix), [], [], {}
     for k, born in groupby(sorted(level, key=level.get), level.get):
         # groupby skips empty levels: below one every image is zero, so nothing is carried

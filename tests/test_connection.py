@@ -243,16 +243,83 @@ def test_commutator_is_ab_minus_ba_on_the_certify_cases(name, which):
     assert residual == a.d_z() - broken.d_t() - product
 
 
-def test_the_e8_residual_forms_only_the_cancelling_products(monkeypatch):
+def test_the_e8_residual_reads_no_row_or_column_index(monkeypatch):
     # A = N/(tz) + E/z and B = -hN/z^2 - hE t/z^2 + RHO/z: [N, -hN] and
-    # [E, -hE] are multiples, the two RHO pairs Hadamard scalings, so only
-    # [N, -hE] and [E, -hN] read row indexes, one of each factor
+    # [E, -hE] are multiples, the two RHO pairs Hadamard scalings, and
+    # [N, -hE] and [E, -hN] the cancelling pair that LaurentMatrix.commutator
+    # skips, so no SparseMatrix index is read and no product is formed
     d = datum("E8")
     a, b = rmodule_pair(principal_triple(adjoint_rep(d)), d.coxeter)
     reads = []
-    build = SparseMatrix.__dict__["rows"].func
-    monkeypatch.setattr(SparseMatrix, "rows", property(lambda m: reads.append(m) or build(m)))
+    for name in ("rows", "cols"):
+        build = SparseMatrix.__dict__[name].func
+        monkeypatch.setattr(SparseMatrix, name,
+                            property(lambda m, build=build, name=name: reads.append(name) or build(m)))
     assert integrability_residual(a, b).is_zero()
-    n, e = a.coeffs[(-1, -1)], a.coeffs[(0, -1)]
-    hn, he = b.coeffs[(0, -2)], b.coeffs[(1, -2)]
-    assert sorted(map(id, reads)) == sorted(map(id, [n, he, e, hn]))
+    assert reads == []
+
+
+def commutators_formed(monkeypatch) -> list:
+    """The (X, Y) of every SparseMatrix commutator [X, Y] formed from now on."""
+    calls = []
+    commutator = SparseMatrix.commutator
+    monkeypatch.setattr(SparseMatrix, "commutator",
+                        lambda x, y: calls.append((x, y)) or commutator(x, y))
+    return calls
+
+
+def test_a_cancelling_pair_with_ab_one_is_skipped(monkeypatch):
+    # A = X t + (a Y) z and B = Y z + (b X) t with a = 2/3 and b = 3/2: on t z
+    # the pairs (X, Y) and (aY, bX) give (1 - ab)[X, Y] = 0 and are skipped;
+    # the two multiples (X, bX) and (aY, Y) are formed and vanish
+    x = SparseMatrix.from_entries(3, {(0, 1): 1, (1, 2): 2, (2, 0): -1, (1, 1): 3})
+    y = SparseMatrix.from_entries(3, {(0, 0): 1, (1, 0): Q(1, 2), (2, 1): 4})
+    assert not x.commutator(y).is_zero()
+    a = (LaurentMatrix.from_scalar_matrix(x, dt=1)
+         + LaurentMatrix.from_scalar_matrix(y, dz=1, factor=Q(2, 3)))
+    b = (LaurentMatrix.from_scalar_matrix(y, dz=1)
+         + LaurentMatrix.from_scalar_matrix(x, dt=1, factor=Q(3, 2)))
+    calls = commutators_formed(monkeypatch)
+    assert a.commutator(b).is_zero()
+    assert (laurent_product(a, b) - laurent_product(b, a)).is_zero()
+    formed = {(id(left), id(right)) for left, right in calls}
+    assert len(calls) == 2 and formed == {(id(a.coeffs[m]), id(b.coeffs[m])) for m in [(1, 0), (0, 1)]}
+
+
+@pytest.mark.parametrize("name,which", [("B3", "adjoint"), ("C3", "std"), ("E6", "adjoint")])
+def test_a_pair_with_ab_not_one_is_formed(monkeypatch, name, which):
+    # B's E coefficient -hE scaled by 1 - h: the pair (N, (1 - h)(-hE)),
+    # (E, -hN) has ab = 1/(1 - h), so both products are formed, and [A, B]
+    # keeps (1 - ab)[N, -(1 - h) hE] = h^2 [N, E] on t^0 z^-3, which the
+    # residual carries as -h^2 [N, E]
+    d = datum(name)
+    tr = principal_triple(classical_std_rep(d) if which == "std" else adjoint_rep(d))
+    a, b = rmodule_pair(tr, d.coxeter)
+    b = LaurentMatrix(b.dim, {**b.coeffs, (1, -2): b.coeffs[(1, -2)].scale(1 - d.coxeter)})
+    calls = commutators_formed(monkeypatch)
+    got = a.commutator(b)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    assert got == laurent_product(a, b) - laurent_product(b, a)
+    residual = integrability_residual(a, b)
+    assert not residual.is_zero()
+    nte = LaurentMatrix.from_scalar_matrix(tr.N).commutator(LaurentMatrix.from_scalar_matrix(tr.E))
+    assert residual.coeffs[(0, -3)] == nte.coeffs[(0, 0)].scale(-d.coxeter ** 2)
+
+
+@pytest.mark.parametrize("name,which", [("A2", "std"), ("C3", "std"), ("G2", "adjoint"), ("E7", "adjoint")])
+def test_a_corrupted_rho_is_caught_as_by_the_oracle_products(name, which):
+    # one RHO entry moved by 1/3: the residual is nonzero and names the same
+    # first entry, with the same text, as the residual from laurent_product
+    d = datum(name)
+    tr = principal_triple(classical_std_rep(d) if which == "std" else adjoint_rep(d))
+    rho = dict(tr.RHO.entries)
+    rho[(1, 1)] = rho.get((1, 1), 0) + Q(1, 3)
+    bad = PrincipalTriple(datum=d, dim=tr.dim, N=tr.N, RHO=SparseMatrix.from_entries(tr.dim, rho),
+                          E=tr.E, basis_weights=tr.basis_weights)
+    a, b = rmodule_pair(bad, d.coxeter)
+    residual = integrability_residual(a, b)
+    oracle = a.d_z() - b.d_t() - (laurent_product(a, b) - laurent_product(b, a))
+    assert not residual.is_zero()
+    assert residual == oracle
+    assert residual.first_nonzero() == oracle.first_nonzero()

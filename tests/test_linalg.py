@@ -89,7 +89,9 @@ def commuting_or_not(draw):
     unrelated to A or on the support of A; B = c A with c an int, a negative
     int or a Fraction; A^2 plus a scalar, so that AB - BA cancels entry by
     entry; B diagonal (general, zero, or half-integral like RHO on C_n std);
-    A diagonal; an empty matrix on either side or of dimension 0."""
+    A diagonal; an empty matrix on either side or of dimension 0; and B with
+    more, fewer or as many entries as A, so that the product walks A, B, or
+    A on a tie."""
     dense = draw(sparse_matrices())
     dim = len(dense)
     a = SparseMatrix.from_entries(dim, {(r, c): v for r, row in enumerate(dense)
@@ -100,7 +102,15 @@ def commuting_or_not(draw):
     diagonal = st.lists(entries, min_size=dim, max_size=dim).map(SparseMatrix.diagonal)
     kind = draw(st.sampled_from(["other", "same support", "int multiple", "negative multiple",
                                  "fraction multiple", "polynomial", "diagonal", "zero diagonal",
-                                 "half diagonal", "diagonal A", "empty A", "empty B", "dimension 0"]))
+                                 "half diagonal", "diagonal A", "empty A", "empty B", "dimension 0",
+                                 "sparser A", "sparser B", "equal nnz"]))
+    if kind in ("sparser A", "sparser B", "equal nnz"):  # B's entry count against A's
+        size = draw({"sparser A": st.integers(min(a.nnz + 1, dim * dim), dim * dim),
+                     "sparser B": st.integers(0, max(a.nnz - 1, 0)),
+                     "equal nnz": st.just(a.nnz)}[kind])
+        keys = draw(st.permutations([(r, c) for r in range(dim) for c in range(dim)]))[:size]
+        nonzero = entries.filter(lambda v: v != 0)
+        return a, SparseMatrix.from_entries(dim, {k: draw(nonzero) for k in keys}), False
     if kind == "same support":  # mostly not a multiple
         nonzero = entries.filter(lambda v: v != 0)
         return a, SparseMatrix.from_entries(dim, {k: draw(nonzero) for k in a.entries}), False
@@ -160,6 +170,34 @@ def test_matrices_refuse_values_that_are_not_ints_or_fractions():
 def test_commutator_refuses_different_dimensions():
     with pytest.raises(UsageError, match="dimensions differ"):
         SparseMatrix.diagonal([1, 2]).commutator(SparseMatrix.diagonal([1, 2, 3]))
+
+
+def test_the_product_walks_the_sparser_operand(monkeypatch):
+    # [X, Y] reads the row and column indexes of the denser operand only,
+    # and of Y on a tie
+    x = SparseMatrix.from_entries(3, {(0, 1): 2})
+    y = SparseMatrix.from_entries(3, {(1, 2): 1, (2, 0): Fraction(1, 3), (0, 1): 5, (1, 0): -1})
+    tie = SparseMatrix.from_entries(3, {(1, 0): 7})
+    reads = []
+    for name in ("rows", "cols"):
+        build = SparseMatrix.__dict__[name].func
+        monkeypatch.setattr(SparseMatrix, name,
+                            property(lambda m, build=build, name=name: reads.append((name, m)) or build(m)))
+    for a, b, walked in ((x, y, y), (y, x, y), (x, tie, tie)):
+        reads.clear()
+        got = a.commutator(b)
+        assert [(name, id(m)) for name, m in reads] == [("rows", id(walked)), ("cols", id(walked))]
+        assert got == matrix_product(a, b) + matrix_product(b, a).scale(-1)
+
+
+def test_the_sum_refuses_different_dimensions():
+    # a 2x2 plus a 3x3 used to be a "2x2" holding entry (2, 2), whose level
+    # sweep answered [2]
+    small = SparseMatrix.from_entries(2, {(0, 1): 1})
+    big = SparseMatrix.from_entries(3, {(2, 2): 5})
+    for x, y in ((small, big), (big, small)):
+        with pytest.raises(UsageError, match="matrix dimensions differ"):
+            x + y
 
 
 def jordan_blocks_from_powers(m: SparseMatrix) -> tuple[int, ...]:
@@ -257,6 +295,18 @@ def test_a_support_without_levels_is_refused(monkeypatch):
     assert graded_blocks(m) is None
     with pytest.raises(UsageError, match="no grading"):
         jordan_type(m)
+
+
+def test_the_level_sweep_reads_the_cached_rows_of_an_int_matrix_unchanged():
+    # an int matrix gives its cached rows to the sweep as they are, with no
+    # lcm pass; the sweep must leave them as built
+    n = principal_triple(adjoint_rep(datum("E6"))).N
+    before = {r: list(row) for r, row in n.rows.items()}
+    assert linalg._int_rows(n) is n.rows
+    assert jordan_type(n).blocks == (23, 17, 15, 11, 9, 3)
+    assert n.rows == before == SparseMatrix(n.dim, dict(n.entries)).rows
+    half = n.scale(Fraction(1, 2))
+    assert linalg._int_rows(half) == n.rows and jordan_type(half) == jordan_type(n)
 
 
 def test_jordan_type_sweeps_e8_adjoint_in_dim_row_products(monkeypatch):
