@@ -490,30 +490,33 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
     decomposition of gamma.  Its constant is N = +(p+1), p the length of
     the alpha_i-string down from delta, which positive roots alone fix
     (delta - k alpha_i with delta != alpha_i positive is a positive root or
-    no root).  No runtime check sees the scale of x_theta ([e_theta, e_i] =
-    0 and [E, RHO] = (h-1) E hold for any nonzero multiple): the tests pin
-    it against the structure constants of the bracket table.  The adjoint
-    takes _theta_by_tree, whose seed theta^vee fixes the scale.
+    no root).  The chain carries each x_gamma as a pair (M, D) with x_gamma
+    = M / D, D the product of the N along it: M_gamma = [e_i, M_delta] and
+    D_gamma = N D_delta, since the commutator is linear.  On int e_i, M stays
+    on ints, and the one division, by D at theta, gives the same exact
+    entries as a division at each step.  No runtime check sees the scale of
+    x_theta ([e_theta, e_i] = 0 and [E, RHO] = (h-1) E hold for any nonzero
+    multiple): the tests pin it against the structure constants of the
+    bracket table.  The adjoint takes _theta_by_tree, whose seed theta^vee
+    fixes the scale.
     """
     positive = _root_codes(datum)
-    mats: dict[int, SparseMatrix] = {_BASE ** i: m for i, m in enumerate(e)}
+    mats: dict[int, tuple[SparseMatrix, int]] = {_BASE ** i: (m, 1) for i, m in enumerate(e)}
 
-    def build(gamma: int) -> SparseMatrix:
+    def build(gamma: int) -> tuple[SparseMatrix, int]:
         got = mats.get(gamma)
         if got is not None:
             return got
         for i in range(datum.rank):
             alpha = _BASE ** i  # the code of alpha_i
             if (delta := gamma - alpha) in positive:
-                n = _string_length(positive, alpha, delta) + 1
-                m = e[i].commutator(build(delta))
-                m = SparseMatrix(m.dim, {k: v // n if type(v) is int and not v % n else Fraction(v, n)
-                                         for k, v in m.entries.items()})
-                mats[gamma] = m
-                return m
+                m, den = build(delta)
+                mats[gamma] = got = (e[i].commutator(m), den * (_string_length(positive, alpha, delta) + 1))
+                return got
         raise IntegrityError(f"no simple-root decomposition for {positive[gamma]}")
 
-    return build(next(c for c, r in positive.items() if r == datum.theta))
+    m, den = build(next(c for c, r in positive.items() if r == datum.theta))
+    return SparseMatrix(m.dim, {k: v // den if not v % den else Fraction(v, den) for k, v in m.entries.items()})
 
 
 def _adjoint_generators(datum: RootDatum, basis: list, weights: tuple, ad: dict) -> RepMatrices:
@@ -614,7 +617,11 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
     v_{mu+alpha_i} and f_i v_{mu+alpha_i} = q (q + <mu, alpha_i^vee> + 1)
     v_mu, with q >= 1 the steps from mu to the top of its string, which is
     [e_i, f_i] = h_i along the string.  That is 1 on every minuscule string
-    and 2, 2 on the string through the zero weight of B_n's V(omega_1).  A
+    and 2, 2 on the string through the zero weight of B_n's V(omega_1).
+    The weights of V(lam) form unbroken strings that s_i reverses, so with
+    p the steps from mu down to the bottom of its string, <mu, alpha_i^vee>
+    = p - q and the f entry is q (p + 1) >= 1: every entry of e, f and h is
+    a nonzero int, and each matrix is written as is, without from_entries.  A
     weight with multiplicity is refused, and multiplicity-free is not
     enough: with e_i = 1 on every edge, f_j can depend on the path around a
     weight square, and _check_rep refuses A2 and A3 V(2 omega_1) and C3
@@ -642,9 +649,10 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
                 q += 1
             e_entries[i][(row, col)] = 1
             f_entries[i][(col, row)] = q * (q + mu[i] + 1)
-    e = tuple(SparseMatrix.from_entries(dim, ent) for ent in e_entries)
-    f = tuple(SparseMatrix.from_entries(dim, ent) for ent in f_entries)
-    h = tuple(SparseMatrix.diagonal([w[i] for w in weights]) for i in range(datum.rank))
+    e = tuple(SparseMatrix(dim, ent) for ent in e_entries)
+    f = tuple(SparseMatrix(dim, ent) for ent in f_entries)
+    h = tuple(SparseMatrix(dim, {(k, k): w[i] for k, w in enumerate(weights) if w[i]})
+              for i in range(datum.rank))
     rep = RepMatrices(datum=datum, dim=dim, basis_weights=weights, e=e, f=f, h=h,
                       e_theta=_theta_matrix(datum, e),
                       name=f"V({','.join(map(str, lam))}) of {datum.stype}")
@@ -692,10 +700,9 @@ def principal_triple(rep: RepMatrices) -> PrincipalTriple:
     flatness residual certifies both again.
     """
     datum = rep.datum
-    levels = [-pair(w, datum.two_rho_covector) for w in rep.basis_weights]
-    return PrincipalTriple(datum=datum, dim=rep.dim,
-                           N=rep.N,
-                           RHO=SparseMatrix.diagonal([Fraction(k, 2) if k % 2 else k // 2 for k in levels]),
+    levels = [-sum(map(operator.mul, w, datum.two_rho_covector)) for w in rep.basis_weights]
+    rho = {(i, i): Fraction(k, 2) if k % 2 else k // 2 for i, k in enumerate(levels) if k}
+    return PrincipalTriple(datum=datum, dim=rep.dim, N=rep.N, RHO=SparseMatrix(rep.dim, rho),
                            E=rep.e_theta, basis_weights=rep.basis_weights)
 
 

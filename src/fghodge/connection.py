@@ -6,7 +6,7 @@ and never stores a zero coefficient.  Sums, scalings and derivatives act
 on each coefficient; the commutator, the one product, adds exponents and
 takes the SparseMatrix commutators of the coefficients, except two on one
 monomial that cancel, (X, Y) and (aY, bX) with ab = 1 (commutator proves
-it); int coefficients stay ints.
+it), and the multiples that test finds; int coefficients stay ints.
 
 The Frenkel-Gross connection is d + (N + E t) dt/t on the trivial bundle
 over the punctured line; rmodule_pair returns the coefficient pair of its
@@ -20,8 +20,9 @@ certified by integrability_residual returning the zero matrix; derivatives
 are formal on Laurent exponents and every coefficient is canonical, so
 "is zero" is a structural test on exact rationals.  [A, B] forms no general
 matrix product: of its six coefficient pairs, (N, -hN) and (E, -hE) are
-multiples, the two with RHO diagonal scalings, and (N, -hE) and (E, -hN)
-the cancelling pair, which is skipped.
+multiples, which the cancel test finds, the two with RHO diagonal scalings,
+and (N, -hE) and (E, -hN) the cancelling pair; only the two RHO pairs are
+formed.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ def _accumulate(out: dict[Monomial, SparseMatrix], mono: Monomial, m: SparseMatr
         out[mono] = s
 
 
-def _cancel(x: SparseMatrix, y: SparseMatrix, x2: SparseMatrix, y2: SparseMatrix) -> bool:
-    """(x2, y2) = (a y, b x) with ab = 1, so that [x, y] + [x2, y2] = 0."""
-    a, b = _ratio(y.entries, x2.entries), _ratio(x.entries, y2.entries)
-    return a is not None and b is not None and a[0] * b[0] == a[1] * b[1]
+def _cancel(ratio, x: SparseMatrix, y: SparseMatrix, x2: SparseMatrix, y2: SparseMatrix) -> bool:
+    """(x2, y2) = (a y, b x) with ab = 1, so that [x, y] + [x2, y2] = 0;
+    ratio(u, v) is _ratio of the coefficient pair (u, v), formed once."""
+    a, b = ratio(x2, y), ratio(x, y2)
+    return a is not None and b is not None and a[0] * b[1] == a[1] * b[0]
 
 
 def _term(c, a: int, b: int) -> str:
@@ -108,23 +110,41 @@ class LaurentMatrix:
 
         Two coefficient pairs on one monomial of the form (X, Y) and
         (aY, bX) with ab = 1 are skipped: [aY, bX] = ab [Y, X] = -ab [X, Y],
-        so [X, Y] + [aY, bX] = (1 - ab) [X, Y] = 0.  _ratio gives X' = aY as
-        (p, q) with a = p/q and Y' = bX as (p', q') with b = p'/q', and
-        ab = 1 is tested as p p' = q q', so no Fraction is formed.  Every
-        rmodule_pair has one such pair on t^0 z^-3: (N, -hE) and (E, -hN),
-        with a = -1/h and b = -h.
+        so [X, Y] + [aY, bX] = (1 - ab) [X, Y] = 0.  _ratio on the pair
+        (X', Y) gives Y = (p/q) X', so a = q/p, and on the pair (X, Y') gives
+        Y' = (p'/q') X, so b = p'/q'; ab = 1 is tested as q p' = p q', so no
+        Fraction is formed.  Every rmodule_pair has one such pair on t^0
+        z^-3: (N, -hE) and (E, -hN), with a = -1/h and b = -h.
+
+        The cancelling pairs are found first, and each _ratio that search
+        forms is kept by pair; a pair it found to be a multiple, [X, cX] = 0,
+        forms no commutator.  On an rmodule_pair those are (N, -hN) and
+        (E, -hE), so the pass over N against -hN is made once, not again in
+        SparseMatrix.commutator.
         """
         self._match(other)
         pairs = [((t1 + t2, z1 + z2), m1, m2) for (t1, z1), m1 in self.coeffs.items()
                  for (t2, z2), m2 in other.coeffs.items()]
-        out: dict[Monomial, SparseMatrix] = {}
+        ratios: dict[tuple[int, int], tuple | None] = {}
+
+        def ratio(u: SparseMatrix, v: SparseMatrix):
+            key = (id(u), id(v))
+            if key not in ratios:
+                ratios[key] = _ratio(u.entries, v.entries)
+            return ratios[key]
+
+        kept = []
         while pairs:
             mono, x, y = pairs.pop(0)
-            twin = next((j for j, (m, x2, y2) in enumerate(pairs) if m == mono and _cancel(x, y, x2, y2)), None)
+            twin = next((j for j, (m, x2, y2) in enumerate(pairs) if m == mono and _cancel(ratio, x, y, x2, y2)), None)
             if twin is None:
-                _accumulate(out, mono, x.commutator(y))
+                kept.append((mono, x, y))
             else:
                 del pairs[twin]
+        out: dict[Monomial, SparseMatrix] = {}
+        for mono, x, y in kept:
+            if ratios.get((id(x), id(y))) is None:  # not a known multiple
+                _accumulate(out, mono, x.commutator(y))
         return LaurentMatrix(self.dim, out)
 
     def d_t(self) -> "LaurentMatrix":

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 from .errors import ConfigurationError, IntegrityError, ResourceLimitError, UsageError
 
@@ -261,14 +262,23 @@ class RootDatum:
 
 
 def _root_sort_key(root: Coords):
-    return (sum(root), tuple(-c for c in root))
+    return (sum(root), tuple(map(operator.neg, root)))
 
 
 @functools.lru_cache(maxsize=None)
 def build_root_datum(stype: SimpleType) -> RootDatum:
     """Construct the root datum of a simple type; cached per type.
 
-    Positive roots come from the reflection closure of the simple roots.
+    Positive roots come from the reflection closure of the simple roots,
+    which follows raising steps only: s_i r = r - k alpha_i with k =
+    <r, alpha_i^vee> < 0.  Such a step stays in Phi+ (r != alpha_i, whose k
+    is 2, and s_i permutes Phi+ minus {alpha_i}), and it reaches every
+    positive root.  A non-simple beta > 0 has some <beta, alpha_j^vee> > 0,
+    since (beta, beta) = sum_j beta_j (beta, alpha_j) > 0 with every beta_j
+    >= 0; so s_j beta is a positive root of lower height, with <s_j beta,
+    alpha_j^vee> = -<beta, alpha_j^vee> < 0, and beta is one raising step
+    above it.  By induction on height the closure is Phi+.
+
     The invariants are asserted on ints before returning: the root count
     and height(theta) + 1 = h against the classical closed forms,
     <alpha_i, 2 rho^vee> = 2, and the positive-root sum 2 rho = (2, ..., 2)
@@ -289,10 +299,10 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
 
     simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
-    # Reflection closure over the positive roots: s_i permutes Phi+ minus
-    # {alpha_i}, and every positive root descends to a simple one that way.
-    # Each root carries its pairings <r, alpha_j^vee> (s_i subtracts k times
-    # row i of the Cartan matrix) and its squared norm (s_i preserves it).
+    # Raising-only reflection closure (docstring): from each root r, s_i r =
+    # r - k alpha_i for each k = <r, alpha_i^vee> < 0.  Each root carries its
+    # pairings <r, alpha_j^vee> (s_i subtracts k times row i of the Cartan
+    # matrix) and its squared norm (s_i preserves it).
     pairings = {s: cartan[i] for i, s in enumerate(simple)}
     norms = {s: 2 * halfnorms[i] for i, s in enumerate(simple)}
     frontier = list(simple)
@@ -301,11 +311,11 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
         for r in frontier:
             w = pairings[r]
             for i, k in enumerate(w):
-                if k == 0 or r == simple[i]:  # s_i fixes r, or sends alpha_i to -alpha_i
+                if k >= 0:
                     continue
                 s = r[:i] + (r[i] - k,) + r[i + 1:]
                 if s not in pairings:
-                    pairings[s] = tuple(c - k * a for c, a in zip(w, cartan[i]))
+                    pairings[s] = tuple([c - k * a for c, a in zip(w, cartan[i])])
                     norms[s] = norms[r]
                     nxt.append(s)
         frontier = nxt
@@ -316,7 +326,7 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
             f"{stype}: reflection closure found {len(positive)} positive roots, expected {count}"
         )
 
-    coroot_of = {}
+    coroots = []
     for r in positive:
         ns = norms[r]
         co = []
@@ -325,17 +335,18 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
             if rem:
                 raise IntegrityError("coroot coefficients must be integral")
             co.append(c)
-        coroot_of[r] = tuple(co)
+        coroots.append(tuple(co))
 
-    two_rho_cov = tuple(sum(coroot_of[r][i] for r in positive) for i in range(n))
+    # column sums over the sorted list, so a root listed twice counts twice
+    two_rho_cov = tuple(map(sum, zip(*coroots)))
     # <alpha_i, 2 rho^vee> = 2 characterizes 2 rho^vee
-    for i in range(n):
-        if sum(a * c for a, c in zip(cartan[i], two_rho_cov)) != 2:
+    for row in cartan:
+        if sum(map(operator.mul, row, two_rho_cov)) != 2:
             raise IntegrityError("2 rho covector must pair to 2 with every simple root")
     # rho = (1, ..., 1) is half the positive-root sum: pair the sum, in root
     # coordinates, through the Cartan matrix, not the pairings carried above
-    root_sum = [sum(r[i] for r in positive) for i in range(n)]
-    if any(sum(root_sum[i] * cartan[i][j] for i in range(n)) != 2 for j in range(n)):
+    root_sum = list(map(sum, zip(*positive)))
+    if any(sum(map(operator.mul, root_sum, col)) != 2 for col in zip(*cartan)):
         raise IntegrityError("the positive roots must sum to 2 rho")
 
     theta = positive[-1]  # unique root of maximal height
@@ -348,7 +359,7 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
         cartan=cartan,
         simple_roots=simple,
         positive_roots=tuple(positive),
-        coroot_of=coroot_of,
+        coroot_of=dict(zip(positive, coroots)),
         two_rho_covector=two_rho_cov,
         theta=theta,
         coxeter=coxeter,

@@ -6,14 +6,18 @@ symmetrizer on Fractions), writes a matrix out for a human reader, or is a
 small formula only the tests read (the tensor-product grading, the
 connection's dt/t coefficient, the root coordinates of a weight through the
 Cartan matrix's rational inverse, the weight and the Gram norm of a root, a
-coroot pairing).  carter_structure_constants is the tuple-arithmetic build
+coroot pairing).  two_sided_root_datum is the reflection closure that also
+takes lowering steps, the route the package's raising-only closure must
+reproduce field for field.  carter_structure_constants is the tuple-arithmetic build
 of the bracket table that the package's int-coded one must reproduce bit
 for bit.  serre_relations_hold forms the Serre commutators that the
 package's Chevalley-Serre check proves implied.  The package forms no
 matrix product but the commutator and reads a Jordan type only off the
 level sweep: matrix_product and laurent_product are the products its
 commutators are checked against, and power_ranks is the row-space rank
-chain that checks the sweep, on any nilpotent matrix.
+chain that checks the sweep, on any nilpotent matrix.  theta_chain_by_steps
+divides x_gamma by its N at each step of the extraspecial chain, where the
+package carries one denominator to theta.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fghodge.connection import LaurentMatrix
 from fghodge.grading import HodgeTable
 from fghodge.errors import IntegrityError, UsageError
 from fghodge.linalg import Entry, SparseMatrix, _echelon, _int_rows, _row_times
-from fghodge.rootdatum import Coords, RootDatum
+from fghodge.rootdatum import Coords, RootDatum, SimpleType, _cartan_matrix
 
 
 def product_character_grading(c1: Character, c2: Character) -> HodgeTable:
@@ -304,3 +308,64 @@ def carter_structure_constants(datum: RootDatum) -> StructureConstants:
         if _vadd(a, b) in root_set and abs(v) != string_length(root_set, a, b) + 1:
             raise IntegrityError(f"|N_{a},{b}| = {abs(v)} breaks the root-string rule")
     return StructureConstants(datum=datum, n_pos=n_pos, root_set=root_set, norm2=norm2)
+
+
+def two_sided_root_datum(stype: SimpleType) -> dict:
+    """The fields of build_root_datum(stype) by name, from the reflection
+    closure that takes every s_i with <r, alpha_i^vee> != 0 (lowering steps
+    too, each s_i alpha_i = -alpha_i skipped), the Fraction symmetrizer and
+    Fraction coroots 2 r_i d_i / |r|^2, summed over dict values."""
+    cartan = _cartan_matrix(stype)
+    n = stype.rank
+    halfnorms = fraction_symmetrizer(cartan)
+    simple = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    pairings = {s: cartan[i] for i, s in enumerate(simple)}
+    norms = {s: 2 * halfnorms[i] for i, s in enumerate(simple)}
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for i, k in enumerate(pairings[r]):
+                if k == 0 or r == simple[i]:
+                    continue
+                s = tuple(c - k * (j == i) for j, c in enumerate(r))
+                if s not in pairings:
+                    pairings[s] = tuple(c - k * a for c, a in zip(pairings[r], cartan[i]))
+                    norms[s] = norms[r]
+                    nxt.append(s)
+        frontier = nxt
+    positive = sorted(pairings, key=lambda r: (sum(r), tuple(-c for c in r)))
+    coroot_of = {}
+    for r in positive:
+        co = [Fraction(2 * r[i] * halfnorms[i], norms[r]) for i in range(n)]
+        if any(c.denominator != 1 for c in co):
+            raise IntegrityError(f"the coroot of {r} is not integral")
+        coroot_of[r] = tuple(map(int, co))
+    theta = positive[-1]
+    return {
+        "stype": stype, "cartan": cartan, "simple_roots": simple, "positive_roots": tuple(positive),
+        "coroot_of": coroot_of,
+        "two_rho_covector": tuple(sum(co[i] for co in coroot_of.values()) for i in range(n)),
+        "theta": theta, "coxeter": sum(theta) + 1, "halfnorms": halfnorms,
+        "root_weights": {r: pairings[r] for r in positive}, "root_norm2": {r: norms[r] for r in positive},
+    }
+
+
+def theta_chain_by_steps(datum: RootDatum, e) -> SparseMatrix:
+    """x_theta on the representation with simple generators e: x_gamma =
+    [e_i, x_delta] / N, N = p + 1, for the first i with delta = gamma -
+    alpha_i a positive root, on coordinate tuples, with each commutator from
+    matrix_product and each step divided by its own N (a Fraction scale)."""
+    positive = frozenset(datum.positive_roots)
+    x = dict(zip(datum.simple_roots, e))
+
+    def build(gamma: Coords) -> SparseMatrix:
+        if gamma not in x:
+            i, delta = next((i, _vsub(gamma, a)) for i, a in enumerate(datum.simple_roots)
+                            if _vsub(gamma, a) in positive)
+            m = build(delta)
+            bracket = matrix_product(e[i], m) + matrix_product(m, e[i]).scale(-1)
+            x[gamma] = bracket.scale(Fraction(1, string_length(positive, datum.simple_roots[i], delta) + 1))
+        return x[gamma]
+
+    return build(datum.theta)

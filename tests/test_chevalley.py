@@ -42,6 +42,7 @@ from oracles import (
     rank_chain_blocks,
     serre_relations_hold,
     string_length,
+    theta_chain_by_steps,
     to_dense,
     weight_of_root,
 )
@@ -420,6 +421,42 @@ def test_e_theta_is_integral_except_the_halves_of_b(name):
         assert all(type(v) is Fraction and abs(v) == Fraction(1, 2) for v in entries)
     else:
         assert all(type(v) is int for v in entries)
+
+
+WEIGHT_REPS = ([(name, None) for name in ALL_TYPES if name[0] in "ABCD"] + MINUSCULE_RANK8)
+
+
+def _weight_path_rep(name, node):
+    d = datum(name)
+    return classical_std_rep(d) if node is None else _weight_rep(d, fw(d, node))
+
+
+@pytest.mark.parametrize("name,node", WEIGHT_REPS)
+def test_the_weight_path_writes_canonical_matrices(name, node):
+    # e, f and h are written as is, without from_entries: each must still
+    # hold no zero, no Fraction with denominator 1 and no index out of range
+    rep = _weight_path_rep(name, node)
+    for m in (*rep.e, *rep.f, *rep.h, rep.e_theta):
+        assert m.dim == rep.dim
+        for (r, c), v in m.entries.items():
+            assert 0 <= r < m.dim and 0 <= c < m.dim
+            assert v != 0 and (type(v) is int or (type(v) is Fraction and v.denominator != 1))
+
+
+@pytest.mark.parametrize("name,node", WEIGHT_REPS)
+def test_the_one_denominator_chain_is_the_chain_divided_at_each_step(name, node):
+    rep = _weight_path_rep(name, node)
+    want = theta_chain_by_steps(rep.datum, rep.e)
+    got = chevalley._theta_matrix(rep.datum, rep.e)
+    assert got == want == rep.e_theta and _value_types(got) == _value_types(want)
+
+
+@pytest.mark.parametrize("name", [name for name in ALL_TYPES if name[0] in "CD"])
+def test_the_c_and_d_chains_make_no_fraction(name, fractions_made):
+    d = datum(name)
+    e_theta = chevalley._theta_matrix(d, classical_std_rep(d).e)
+    assert fractions_made == []
+    assert all(type(v) is int for v in e_theta.entries.values())
 
 
 def test_a_doubled_e_theta_passes_every_runtime_check_but_not_the_bracket_table():

@@ -19,13 +19,14 @@ from fghodge.rootdatum import (
     weyl_orbit,
 )
 
-from conftest import ALL_TYPES_RANK8, SMALL_TYPES, datum, fw
+from conftest import ALL_TYPES, ALL_TYPES_RANK8, SMALL_TYPES, datum, fw
 from oracles import (
     fraction_symmetrizer,
     gram_matrix,
     gram_norm2,
     invert_rational,
     root_pairing,
+    two_sided_root_datum,
     weight_of_root,
 )
 
@@ -291,6 +292,29 @@ def _build_on_roots(monkeypatch, name, removed, added):
 
     monkeypatch.setattr(rootdatum, "sorted", rewritten, raising=False)
     return build_root_datum.__wrapped__(SimpleType.parse(name))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_the_raising_only_closure_gives_every_field_of_the_two_sided_one(name):
+    # every field equal, and every dict field in the same order
+    got = vars(build_root_datum.__wrapped__(SimpleType.parse(name)))
+    want = two_sided_root_datum(SimpleType.parse(name))
+    assert got == want
+    for key, value in want.items():
+        if isinstance(value, dict):
+            assert list(got[key].items()) == list(value.items()), key
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_every_non_simple_root_is_one_raising_step_above_a_lower_root(name):
+    # the lemma of the raising-only closure: some <beta, alpha_j^vee> = k > 0,
+    # and s_j beta = beta - k alpha_j is a positive root that s_j raises back
+    d = datum(name)
+    positive = set(d.positive_roots)
+    for beta in d.positive_roots[d.rank:]:
+        j, k = next((j, k) for j, k in enumerate(d.root_weights[beta]) if k > 0)
+        lower = tuple(c - k * (i == j) for i, c in enumerate(beta))
+        assert lower in positive and d.root_weights[lower][j] == -k
 
 
 def test_a_corrupt_root_set_fails_the_two_rho_covector_check(monkeypatch):
