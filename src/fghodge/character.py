@@ -17,9 +17,6 @@ from __future__ import annotations
 from .errors import IntegrityError, UsageError
 from .rootdatum import Coords, RootDatum, weyl_orbit
 
-_character_memo: dict[tuple, "Character"] = {}
-
-
 class Character:
     """Finite map weight -> multiplicity of an irreducible V_lambda."""
 
@@ -31,9 +28,6 @@ class Character:
     @property
     def dim(self) -> int:
         return sum(self.mult.values())
-
-    def multiplicity(self, mu: Coords) -> int:
-        return self.mult.get(tuple(mu), 0)
 
 
 def weyl_dimension(datum: RootDatum, lam) -> int:
@@ -89,11 +83,6 @@ def irrep_character(datum: RootDatum, lam) -> Character:
     lam = datum.check_weight(lam)
     if not datum.is_dominant(lam):
         raise UsageError(f"weight {lam} is not dominant")
-    key = (datum.stype, lam)
-    cached = _character_memo.get(key)
-    if cached is not None:
-        return cached
-
     support = _weight_support(datum, lam)
     dominants = sorted(
         (mu for mu in support if datum.is_dominant(mu)),
@@ -136,7 +125,6 @@ def irrep_character(datum: RootDatum, lam) -> Character:
     char = Character(datum=datum, highest=lam, mult=mult)
     if char.dim != weyl_dimension(datum, lam):
         raise IntegrityError("character size disagrees with the Weyl dimension")
-    _character_memo[key] = char
     return char
 
 

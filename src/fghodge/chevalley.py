@@ -80,10 +80,6 @@ from .rootdatum import Coords, RootDatum, pair
 MAX_RANK = 8
 _BASE = 64  # radix of the root codes
 
-_sc_memo: dict = {}
-_adjoint_memo: dict = {}
-_std_memo: dict = {}
-
 
 def _vadd(a: Coords, b: Coords) -> Coords:
     return tuple(map(operator.add, a, b))
@@ -219,19 +215,16 @@ def _exact(num: int, den: int, what: str, *roots: Coords) -> int:
 def structure_constants(datum: RootDatum) -> StructureConstants:
     """The whole table of Chevalley structure constants for one simple type,
     decoded once from root codes; each derived one is an exact integer with
-    |N| = p + 1.  verify_jacobi(sc) certifies it.  Memoized."""
-    cached = _sc_memo.get(datum.stype)
-    if cached is None:
-        if datum.rank > MAX_RANK:
-            raise ResourceLimitError(
-                f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
-            )
-        positive, n_code, norm = _carter_constants(datum, full=True)
-        root_of = positive | {-c: _vneg(r) for c, r in positive.items()}
-        cached = _sc_memo[datum.stype] = StructureConstants(
-            datum=datum, n_pos={(root_of[a], root_of[b]): v for (a, b), v in n_code.items()},
-            root_set=frozenset(root_of.values()), norm2={root_of[c]: v for c, v in norm.items()})
-    return cached
+    |N| = p + 1.  verify_jacobi(sc) certifies it."""
+    if datum.rank > MAX_RANK:
+        raise ResourceLimitError(
+            f"rank {datum.rank} exceeds the structure-constant guard {MAX_RANK}"
+        )
+    positive, n_code, norm = _carter_constants(datum, full=True)
+    root_of = positive | {-c: _vneg(r) for c, r in positive.items()}
+    return StructureConstants(
+        datum=datum, n_pos={(root_of[a], root_of[b]): v for (a, b), v in n_code.items()},
+        root_set=frozenset(root_of.values()), norm2={root_of[c]: v for c, v in norm.items()})
 
 
 def _carter_constants(datum: RootDatum, full: bool) -> tuple[dict[int, Coords], dict, dict[int, int]]:
@@ -598,15 +591,12 @@ def adjoint_rep(datum: RootDatum) -> RepMatrices:
       Cartan: 1 on the adjoint's own generators, -1 under a sign rebasing
       that flips one against the other.
     The Jordan type and the flatness identities read nothing else: no Jacobi
-    check.  Memoized.
+    check.
     """
-    rep = _adjoint_memo.get(datum.stype)
-    if rep is None:
-        rep = _adjoint_generators(datum, *_ad_columns(datum, *_carter_constants(datum, full=False),
-                                                       full=False))
-        _check_rep(rep)
-        _check_theta_cartan_columns(rep)
-        _adjoint_memo[datum.stype] = rep
+    rep = _adjoint_generators(datum, *_ad_columns(datum, *_carter_constants(datum, full=False),
+                                                   full=False))
+    _check_rep(rep)
+    _check_theta_cartan_columns(rep)
     return rep
 
 
@@ -671,10 +661,7 @@ def classical_std_rep(datum: RootDatum) -> RepMatrices:
         raise UnsupportedRepresentationError(
             f"no standard matrix model for {datum.stype}; only A/B/C/D are built"
         )
-    cached = _std_memo.get(datum.stype)
-    if cached is None:
-        cached = _std_memo[datum.stype] = _weight_rep(datum, (1,) + (0,) * (datum.rank - 1))
-    return cached
+    return _weight_rep(datum, (1,) + (0,) * (datum.rank - 1))
 
 
 # -- principal triple ---------------------------------------------------------

@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
 def cmd_kkp(args) -> int:
     datum = _parse_type(args.type)
     case = kkp.minuscule_case(datum, args.node)
-    _guard_dim(datum, case.lam, args.max_dim)  # the Weyl orbit has dim V weights
+    _guard_dim(datum, case.lam, args.max_dim)  # the Betti count reads all dim V weights
     verdict = kkp.kkp_check(case)
     payload = {
         "type": str(datum.stype),
@@ -216,7 +216,7 @@ def cmd_sweep(args) -> int:
     for stype in _sweep_types(args.max_rank):
         datum = build_root_datum(stype)
         cases = kkp.all_minuscule_cases(datum)
-        for case in cases:  # each KKP check walks a Weyl orbit of dim V weights
+        for case in cases:  # each KKP check counts the dim V weights of one Weyl orbit
             dim = weyl_dimension(datum, case.lam)
             if dim > DEFAULT_MAX_DIM:
                 raise ResourceLimitError(

@@ -27,6 +27,8 @@ formed.
 
 from __future__ import annotations
 
+import operator
+
 from .chevalley import PrincipalTriple
 from .errors import UsageError
 from .linalg import SparseMatrix, _entry, _ratio
@@ -34,8 +36,13 @@ from .linalg import SparseMatrix, _entry, _ratio
 Monomial = tuple[int, int]  # (t-exponent, z-exponent)
 
 
-def _accumulate(out: dict[Monomial, SparseMatrix], mono: Monomial, m: SparseMatrix) -> None:
-    s = out[mono] + m if mono in out else m
+def _accumulate(out: dict[Monomial, SparseMatrix], mono: Monomial, m: SparseMatrix,
+                op=operator.add) -> None:
+    """out[mono] = op(out[mono], m), an absent coefficient read as zero."""
+    if mono in out:
+        s = out[mono]._merge(m, op)
+    else:
+        s = m if op is operator.add else m.scale(-1)
     if s.is_zero():
         out.pop(mono, None)
     else:
@@ -89,14 +96,19 @@ class LaurentMatrix:
         return not self.coeffs
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        return self._merge(other, operator.add)
+
+    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        return self._merge(other, operator.sub)
+
+    def _merge(self, other: "LaurentMatrix", op) -> "LaurentMatrix":
+        """op(self, other) one coefficient and one entry at a time: only a
+        coefficient on a monomial that self lacks is negated for a difference."""
         self._match(other)
         out = dict(self.coeffs)
         for mono, m in other.coeffs.items():
-            _accumulate(out, mono, m)
+            _accumulate(out, mono, m, op)
         return LaurentMatrix(self.dim, out)
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "LaurentMatrix":
         c = _entry(c)  # an int or a Fraction, even when no coefficient is scaled

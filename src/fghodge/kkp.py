@@ -3,22 +3,23 @@
 A fundamental weight omega is minuscule when <omega, alpha^vee> lies in
 {-1, 0, 1} for every root alpha; its irreducible representation is then a
 single multiplicity-free Weyl orbit.  The Betti numbers b[p] = h^{p,p} of
-the corresponding homogeneous space are computed here from the weight
-graph (vertices the orbit, edges mu -> mu - alpha_i, b[p] = vertices at
-graph distance p from the top), deliberately *not* from the rho-grading,
-so that kkp_check compares two independently computed quantities:
+the corresponding homogeneous space count the orbit weights at height p
+below the top (b[p] = #{mu : height(lambda - mu) = p}, the Schubert cells
+of dimension p), read off the string closure of the weights, deliberately
+*not* from the rho-grading, so that kkp_check compares two independently
+computed quantities:
 
     b[p]  ==  h^{alpha} at alpha = p - dim_X / 2.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
-from .character import weyl_dimension
+from .character import _weight_support, weyl_dimension
 from .errors import IntegrityError, UsageError
 from .grading import hodge_numbers
-from .rootdatum import RootDatum, pair, weyl_orbit
+from .rootdatum import RootDatum, pair
 
 
 def _is_minuscule(datum: RootDatum, node: int) -> bool:
@@ -80,37 +81,31 @@ class BettiTable:
 
 
 def weight_graph_betti(case: MinusculeCase) -> BettiTable:
-    """b[p] = number of orbit weights at graph distance p below the top.
+    """b[p] = number of weights mu of V(lambda) with height(lambda - mu) = p.
 
-    The graph is graded: BFS distance must equal the height of lambda - mu,
-    asserted vertex by vertex (an integrity failure here would mean the
-    orbit is not the weight poset of a minuscule representation).
+    The weights come from _weight_support, the string closure that the
+    characters and the weight representations use, with lambda - mu in root
+    coordinates, so the height is their sum.  On a minuscule lambda that
+    closure is the orbit W lambda, and each of its steps is an edge of the
+    weight graph:
+    - a step mu -> mu - alpha_i with <mu, alpha_i^vee> = 1 is s_i mu, so the
+      closure stays in W lambda;
+    - every orbit weight mu below lambda has some <mu, alpha_i^vee> = -1,
+      so it is one such step below s_i mu = mu + alpha_i, an orbit weight of
+      lower height, and the closure reaches the whole orbit, which is
+      therefore connected.
+    The height is read off directly, so no graph distance can disagree
+    with it.  Sum b = dim V (the Weyl dimension) refuses a missed weight
+    and a weight of higher multiplicity.  A lambda that is not minuscule is
+    refused first: B_n omega_1, C_3 omega_3 and G_2 omega_1 are
+    multiplicity-free, and their weight counts would pass.
     """
     datum = case.datum
-    orbit = set(weyl_orbit(datum, case.lam))
-    two_rho = datum.two_rho_covector
-    top_level = pair(case.lam, two_rho)
-
-    dist = {case.lam: 0}
-    queue = deque([case.lam])
-    while queue:
-        mu = queue.popleft()
-        d = dist[mu]
-        for aw in datum.cartan:  # row i is the weight of alpha_i
-            nu = tuple(x - y for x, y in zip(mu, aw))
-            if nu in orbit and nu not in dist:
-                dist[nu] = d + 1
-                queue.append(nu)
-    if len(dist) != len(orbit):
-        raise IntegrityError("weight graph is not connected")
-    for mu, d in dist.items():
-        doubled_height = top_level - pair(mu, two_rho)  # = 2 * height(lam - mu)
-        if 2 * d != doubled_height:
-            raise IntegrityError("weight graph distance disagrees with height")
-
+    if any(pair(case.lam, datum.coroot_of[r]) > 1 for r in datum.positive_roots):
+        raise IntegrityError(f"{case.lam} of {datum.stype} is not minuscule")
     b = [0] * (case.dim_x + 1)
-    for d in dist.values():
-        b[d] += 1
+    for offset in _weight_support(datum, case.lam).values():
+        b[sum(offset)] += 1
     table = BettiTable(tuple(b))
     if table.total != weyl_dimension(datum, case.lam):
         raise IntegrityError("Betti numbers do not sum to the representation dimension")

@@ -21,6 +21,7 @@ arises, and _insert divides a row by its content only when it is not 1.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from itertools import groupby
@@ -93,11 +94,16 @@ class SparseMatrix:
         return not self.entries
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self._merge(other, operator.add)
+
+    def _merge(self, other: "SparseMatrix", op) -> "SparseMatrix":
+        """op(self, other) entry by entry, op being operator.add or
+        operator.sub: a difference forms no negated copy of other."""
         if self.dim != other.dim:
             raise UsageError("matrix dimensions differ")
         out = dict(self.entries)
         for k, v in other.entries.items():
-            s = out.get(k, 0) + v
+            s = op(out.get(k, 0), v)
             if s == 0:
                 out.pop(k, None)
             else:

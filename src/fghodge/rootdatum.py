@@ -84,7 +84,7 @@ class SimpleType:
     """A simple type such as E8 or B3.  C1 is normalized to A1.
 
     Immutable, and equal, hashed and ordered by (family, rank): it keys
-    build_root_datum's cache and the memos of chevalley.
+    build_root_datum's cache.
     """
 
     __slots__ = ("family", "rank")
@@ -322,7 +322,7 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     positive = sorted(pairings, key=_root_sort_key)
     count = _POSITIVE_COUNT[stype.family](n)
     if len(positive) != count:
-        raise ConfigurationError(
+        raise IntegrityError(
             f"{stype}: reflection closure found {len(positive)} positive roots, expected {count}"
         )
 
@@ -352,7 +352,7 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     theta = positive[-1]  # unique root of maximal height
     coxeter = sum(theta) + 1
     if coxeter != _COXETER[stype.family](n):
-        raise ConfigurationError(f"{stype}: Coxeter number mismatch")
+        raise IntegrityError(f"{stype}: Coxeter number mismatch")
 
     return RootDatum(
         stype=stype,

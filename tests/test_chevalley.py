@@ -396,7 +396,7 @@ def test_every_theta_chain_step_is_an_extraspecial_pair(name, monkeypatch):
     # step (alpha_i, delta) it takes must carry N = +(p+1) in the bracket table.
     d = datum(name)
     sc = structure_constants(d)
-    rep = adjoint_rep(d)  # built, and memoized, before the steps are recorded
+    rep = adjoint_rep(d)  # built before the steps are recorded
     root_of = chevalley._root_codes(d)  # the chain walks positive root codes
     steps = []
 
@@ -496,14 +496,11 @@ def test_the_adjoint_builds_x_theta_without_the_chain(monkeypatch, capsys):
         raise AssertionError("built x_theta along the chain")
 
     monkeypatch.setattr(chevalley, "_theta_matrix", refuse)
-    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
     for name in ALL_TYPES_RANK8:
         d = datum(name)
         assert adjoint_rep(d).e_theta.nnz > 0
-    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
     assert main(["verify", "--type", "E8", "--rep", "adjoint"]) == 0
     assert capsys.readouterr() == ("PASS E8 adjoint: flatness residual is the zero matrix\n", "")
-    monkeypatch.setattr(chevalley, "_std_memo", {})
     with pytest.raises(AssertionError, match="along the chain"):
         classical_std_rep(datum("B3"))
     g2 = datum("G2")
@@ -522,7 +519,6 @@ def test_the_e8_adjoint_forms_only_the_commutators_of_its_certificate(monkeypatc
         return commutator(self, other)
 
     monkeypatch.setattr(SparseMatrix, "commutator", counted)
-    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
     rep = adjoint_rep(datum("E8"))
     assert len(calls) == 16
     calls.clear()
@@ -530,37 +526,36 @@ def test_the_e8_adjoint_forms_only_the_commutators_of_its_certificate(monkeypatc
     assert calls == []
 
 
-def _adjoint_with_seed(name, seed, monkeypatch):
+def _adjoint_with_seed(name, seed):
     """A copy of the datum with theta^vee replaced by seed, and the adjoint
     that adjoint_rep builds on it before its checks: x_theta from
     [x_theta, x_{-theta}] = seed (in the h_j)."""
     d = datum(name)
     bad = copy.copy(d)
     bad.coroot_of = {**d.coroot_of, d.theta: seed}
-    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
     columns = chevalley._ad_columns(bad, *chevalley._carter_constants(bad, full=False), full=False)
     return bad, chevalley._adjoint_generators(bad, *columns)
 
 
 @pytest.mark.parametrize("name,seed", [("B3", (1, 1, 1)), ("G2", (1, 1)), ("G2", (0, 1)),
                                        ("E6", (1, 2, 2, 3, 2, 0))])
-def test_a_seed_off_the_coroot_line_is_refused(name, seed, monkeypatch):
+def test_a_seed_off_the_coroot_line_is_refused(name, seed):
     # off the line of theta^vee, X is no highest-weight vector of End V
-    d, _ = _adjoint_with_seed(name, seed, monkeypatch)
+    d, _ = _adjoint_with_seed(name, seed)
     with pytest.raises(IntegrityError, match=r"\[e_theta, e_\d\] != 0"):
         adjoint_rep(d)
 
 
-def test_only_the_cartan_columns_refuse_the_symmetric_part_on_a3(monkeypatch):
+def test_only_the_cartan_columns_refuse_the_symmetric_part_on_a3():
     # On A_n, n >= 2, End g holds a second weight-theta highest-weight vector,
     # the symmetric product: the seed (-1, 0, 1) gives one that commutes with
     # every e_i, and only the Cartan-column check sees that it is not ad x_theta
-    d, rep = _adjoint_with_seed("A3", (-1, 0, 1), monkeypatch)
+    d, rep = _adjoint_with_seed("A3", (-1, 0, 1))
     _check_rep(rep)
     assert all(rep.e_theta.commutator(e_i).is_zero() for e_i in rep.e)
     with pytest.raises(IntegrityError, match=r"adjoint\(A3\): e_theta h_3 is not"):
         adjoint_rep(d)
-    d, _ = _adjoint_with_seed("A3", (1, 1, 1), monkeypatch)  # theta^vee itself
+    d, _ = _adjoint_with_seed("A3", (1, 1, 1))  # theta^vee itself
     assert adjoint_rep(d).e_theta == structure_constants(d).ad[("root", d.theta)]
 
 
@@ -669,7 +664,6 @@ def test_a_corrupted_generator_constant_is_refused_or_only_rebases_signs(name, m
             broken[(b, a)] *= factor
             monkeypatch.setattr(chevalley, "_carter_constants",
                                 lambda datum_, full: (positive, broken, norm))
-            monkeypatch.setattr(chevalley, "_adjoint_memo", {})
             try:
                 rep = adjoint_rep(d)
             except IntegrityError:
@@ -699,17 +693,15 @@ def test_the_verify_path_runs_no_jacobi_check(monkeypatch, capsys):
     monkeypatch.setattr(chevalley, "_check_derivation", refuse)
     monkeypatch.setattr(StructureConstants, "ad", property(refuse))
     monkeypatch.setattr(chevalley, "structure_constants", refuse)
-    monkeypatch.setattr(chevalley, "_sc_memo", {})
-    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
     for name in ALL_TYPES_RANK8:
         d = datum(name)
         assert adjoint_rep(d).dim == 2 * len(d.positive_roots) + d.rank
-    assert len(chevalley._adjoint_memo) == len(ALL_TYPES_RANK8)
-    monkeypatch.setattr(chevalley, "_sc_memo", {})
-    monkeypatch.setattr(chevalley, "_adjoint_memo", {})
+    built = []
+    real = chevalley.adjoint_rep
+    monkeypatch.setattr(chevalley, "adjoint_rep", lambda d: built.append(str(d.stype)) or real(d))
     assert main(["verify", "--type", "E8", "--rep", "adjoint"]) == 0
     assert capsys.readouterr() == ("PASS E8 adjoint: flatness residual is the zero matrix\n", "")
-    assert "E8" in {str(t) for t in chevalley._adjoint_memo}
+    assert built == ["E8"]
     # no rank guard on the adjoint: A9 builds and passes, still with no table
     assert main(["verify", "--type", "A9", "--rep", "adjoint"]) == 0
     assert capsys.readouterr() == ("PASS A9 adjoint: flatness residual is the zero matrix\n", "")
@@ -887,9 +879,14 @@ def test_standard_and_minuscule_reps_build_no_lie_algebra(monkeypatch):
     def refuse(datum_):
         raise AssertionError(f"built the bracket table of {datum_.stype}")
 
+    def carter(datum_, full):
+        if full:
+            raise AssertionError(f"derived the whole table of {datum_.stype}")
+        return real_carter(datum_, full)
+
+    real_carter = chevalley._carter_constants
     monkeypatch.setattr(chevalley, "structure_constants", refuse)
-    monkeypatch.setattr(chevalley, "_std_memo", {})
-    tables = set(chevalley._sc_memo)
+    monkeypatch.setattr(chevalley, "_carter_constants", carter)
     for name in ["B8", "C8", "D8"]:
         d = datum(name)
         kostant = partition_from_grading(principal_grading(d, fw(d, 1)))
@@ -897,7 +894,6 @@ def test_standard_and_minuscule_reps_build_no_lie_algebra(monkeypatch):
     e7 = datum("E7")
     kostant = partition_from_grading(principal_grading(e7, fw(e7, 7)))
     assert jordan_type(principal_triple(_weight_rep(e7, fw(e7, 7))).N) == kostant
-    assert set(chevalley._sc_memo) == tables
 
 
 def _with_generator(rep, which, i, entries):
@@ -1203,14 +1199,12 @@ def test_root_codes_refuse_a_coefficient_past_a_quarter_of_the_base(monkeypatch)
     # coefficient, so codes in base B are injective while 4 * coefficient < B.
     # E8's largest coefficient is 6 (theta = (2, 3, 4, 6, 5, 4, 3, 2)), so its
     # digits reach 12: the guard refuses base 24 and admits base 25.
-    monkeypatch.setattr(chevalley, "_sc_memo", {})
     monkeypatch.setattr(chevalley, "_BASE", 24)
     with pytest.raises(IntegrityError, match="a root of E8 has a coefficient of 6 or more"):
         structure_constants(datum("E8"))
     monkeypatch.setattr(chevalley, "_BASE", 25)
     e8 = structure_constants(datum("E8"))
     assert _entries(e8) == _entries(carter_structure_constants(e8.datum))
-    monkeypatch.setattr(chevalley, "_sc_memo", {})
     monkeypatch.setattr(chevalley, "_BASE", 16)
     with pytest.raises(IntegrityError, match="a root of E8 has a coefficient of 4 or more"):
         structure_constants(datum("E8"))
@@ -1228,23 +1222,21 @@ def _with_norm(d, root, value):
     return bad
 
 
-def test_a_corrupted_norm_is_named_by_coordinate_tuples(monkeypatch):
+def test_a_corrupted_norm_is_named_by_coordinate_tuples():
     # B2 with |(1, 2)|^2 = 3: N_{-a2,(1,2)} = |(1,1)|^2 * 2 / 3 is not an integer.
-    monkeypatch.setattr(chevalley, "_sc_memo", {})
     with pytest.raises(IntegrityError) as err:
         structure_constants(_with_norm(datum("B2"), (1, 2), 3))
     assert str(err.value) == "N_(0, -1),(1, 2) = 4/3 is not an integer"
 
 
 @pytest.mark.parametrize("name", ["B3", "G2"])
-def test_every_corrupted_norm_gets_the_message_of_the_tuple_recursion(name, monkeypatch):
+def test_every_corrupted_norm_gets_the_message_of_the_tuple_recursion(name):
     d = datum(name)
     for root in d.positive_roots:
         for value in (1, 3, 5):
             bad = _with_norm(d, root, value)
             with pytest.raises(IntegrityError) as want:
                 carter_structure_constants(bad)
-            monkeypatch.setattr(chevalley, "_sc_memo", {})
             with pytest.raises(IntegrityError) as got:
                 structure_constants(bad)
             assert str(got.value) == str(want.value)

@@ -70,6 +70,19 @@ def test_exit_codes(capsys):
     assert code == 3 and "max-dim" in err
 
 
+@pytest.mark.parametrize("table", ["_COXETER", "_POSITIVE_COUNT"])
+def test_a_failed_root_datum_self_check_exits_1(capsys, monkeypatch, table):
+    # the closed-form cross-checks of build_root_datum are self-checks, not
+    # parse errors: a wrong closed form is an internal error
+    monkeypatch.setattr(rootdatum, table, {**getattr(rootdatum, table), "G": lambda n: 7})
+    rootdatum.build_root_datum.cache_clear()
+    try:
+        code, out, err = run(capsys, "exponents", "--type", "G2")
+    finally:
+        rootdatum.build_root_datum.cache_clear()
+    assert (code, out) == (1, "") and err.startswith("internal error: G2: ")
+
+
 @pytest.mark.parametrize("text", ["A\u00b2", "A" + "5" * 5000], ids=["superscript", "5000-digits"])
 def test_a_type_that_int_refuses_exits_2(capsys, text):
     # str.isdigit() accepts "\u00b2" (superscript two) and any run of ASCII
@@ -266,10 +279,10 @@ def test_sweep_reports_a_failed_sum_rule_and_goes_on(capsys, monkeypatch):
 
 
 def test_sweep_guards_every_kkp_orbit_before_building_one(capsys, monkeypatch):
-    def no_orbit(datum, lam):
+    def no_orbit(datum, lam):  # on a minuscule lam the weights are one Weyl orbit
         raise AssertionError(f"built the Weyl orbit of {datum.stype} {lam}")
 
-    monkeypatch.setattr(kkp, "weyl_orbit", no_orbit)
+    monkeypatch.setattr(kkp, "_weight_support", no_orbit)
     # B20 spin has 2^20 > 10^6 weights: refused before anything is printed
     code, out, err = run(capsys, "sweep", "--max-rank", "20")
     assert code == 3 and out == "" and "B20 node 20" in err and str(DEFAULT_MAX_DIM) in err

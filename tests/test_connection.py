@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from fghodge import chevalley, connection, linalg
+from fghodge import connection, linalg
 from fghodge.chevalley import (
     PrincipalTriple,
     adjoint_rep,
@@ -42,6 +42,26 @@ def test_laurent_matrix_arithmetic_acts_on_coefficients():
     assert scalar(1, {(0, 0): Q(3, 2)}, dt=-1, dz=2).first_nonzero() == (0, 0, "3/2*t^-1*z^2")
     assert p.first_nonzero() == (0, 0, "1/2*z^-1 + 2*t")
     assert LaurentMatrix.zero(1).first_nonzero() is None
+
+
+def _typed(m: LaurentMatrix) -> dict:
+    return {mono: {k: (type(v), v) for k, v in c.entries.items()} for mono, c in m.coeffs.items()}
+
+
+@pytest.mark.parametrize("name,rep", [("C3", classical_std_rep), ("B3", classical_std_rep),
+                                      ("G2", adjoint_rep)])
+def test_a_difference_is_the_sum_with_the_negation(name, rep):
+    # x - y merges y with a sign, in place of adding the copy y.scale(-1): the
+    # same coefficients, entries and value types, with Fraction RHO levels
+    # (C3), a Fraction x_theta (B3), monomials on one side only and full
+    # cancellation
+    d = datum(name)
+    tr = principal_triple(rep(d))
+    a, b = rmodule_pair(tr, d.coxeter)
+    rho = LaurentMatrix.from_scalar_matrix(tr.RHO, dz=-1, factor=Q(1, 3))
+    for x, y in [(a, b), (b, a), (b, rho), (rho, b), (b, b), (a.d_z(), b.d_t())]:
+        assert _typed(x - y) == _typed(x + y.scale(-1))
+    assert (b - b).is_zero()
 
 
 def test_laurent_matrix_never_stores_zero_coefficients():
@@ -108,14 +128,12 @@ def test_rmodule_pair_a1_matrices():
     assert integrability_residual(a, b).is_zero()
 
 
-def test_an_integral_certify_path_makes_no_fraction(monkeypatch, fractions_made):
+def test_an_integral_certify_path_makes_no_fraction(fractions_made):
     # E6 adjoint and D8 std are integral throughout: RHO, x_theta, the
     # Chevalley-Serre commutators, the Jordan level sweep and the connection
     # must all stay on ints
     cases = [(datum("E6"), adjoint_rep, (23, 17, 15, 11, 9, 3)),
              (datum("D8"), classical_std_rep, (15, 1))]
-    for memo in ("_sc_memo", "_adjoint_memo", "_std_memo"):  # build both under the counter
-        monkeypatch.setattr(chevalley, memo, {})
     made = fractions_made
     for d, rep, blocks in cases:
         tr = principal_triple(rep(d))
