@@ -32,18 +32,21 @@ two roots (b - (p+1) a = (b - p a) - a), with digits of absolute value <=
 2 * 6 = 12; signed base-64 digits below 32 are unique, so no two of those
 vectors collide.  _root_codes refuses a root coefficient of 16 (_BASE / 4) or more.
 
-Representation matrices: every representation takes one path.  Its
-generators e_i, f_i, h_i come from one source, and _check_rep
-(Chevalley-Serre, the Serre relations implied) is the one certificate.  The
-adjoint writes only its 3n generators from the generator-only
-N_{alpha_i,b}, with the writer of the whole table (_ad_columns), and builds
-ad x_theta column by column from [x_theta, x_{-theta}] = theta^vee along the
-raising tree from x_{-theta} (_theta_by_tree, the walk verify_jacobi takes).
-V(omega_1) of A-D and the minuscule representations come from their weights
-alone (_weight_rep); they have no bracket, so their x_theta is [e_i,
-x_{gamma-alpha_i}] / N along the chain of extraspecial pairs (alpha_i,
-gamma - alpha_i) up to theta, with N = +(p+1) read off a root string
-(_theta_matrix).  Only the tests build the table and call verify_jacobi.
+Representation matrices: every representation takes one path.  It lives on
+a basis of weight vectors, so rho(h_i) := diag(<mu, alpha_i^vee>) over its
+basis weights mu is a definition, read off the weights when asked for
+(RepMatrices.h) and never written.  Its generators e_i, f_i come from one
+source, and _check_rep (Chevalley-Serre, the Serre relations implied) is
+the one certificate.  The adjoint writes only its 2n generators e_i, f_i
+from the generator-only N_{alpha_i,b}, with the writer of the whole table
+(_ad_columns), and builds ad x_theta column by column from [x_theta,
+x_{-theta}] = theta^vee along the raising tree from x_{-theta}
+(_theta_by_tree, the walk verify_jacobi takes).  V(omega_1) of A-D and the
+minuscule representations come from their weights alone (_weight_rep);
+they have no bracket, so their x_theta is [e_i, x_{gamma-alpha_i}] / N
+along the chain of extraspecial pairs (alpha_i, gamma - alpha_i) up to
+theta, with N = +(p+1) read off a root string (_theta_matrix).  Only the
+tests build the table and call verify_jacobi.
 
 Matrix conventions for the principal triple (N, RHO, E):
 
@@ -74,7 +77,7 @@ from .errors import (
     UsageError,
 )
 from .grading import JordanPartition
-from .linalg import SparseMatrix, graded_blocks
+from .linalg import SparseMatrix, _norm, graded_blocks
 from .rootdatum import Coords, RootDatum, pair
 
 MAX_RANK = 8
@@ -113,8 +116,10 @@ class StructureConstants:
 def _ad_columns(datum: RootDatum, positive: dict[int, Coords], n_code: dict[tuple[int, int], int],
                 norm: dict[int, int], full: bool) -> tuple[list, tuple, dict[tuple, SparseMatrix]]:
     """The adjoint basis and its weights (_adjoint_basis), and ad(b) for every
-    b in the basis when full, else for the 3n generators e_i = x_{alpha_i},
-    f_i = x_{-alpha_i} and h_i only, from N and norms by root code.
+    b in the basis when full, else for the 2n generators e_i = x_{alpha_i}
+    and f_i = x_{-alpha_i} only, from N and norms by root code.  ad h_i is
+    diag(<r, alpha_i^vee>) over the basis weights, RepMatrices.h of the
+    generators, so only the whole table writes it.
 
     x_{-r} sits |Phi+| + n places after x_r.  Column z of ad(b_y) holds
     [b_y, b_z].  Only nonzero int entries are written, so each matrix is
@@ -127,7 +132,8 @@ def _ad_columns(datum: RootDatum, positive: dict[int, Coords], n_code: dict[tupl
     antisymmetry and the norm relation give, so the root-root entries
     are omega-equivariant by construction.  g = a + b is never simple, so
     the generators take four of the six from each pair (alpha_i, b) and
-    nothing from the other pairs: 1,868 of the 16,694 entries on E8.
+    nothing from the other pairs: 956 of the 16,694 entries on E8, on the
+    2n rows that are all the writer visits.
     """
     ordered = datum.positive_roots[::-1]
     npos = len(ordered)
@@ -135,24 +141,27 @@ def _ad_columns(datum: RootDatum, positive: dict[int, Coords], n_code: dict[tupl
     index = {r: i for i, r in enumerate(ordered)}
     at = {c: index[r] for c, r in positive.items()}  # g = a + b located by its code
     shift = npos + datum.rank  # h_j sits at npos + j, x_{-r} shift places after x_r
-    rows = range(len(basis)) if full else {  # e_i, f_i and h_i
-        index[a] + s for a in datum.simple_roots for s in (0, shift)} | {*range(npos, shift)}
-    entries: list[dict[tuple[int, int], int]] = [{} for _ in basis]
-    for x, weight in enumerate(weights):
-        for j, w in enumerate(weight):
-            if w:  # [h_j, x_r] = <r, alpha_j^vee> x_r
-                entries[npos + j][(x, x)] = w
-        if x in rows and not npos <= x < shift:
-            sign = 1 if x < shift else -1
+    rows = range(len(basis)) if full else sorted(  # e_i and f_i
+        index[a] + s for a in datum.simple_roots for s in (0, shift))
+    entries: dict[int, dict[tuple[int, int], int]] = {x: {} for x in rows}
+    if full:
+        for x, weight in enumerate(weights):
             for j, w in enumerate(weight):
-                if w:
-                    entries[x][(x, npos + j)] = -w
-            for j, c in enumerate(datum.coroot_of[ordered[x % shift]]):
-                if c:  # [x_r, x_{-r}] = r^vee
-                    entries[x][(npos + j, x + sign * shift)] = sign * c
+                if w:  # [h_j, x_r] = <r, alpha_j^vee> x_r
+                    entries[npos + j][(x, x)] = w
+    for x in rows:
+        if npos <= x < shift:
+            continue
+        sign = 1 if x < shift else -1
+        for j, w in enumerate(weights[x]):
+            if w:
+                entries[x][(x, npos + j)] = -w
+        for j, c in enumerate(datum.coroot_of[ordered[x % shift]]):
+            if c:  # [x_r, x_{-r}] = r^vee
+                entries[x][(npos + j, x + sign * shift)] = sign * c
     for (ca, cb), n in n_code.items():
         ia = at[ca]
-        if ia not in rows:
+        if ia not in entries:
             continue
         ib, ig = at[cb], at[ca + cb]
         m, rem = divmod(n * norm[cb], norm[ca + cb])
@@ -167,8 +176,7 @@ def _ad_columns(datum: RootDatum, positive: dict[int, Coords], n_code: dict[tupl
         if full:
             entries[ig][(ib, ina)] = -m  # [x_g, x_{-a}] = -m x_b
             entries[ing][(inb, ia)] = m
-    return basis, weights, {b: SparseMatrix(len(basis), entries[x])
-                            for x, b in enumerate(basis) if x in rows}
+    return basis, weights, {basis[x]: SparseMatrix(len(basis), ent) for x, ent in entries.items()}
 
 
 def _adjoint_basis(datum: RootDatum) -> tuple[list, tuple[Coords, ...]]:
@@ -300,13 +308,16 @@ def verify_jacobi(sc: StructureConstants) -> None:
        derivation check for (e_i, w).  Cartan elements are reached as
        [e_j, f_j] = h_j, simple roots from a Cartan element as
        [e_i, h_j] = -a_ij e_i.
-    4. Chevalley-Serre: _check_rep on the generators e_i, f_i, h_i read off
-       the table, with x_theta from them (_theta_by_tree).  It runs last so
-       that a table fault is named by the step above that sees it.
+    4. Chevalley-Serre: the table's ad h_j must be rho(h_j) = diag(<mu,
+       alpha_j^vee>) over the basis weights (RepMatrices.h), and _check_rep
+       runs on the generators e_i, f_i read off the table, with x_theta
+       from them (_theta_by_tree).  It runs last so that a table fault is
+       named by the step above that sees it.
 
     That is dim - 1 + 2n derivation checks (_check_derivation), and they
     give the full Jacobi identity.  By step 4 and Serre's theorem the
-    adjoint space V is a g-module (rho(x) = ad x on the generators), so End V
+    adjoint space V is a g-module (rho(x) = ad x on the generators, the h_j
+    among them by the comparison with the weights), so End V
     is one too, under T -> [rho(x), T].  By steps 2 and 4, x_{-theta} is a
     lowest-weight vector of V, and by step 3, V = U(g) x_{-theta}: a cyclic
     finite-dimensional lowest-weight module, hence irreducible.  Step 2 also
@@ -345,7 +356,11 @@ def verify_jacobi(sc: StructureConstants) -> None:
         _check_derivation(basis, ad, ad[hj].cols, hj, base)
     for g, w, _, _ in _raising_tree(basis, {g: ad[g].cols for g in e}, base):
         _check_derivation(basis, ad, ad[g].cols, g, w)
-    _check_rep(_adjoint_generators(datum, basis, _adjoint_basis(datum)[1], sc.ad))
+    rep = _adjoint_generators(datum, basis, _adjoint_basis(datum)[1], sc.ad)
+    for j, hj in enumerate(h):
+        if ad[hj] != rep.h[j]:
+            raise IntegrityError(f"{rep.name}: h_{j+1} disagrees with basis weights")
+    _check_rep(rep)
 
 
 def _raising_tree(basis: list, columns: dict, base: int):
@@ -394,28 +409,52 @@ def _check_derivation(basis, ad: list[SparseMatrix], column, g: int, y: int) -> 
 
 # -- representation matrices --------------------------------------------------
 
-class RepMatrices(namedtuple("RepMatrices", "datum dim basis_weights e f h e_theta name",
+class RepMatrices(namedtuple("RepMatrices", "datum dim basis_weights e f e_theta name",
                              defaults=("rep",))):
-    """e, f, h: tuples of the n generator matrices; e_theta: x_theta; name labels messages."""
+    """e, f: tuples of the n generator matrices on a basis of weight vectors
+    whose weights are basis_weights; e_theta: x_theta; name labels
+    messages.  h is derived from the weights, never passed."""
+
+    @functools.cached_property
+    def h(self) -> tuple[SparseMatrix, ...]:
+        """rho(h_i) := diag(<mu, alpha_i^vee>) over basis_weights, i = 1..n.
+        On a weight basis this is the definition of the Cartan generators,
+        so it is built only when read; no certify step reads it (_check_rep
+        checks [e_i, N] against the weights themselves)."""
+        weights = self.basis_weights
+        return tuple(SparseMatrix(len(weights), {(k, k): w[i] for k, w in enumerate(weights) if w[i]})
+                     for i in range(self.datum.rank))
 
     @functools.cached_property
     def N(self) -> SparseMatrix:
-        """sum_j f_j, formed once per representation (a _replace forms it
-        anew): _check_rep and principal_triple share it, and with it the row
-        and column indexes that the [e_i, N] commutators build and the Jordan
-        sweep reads again."""
-        return functools.reduce(operator.add, self.f)
+        """sum_j f_j in one accumulator, normalised once: the entries of f_1
+        + ... + f_n, with no sum formed per term.  Formed once per
+        representation (a _replace forms it anew): _check_rep and
+        principal_triple share it, and with it the row and column indexes
+        that the [e_i, N] commutators build and the Jordan sweep reads
+        again."""
+        dim = self.f[0].dim
+        acc = defaultdict(int)
+        for f in self.f:
+            if f.dim != dim:
+                raise UsageError("matrix dimensions differ")
+            for k, v in f.entries.items():
+                acc[k] += v
+        return SparseMatrix(dim, {k: _norm(v) for k, v in acc.items() if v})
 
 
 def _check_rep(rep: RepMatrices) -> None:
     """Enforce the Chevalley-Serre relations and weight compatibility.
 
-    h_i must be diag(<mu, alpha_i^vee>) over the declared basis weights mu,
-    every entry of e_j (f_j) must move a weight mu to mu + alpha_j
-    (mu - alpha_j), and every entry of e_theta must move mu to mu + theta.
-    With h_i diagonal, [h_i, x] has entry (h_i[r] - h_i[c]) x[r, c], so this
-    grading is exactly [h_i, e_j] = a_ji e_j and [h_i, f_j] = -a_ji f_j,
-    a_ji = <alpha_j, alpha_i^vee>.
+    The Cartan generators are rho(h_i) := diag(<mu, alpha_i^vee>) over the
+    declared basis weights mu (RepMatrices.h): defined, not passed, so no
+    stored h_i is compared with the weights.  Every e_j, f_j and e_theta
+    must be dim x dim, dim the number of basis weights, with n of each e_j
+    and f_j.  Every entry of e_j (f_j) must move a weight mu to mu +
+    alpha_j (mu - alpha_j), and every entry of e_theta must move mu to mu +
+    theta.  With h_i diagonal, [h_i, x] has entry (h_i[r] - h_i[c]) x[r,
+    c], so this grading is exactly [h_i, e_j] = a_ji e_j and [h_i, f_j] =
+    -a_ji f_j, a_ji = <alpha_j, alpha_i^vee>.
 
     The grading runs on int codes: the basis weights (int n-tuples), the
     alpha_j and theta each become sum_i mu_i B^i, B = 4M + 7 with M the
@@ -429,10 +468,20 @@ def _check_rep(rep: RepMatrices) -> None:
     digits (-(2M + 1), 1) code to 0: w_r = (-1, 0), w_c = (0, 0) and
     alpha_1 = (2, -1) on A2.
 
-    [e_i, N] = h_i, N = sum_j f_j (rep.N), is [e_i, f_j] = delta_ij h_i for all j:
-    by the grading every entry (r, c) of [e_i, f_j] has w_r - w_c = alpha_i
-    - alpha_j, a shift that differs for each j, so the terms sit on disjoint
-    entries, and h_i, at shift 0, must be the j = i term.
+    [e_i, N] = h_i is checked entry by entry on the commutator: each entry
+    sits at some (k, k) and equals <w_k, alpha_i^vee>, and there are as many
+    as basis weights with a nonzero pairing, so every (k, k) with one is
+    hit.  With N = sum_j f_j (rep.N) it is [e_i, f_j] = delta_ij h_i for
+    all j: by the grading every entry (r, c) of [e_i, f_j] has w_r - w_c =
+    alpha_i - alpha_j, a shift that differs for each j, so the terms sit on
+    disjoint entries, and h_i, at shift 0, must be the j = i term.
+
+    Defining h_i rather than taking it as input loses no certificate: the
+    only h_i that acts on a weight basis as its weights say is this
+    diagonal, so the relations below are those of the triple (e_i, h_i,
+    f_i) for the one admissible h_i, and [h_i, h_j] = 0 holds for any two
+    diagonal matrices.  h_i acts on basis vector k by <w_k, alpha_i^vee>,
+    so the character of V is the multiset of basis weights (adjoint_rep).
 
     The Serre relations need no commutator of their own.  By the checks
     above (e_i, h_i, f_i) is an sl_2-triple in gl(V), so End V is a
@@ -449,10 +498,15 @@ def _check_rep(rep: RepMatrices) -> None:
     datum = rep.datum
     n = datum.rank
     weights = rep.basis_weights
-    for i in range(n):
-        if rep.h[i].dim != len(weights) or rep.h[i].entries != {
-                (k, k): w[i] for k, w in enumerate(weights) if w[i]}:
-            raise IntegrityError(f"{rep.name}: h_{i+1} disagrees with basis weights")
+    dim = len(weights)
+    if (rep.dim, len(rep.e), len(rep.f)) != (dim, n, n):
+        raise IntegrityError(f"{rep.name}: dim {rep.dim}, {len(rep.e)} e_j and {len(rep.f)} f_j "
+                             f"on {dim} basis weights of rank {n}")
+    for label, mats in (("e_{}", rep.e), ("f_{}", rep.f), ("e_theta", (rep.e_theta,))):
+        for j, m in enumerate(mats, 1):
+            if m.dim != dim:
+                raise IntegrityError(f"{rep.name}: {label.format(j)} is {m.dim}x{m.dim} "
+                                     f"on {dim} basis weights")
     base = 4 * max(map(abs, itertools.chain.from_iterable(weights)), default=0) + 7
     powers = [base ** i for i in range(n)]
     codes = [sum(map(operator.mul, w, powers)) for w in weights]
@@ -465,8 +519,10 @@ def _check_rep(rep: RepMatrices) -> None:
     t = sum(map(operator.mul, datum.root_weights[datum.theta], powers))
     if any(codes[r] != codes[c] + t for r, c in rep.e_theta.entries):
         raise IntegrityError(f"{rep.name}: e_theta breaks the weight grading")
-    for i in range(n):
-        if rep.e[i].commutator(rep.N) != rep.h[i]:
+    for i, pairing in enumerate(zip(*weights)):  # pairing[k] = <w_k, alpha_i^vee>
+        bracket = rep.e[i].commutator(rep.N).entries
+        if len(bracket) != dim - pairing.count(0) or any(
+                r != c or pairing[r] != v for (r, c), v in bracket.items()):
             raise IntegrityError(f"{rep.name}: [e_{i+1}, N] != h_{i+1}")
     for i in range(n):
         if not rep.e_theta.commutator(rep.e[i]).is_zero():
@@ -513,13 +569,12 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
 
 
 def _adjoint_generators(datum: RootDatum, basis: list, weights: tuple, ad: dict) -> RepMatrices:
-    """e_i, f_i, h_i read off ad (_ad_columns, the whole table or the
-    generators alone), and x_theta from the e_i (_theta_by_tree)."""
+    """e_i, f_i read off ad (_ad_columns, the whole table or the generators
+    alone), and x_theta from the e_i (_theta_by_tree); h_i is RepMatrices.h."""
     e = tuple(ad[("root", a)] for a in datum.simple_roots)
     return RepMatrices(
         datum=datum, dim=len(basis), basis_weights=weights,
         e=e, f=tuple(ad[("root", _vneg(a))] for a in datum.simple_roots),
-        h=tuple(ad[("cartan", i)] for i in range(datum.rank)),
         e_theta=_theta_by_tree(datum, basis, e),
         name=f"adjoint({datum.stype})")
 
@@ -564,14 +619,17 @@ def _check_theta_cartan_columns(rep: RepMatrices) -> None:
 
 def adjoint_rep(datum: RootDatum) -> RepMatrices:
     """Adjoint representation on the basis (roots by descending height, Cartan,
-    negative roots): e_i, f_i, h_i written alone (_ad_columns, no bracket
-    table) from the generator-only Carter constants, which are those of
+    negative roots): e_i, f_i written alone (_ad_columns, no bracket table)
+    from the generator-only Carter constants, which are those of
     structure_constants with the same checks (module docstring), and x_theta
-    from the raising tree (_theta_by_tree).  No rank guard applies.
+    from the raising tree (_theta_by_tree).  h_i is diag(<mu, alpha_i^vee>)
+    over the basis weights (RepMatrices.h), which no step writes or reads.
+    No rank guard applies.
 
     _check_rep and the Cartan-column check are the certificate.  By Serre's
-    theorem the generators define a g-module V; the h_i check fixes its
-    character (the roots, and 0 n times), which fixes a finite-dimensional
+    theorem the generators define a g-module V, and h_i acts by its
+    pairings with the basis weights, which fixes the character of V (the
+    roots, and 0 n times); that fixes a finite-dimensional
     module (Humphreys, Introduction to Lie Algebras, 18.3, 22.5), so V is
     the adjoint module, V = phi(g).  The tree's X is rho(x_theta):
     - X has weight theta: it maps x_{-theta} into the Cartan, and each edge
@@ -610,8 +668,9 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
     and 2, 2 on the string through the zero weight of B_n's V(omega_1).
     The weights of V(lam) form unbroken strings that s_i reverses, so with
     p the steps from mu down to the bottom of its string, <mu, alpha_i^vee>
-    = p - q and the f entry is q (p + 1) >= 1: every entry of e, f and h is
-    a nonzero int, and each matrix is written as is, without from_entries.  A
+    = p - q and the f entry is q (p + 1) >= 1: every entry of e and f is a
+    nonzero int, and each matrix is written as is, without from_entries; h
+    is RepMatrices.h, diag(<mu, alpha_i^vee>), and is not built.  A
     weight with multiplicity is refused, and multiplicity-free is not
     enough: with e_i = 1 on every edge, f_j can depend on the path around a
     weight square, and _check_rep refuses A2 and A3 V(2 omega_1) and C3
@@ -641,9 +700,7 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
             f_entries[i][(col, row)] = q * (q + mu[i] + 1)
     e = tuple(SparseMatrix(dim, ent) for ent in e_entries)
     f = tuple(SparseMatrix(dim, ent) for ent in f_entries)
-    h = tuple(SparseMatrix(dim, {(k, k): w[i] for k, w in enumerate(weights) if w[i]})
-              for i in range(datum.rank))
-    rep = RepMatrices(datum=datum, dim=dim, basis_weights=weights, e=e, f=f, h=h,
+    rep = RepMatrices(datum=datum, dim=dim, basis_weights=weights, e=e, f=f,
                       e_theta=_theta_matrix(datum, e),
                       name=f"V({','.join(map(str, lam))}) of {datum.stype}")
     _check_rep(rep)

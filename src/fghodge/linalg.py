@@ -249,23 +249,32 @@ def graded_blocks(matrix: SparseMatrix) -> list[int] | None:
     one, in one sweep over the levels; None if its support has no such levels.
 
     A BFS over the cached rows and cols finds the levels: an entry (r, c)
-    puts c one level above r.  Each level carries an echelon basis, each row
-    tagged with its birth level, completed by unit rows born there.  The
-    images of the rows born by b span the image of level b; one that
-    reduces to zero, inserted oldest first, closes a block of size level -
-    birth + 1 (the elder rule for the bars of the graded k[x]-module,
-    Zomorodian-Carlsson, DCG 33, 2005); the rest are carried up.
+    puts c one level above r.  Each edge costs one lookup per direction: an
+    index without a level gets the one the edge asks for, and one with a
+    different level refuses the matrix.  Each level carries an echelon
+    basis, each row tagged with its birth level, completed by unit rows born
+    there.  The images of the rows born by b span the image of level b; one
+    that reduces to zero, inserted oldest first, closes a block of size
+    level - birth + 1 (the elder rule for the bars of the graded
+    k[x]-module, Zomorodian-Carlsson, DCG 33, 2005); the rest are carried
+    up.
     """
     level: dict[int, int] = {}
+    above, below = matrix.rows, matrix.cols  # row u lists the c above u, column u the r below
     for start in range(matrix.dim):
-        queue = [] if start in level else [start]
-        level.setdefault(start, 0)
+        if start in level:
+            continue
+        level[start] = 0
+        queue = [start]
         for u in queue:
-            for index, step in ((matrix.rows, 1), (matrix.cols, -1)):
+            k = level[u]
+            for index, want in ((above, k + 1), (below, k - 1)):
                 for v, _ in index.get(u, ()):
-                    if v not in level:
+                    got = level.get(v)
+                    if got is None:
+                        level[v] = want
                         queue.append(v)
-                    if level.setdefault(v, level[u] + step) != level[u] + step:
+                    elif got != want:
                         return None
     rows, blocks, carried, pivots = _int_rows(matrix), [], [], {}
     for k, born in groupby(sorted(level, key=level.get), level.get):

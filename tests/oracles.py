@@ -17,13 +17,16 @@ level sweep: matrix_product and laurent_product are the products its
 commutators are checked against, and power_ranks is the row-space rank
 chain that checks the sweep, on any nilpotent matrix.  theta_chain_by_steps
 divides x_gamma by its N at each step of the extraspecial chain, where the
-package carries one denominator to theta.
+package carries one denominator to theta.  graded_blocks_by_setdefault finds
+its levels with a membership test and a setdefault per edge, the pass whose
+blocks the package's one-lookup pass must reproduce.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from itertools import groupby
 from fractions import Fraction
 
 from fghodge.character import Character
@@ -31,7 +34,7 @@ from fghodge.chevalley import PrincipalTriple, StructureConstants
 from fghodge.connection import LaurentMatrix
 from fghodge.grading import HodgeTable
 from fghodge.errors import IntegrityError, UsageError
-from fghodge.linalg import Entry, SparseMatrix, _echelon, _int_rows, _row_times
+from fghodge.linalg import Entry, SparseMatrix, _echelon, _insert, _int_rows, _row_times
 from fghodge.rootdatum import Coords, RootDatum, SimpleType, _cartan_matrix
 
 
@@ -111,6 +114,33 @@ def rank_chain_blocks(matrix: SparseMatrix) -> tuple[int, ...]:
     blocks of size s, r_k = rank M^k from power_ranks."""
     r = [matrix.dim] + power_ranks(matrix) + [0]
     return tuple(s for s in range(len(r) - 2, 0, -1) for _ in range(r[s - 1] - 2 * r[s] + r[s + 1]))
+
+
+def graded_blocks_by_setdefault(matrix: SparseMatrix) -> list[int] | None:
+    """linalg.graded_blocks with its levels found by a membership test and a
+    setdefault per edge and direction; None when two edges disagree."""
+    level: dict[int, int] = {}
+    for start in range(matrix.dim):
+        queue = [] if start in level else [start]
+        level.setdefault(start, 0)
+        for u in queue:
+            for index, step in ((matrix.rows, 1), (matrix.cols, -1)):
+                for v, _ in index.get(u, ()):
+                    if v not in level:
+                        queue.append(v)
+                    if level.setdefault(v, level[u] + step) != level[u] + step:
+                        return None
+    rows, blocks, carried, pivots = _int_rows(matrix), [], [], {}
+    for k, born in groupby(sorted(level, key=level.get), level.get):
+        carried += [(k, {i: 1}) for i in born if i not in pivots]
+        pivots, survivors = {}, []
+        for birth, row in carried:
+            if (col := _insert(pivots, _row_times(row, rows))) is None:
+                blocks.append(k - birth + 1)
+            else:
+                survivors.append((birth, pivots[col]))
+        carried = survivors
+    return blocks
 
 
 def tensor_grading(g1: HodgeTable, g2: HodgeTable) -> HodgeTable:

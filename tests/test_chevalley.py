@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
+import operator
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -39,6 +41,7 @@ from conftest import ALL_TYPES, ALL_TYPES_RANK8, datum, fw
 from oracles import (
     carter_structure_constants,
     dump_triplets,
+    graded_blocks_by_setdefault,
     rank_chain_blocks,
     serre_relations_hold,
     string_length,
@@ -357,7 +360,7 @@ def test_rho_on_ints_matches_the_fraction_covector(name, node, which):
 def test_the_level_sweep_gives_the_rank_chain_blocks(name, node, which):
     n = principal_triple(_rep(name, node, which)).N
     blocks = graded_blocks(n)
-    assert blocks is not None
+    assert blocks is not None and blocks == graded_blocks_by_setdefault(n)
     assert jordan_type(n) == JordanPartition(tuple(blocks)) == JordanPartition(rank_chain_blocks(n))
 
 
@@ -734,20 +737,24 @@ def test_the_generator_only_constants_are_the_table_on_pairs_with_a_simple_root(
 
 @pytest.mark.parametrize("name", ALL_TYPES_RANK8)
 def test_the_generator_build_writes_the_bracket_tables_generator_columns(name):
-    # adjoint_rep writes ad e_i, ad f_i and ad h_i from the generator-only
-    # constants without the rest of the table; each must be the table's own
-    # column, entry for entry and value type for value type
+    # adjoint_rep writes ad e_i and ad f_i from the generator-only constants
+    # without the rest of the table; each must be the table's own column,
+    # entry for entry and value type for value type.  ad h_i is not written:
+    # the table's Cartan columns must be the h_i derived from the weights
     d = datum(name)
     sc = structure_constants(d)
     basis, weights, gens = chevalley._ad_columns(d, *chevalley._carter_constants(d, full=False),
                                                  full=False)
     assert basis == list(sc.ad)
-    assert list(gens) == [b for b in sc.ad if b in gens] and len(gens) == 3 * d.rank
+    assert list(gens) == [b for b in sc.ad if b in gens] and len(gens) == 2 * d.rank
+    assert {kind for kind, _ in gens} == {"root"}
     for b, m in gens.items():
         assert m == sc.ad[b] and _value_types(m) == _value_types(sc.ad[b]), b
     rep, table = (chevalley._adjoint_generators(d, basis, weights, gens),
                   chevalley._adjoint_generators(d, basis, weights, sc.ad))
     assert rep._replace(e_theta=None) == table._replace(e_theta=None)
+    cartan = tuple(sc.ad[("cartan", i)] for i in range(d.rank))
+    assert rep.h == cartan and list(map(_value_types, rep.h)) == list(map(_value_types, cartan))
     assert rep == adjoint_rep(d)
 
 
@@ -848,10 +855,9 @@ def test_the_weight_codes_separate_digits_that_collide_in_base_2m_plus_1():
     # -3 + 3 = 0 in base 2M + 1 = 3 and to -3 + 11 in base 4M + 7 = 11
     d = datum("A2")
     weights = ((0, 0), (-1, 0))
-    h = tuple(SparseMatrix.diagonal([w[i] for w in weights]) for i in range(2))
     zero = SparseMatrix.zero(2)
     rep = RepMatrices(datum=d, dim=2, basis_weights=weights, e=(zero, zero), f=(zero, zero),
-                      h=h, e_theta=zero, name="toy")
+                      e_theta=zero, name="toy")
     moved_up = SparseMatrix.from_entries(2, {(1, 0): 1})
     with pytest.raises(IntegrityError, match="toy: e_1 breaks the weight grading"):
         _check_rep(rep._replace(e=(moved_up, zero)))
@@ -897,7 +903,7 @@ def test_standard_and_minuscule_reps_build_no_lie_algebra(monkeypatch):
 
 
 def _with_generator(rep, which, i, entries):
-    generators = {"e": rep.e, "f": rep.f, "h": rep.h}
+    generators = {"e": rep.e, "f": rep.f}
     mats = list(generators[which])
     mats[i] = SparseMatrix.from_entries(rep.dim, entries)
     generators[which] = tuple(mats)
@@ -928,11 +934,25 @@ def test_check_rep_catches_a_sign_flip_around_the_weight_diamond():
         _check_rep(broken)
 
 
-def test_check_rep_catches_an_off_diagonal_cartan_entry():
-    rep = classical_std_rep(datum("B3"))
-    h1 = dict(rep.h[0].entries) | {(0, 1): 1}
-    with pytest.raises(IntegrityError, match="h_1 disagrees with basis weights"):
-        _check_rep(_with_generator(rep, "h", 0, h1))
+def test_verify_jacobi_catches_an_off_diagonal_cartan_entry(monkeypatch):
+    # h_i is derived from the weights, so an off-diagonal entry can live only
+    # in a bracket table: [h_1, b_1] gains a term in b_0 = x_theta.  Alone it
+    # breaks the involution; with its omega image the derivation check sees
+    # it, and without the derivation checks step 4 names it.
+    sc = structure_constants(datum("B3"))
+    index = {b: i for i, b in enumerate(sc.ad)}
+    omega = tuple(index[("root", tuple(-x for x in r))] for _, r in list(sc.ad)[:2])
+    h1 = ("cartan", 0)
+    fault, mirror = {(0, 1): 1}, {omega: -1}
+    for entries, message in ((fault, "involution does not preserve"),
+                             (fault | mirror, "Jacobi identity fails")):
+        ad = dict(sc.ad)
+        ad[h1] = SparseMatrix.from_entries(len(ad), dict(ad[h1].entries) | entries)
+        with pytest.raises(IntegrityError, match=message):
+            verify_jacobi(_with_table(sc, ad))
+    monkeypatch.setattr(chevalley, "_check_derivation", lambda *args: None)
+    with pytest.raises(IntegrityError, match=r"adjoint\(B3\): h_1 disagrees with basis weights"):
+        verify_jacobi(_with_table(sc, ad))
 
 
 def test_check_rep_catches_an_f_entry_at_a_wrong_weight():
@@ -942,6 +962,137 @@ def test_check_rep_catches_an_f_entry_at_a_wrong_weight():
     moved = next(k for k in range(rep.dim) if k not in (r, c))
     with pytest.raises(IntegrityError, match="f_2 breaks the weight grading"):
         _check_rep(_with_generator(rep, "f", 1, {(moved, c): v}))
+
+
+@pytest.mark.parametrize("which", ["e", "f", "e_theta"])
+@pytest.mark.parametrize("step", [1, -1])
+def test_check_rep_refuses_a_generator_of_the_wrong_size(which, step):
+    # A2 std: one generator a row and column larger or smaller than the 3
+    # basis weights, its entries kept where they fit; a larger one also gets
+    # an entry in its extra row, which has no weight
+    rep = classical_std_rep(datum("A2"))
+    old = rep.e_theta if which == "e_theta" else getattr(rep, which)[0]
+    dim = rep.dim + step
+    entries = {k: v for k, v in old.entries.items() if max(k) < dim}
+    resized = SparseMatrix.from_entries(dim, entries | ({(rep.dim, 0): 1} if step > 0 else {}))
+    if which == "e_theta":
+        broken, label = rep._replace(e_theta=resized), "e_theta"
+    else:
+        broken, label = rep._replace(**{which: (resized, *getattr(rep, which)[1:])}), f"{which}_1"
+    with pytest.raises(IntegrityError, match=rf"V\(1,0\) of A2: {label} is {dim}x{dim} on 3 basis weights"):
+        _check_rep(broken)
+
+
+def test_check_rep_refuses_an_e_i_n_that_misses_the_diagonal():
+    # f_1 = 0 passes the grading, and [e_1, N] = [e_1, f_2] = 0 has no entry
+    # to compare: only the count of entries against the nonzero pairings sees it
+    rep = classical_std_rep(datum("A2"))
+    with pytest.raises(IntegrityError, match=r"\[e_1, N\] != h_1"):
+        _check_rep(rep._replace(f=(SparseMatrix.zero(rep.dim), rep.f[1])))
+
+
+@pytest.mark.parametrize("fault", ["moved", "dropped", "scaled"])
+def test_check_rep_reads_each_entry_of_e_i_n_against_the_weights(fault, monkeypatch):
+    # B3 std with one entry (k, k) of [e_1, N] moved to (k, k + 1) with its
+    # value (the count and every value still match the pairings), dropped,
+    # or doubled; the commutator is patched so that no other check sees it
+    rep = classical_std_rep(datum("B3"))
+    commutator = SparseMatrix.commutator
+
+    def faulty(self, other):
+        out = commutator(self, other)
+        if self is rep.e[0] and other is rep.N:
+            entries = dict(out.entries)
+            (k, _), v = min(entries.items())
+            del entries[(k, k)]
+            if fault == "moved":
+                entries[(k, k + 1)] = v
+            elif fault == "scaled":
+                entries[(k, k)] = 2 * v
+            out = SparseMatrix(out.dim, entries)
+        return out
+
+    monkeypatch.setattr(SparseMatrix, "commutator", faulty)
+    with pytest.raises(IntegrityError, match=r"\[e_1, N\] != h_1"):
+        _check_rep(rep)
+
+
+def test_check_rep_refuses_a_wrong_generator_count_or_dimension():
+    rep = classical_std_rep(datum("A2"))
+    for broken in (rep._replace(e=rep.e[:1]), rep._replace(f=rep.f + rep.f[:1]), rep._replace(dim=4)):
+        with pytest.raises(IntegrityError, match="on 3 basis weights of rank 2"):
+            _check_rep(broken)
+
+
+def test_rep_matrices_refuse_an_h_argument():
+    # h is derived from the basis weights: there is no field to pass it in
+    rep = classical_std_rep(datum("A2"))
+    assert "h" not in RepMatrices._fields
+    with pytest.raises(TypeError, match="'h'"):
+        RepMatrices(datum=rep.datum, dim=rep.dim, basis_weights=rep.basis_weights, e=rep.e, f=rep.f,
+                    h=rep.h, e_theta=rep.e_theta)
+
+
+@pytest.mark.parametrize("name,node,which", ALL_REPS_RANK8)
+def test_h_is_the_diagonal_of_the_basis_weights(name, node, which):
+    rep = _rep(name, node, which)
+    expect = tuple(SparseMatrix.diagonal([w[i] for w in rep.basis_weights]) for i in range(rep.datum.rank))
+    assert rep.h == expect and list(map(_value_types, rep.h)) == list(map(_value_types, expect))
+    assert all(m.dim == rep.dim for m in rep.h)
+
+
+def test_a_certify_op_reads_no_h(monkeypatch, capsys):
+    # the certificate checks [e_i, N] against the weights themselves
+    def refuse(self):
+        raise AssertionError("read RepMatrices.h")
+
+    monkeypatch.setattr(RepMatrices, "h", property(refuse))
+    for name, build in (("E8", adjoint_rep), ("B8", classical_std_rep)):
+        d = datum(name)
+        triple = principal_triple(build(d))
+        assert jordan_type(triple.N).blocks
+        assert integrability_residual(*rmodule_pair(triple, d.coxeter)).is_zero()
+    assert main(["verify", "--type", "E8", "--rep", "adjoint"]) == 0
+    assert capsys.readouterr() == ("PASS E8 adjoint: flatness residual is the zero matrix\n", "")
+    with pytest.raises(AssertionError, match="read RepMatrices.h"):
+        classical_std_rep(datum("B8")).h
+
+
+def _summed(f):
+    """rep.N of a representation whose f_j are f (N reads nothing else)."""
+    return RepMatrices(datum=None, dim=None, basis_weights=(), e=(), f=tuple(f), e_theta=None).N
+
+
+@pytest.mark.parametrize("f", [
+    [{(1, 0): 1, (2, 1): 2}, {(2, 1): -2, (3, 2): 5}],  # (2, 1) cancels
+    [{(1, 0): 1}, {(1, 0): -1}],  # the whole sum cancels to zero
+    [{(1, 0): Fraction(1, 2)}, {(1, 0): Fraction(1, 2), (2, 1): Fraction(1, 3)}],  # denominator 1
+    [{(1, 0): 1}, {(1, 0): Fraction(1, 3)}, {(1, 0): Fraction(-1, 3), (2, 0): Fraction(2, 3)}],
+    [{(3, 2): Fraction(-7, 4)}],
+])
+def test_the_one_pass_n_is_the_sum_of_the_f_j(f):
+    mats = [SparseMatrix.from_entries(4, entries) for entries in f]
+    got, want = _summed(mats), functools.reduce(operator.add, mats)
+    assert got == want and _value_types(got) == _value_types(want)
+
+
+def test_the_one_pass_n_matches_the_sum_on_random_int_and_fraction_mixes():
+    rng = random.Random(2027)
+    values = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 2)]
+    for _ in range(300):
+        mats = [SparseMatrix.from_entries(3, {(rng.randrange(3), rng.randrange(3)): rng.choice(values)
+                                              for _ in range(rng.randrange(5))})
+                for _ in range(rng.randrange(1, 5))]
+        got, want = _summed(mats), functools.reduce(operator.add, mats)
+        assert got == want and _value_types(got) == _value_types(want)
+
+
+def test_the_one_pass_n_refuses_different_dimensions():
+    for dims in ((3, 4), (3, 3, 2)):
+        mats = [SparseMatrix.from_entries(d, {(1, 0): 1}) for d in dims]
+        for total in (_summed, lambda f: functools.reduce(operator.add, f)):
+            with pytest.raises(UsageError, match="matrix dimensions differ"):
+                total(mats)
 
 
 def test_rep_relations_hold_exactly():

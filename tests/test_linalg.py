@@ -12,7 +12,7 @@ from fghodge.errors import UsageError
 from fghodge.grading import JordanPartition
 from fghodge.linalg import SparseMatrix, graded_blocks, rank
 from conftest import datum
-from oracles import matrix_product, rank_chain_blocks, to_dense
+from oracles import graded_blocks_by_setdefault, matrix_product, rank_chain_blocks, to_dense
 
 
 def gauss_jordan_rank(dense) -> int:
@@ -231,6 +231,7 @@ def test_jordan_type_matches_ranks_of_explicit_powers(m):
     # the rank chain on every case; the level sweep where a grading exists
     expect = jordan_blocks_from_powers(m)
     assert rank_chain_blocks(m) == expect
+    assert graded_blocks(m) == graded_blocks_by_setdefault(m)
     if graded_blocks(m) is None:
         with pytest.raises(UsageError, match="no grading"):
             jordan_type(m)
@@ -278,6 +279,7 @@ def graded_nilpotents(draw):
 @given(m=graded_nilpotents())
 def test_the_level_sweep_matches_ranks_of_explicit_powers(m):
     assert graded_blocks(m) is not None
+    assert graded_blocks(m) == graded_blocks_by_setdefault(m)
     assert jordan_type(m).blocks == jordan_blocks_from_powers(m)
 
 
@@ -295,6 +297,30 @@ def test_a_support_without_levels_is_refused(monkeypatch):
     assert graded_blocks(m) is None
     with pytest.raises(UsageError, match="no grading"):
         jordan_type(m)
+
+
+@pytest.mark.parametrize("entries", [
+    {(1, 1): 1},  # a diagonal entry asks for level(1) = level(1) + 1
+    {(0, 1): 1, (1, 2): 1, (0, 2): 1},  # the triangle: 2 is one and two levels above 0
+    # index 0 has no row entry, so every level comes from a cols step, and
+    # (2, 1) puts 2 at level -2 against the -1 that (2, 0) gave it
+    {(1, 0): 1, (2, 1): 1, (2, 0): 1},
+])
+def test_the_level_pass_refuses_a_support_without_levels(entries, monkeypatch):
+    m = SparseMatrix.from_entries(3, entries)
+    assert graded_blocks_by_setdefault(m) is None
+    refuse_elimination(monkeypatch)
+    assert graded_blocks(m) is None
+    with pytest.raises(UsageError, match="no grading"):
+        jordan_type(m)
+
+
+def test_the_level_pass_handles_two_components():
+    # 0 -> 1 -> 2 and 4 -> 3 start at level 0 each, so their levels overlap
+    # (0..2 and -1..0); index 5 has no entry
+    m = SparseMatrix.from_entries(6, {(0, 1): 1, (1, 2): Fraction(1, 2), (4, 3): 3})
+    assert graded_blocks(m) == graded_blocks_by_setdefault(m) is not None
+    assert jordan_type(m).blocks == jordan_blocks_from_powers(m) == (3, 2, 1)
 
 
 def test_the_level_sweep_reads_the_cached_rows_of_an_int_matrix_unchanged():
