@@ -25,12 +25,17 @@ never fires, since a difference of two simple roots is not a root.  So each
 restricted constant comes from the same steps and checks as in the full
 table (structure_constants), and has the same value.
 
-Root codes: the special pairs, the recursion, the writer _ad_columns and
-the theta chain take the root c as the int sum_i c_i 64**i (_BASE = 64).
-Codes are linear, and each vector those loops test is a sum or difference of
-two roots (b - (p+1) a = (b - p a) - a), with digits of absolute value <=
-2 * 6 = 12; signed base-64 digits below 32 are unique, so no two of those
-vectors collide.  _root_codes refuses a root coefficient of 16 (_BASE / 4) or more.
+Integer codes: an int vector v is coded as sum_i v_i B^i (_code_powers),
+which is linear.  Two vectors whose digits all lie in [-D, D] have equal
+codes in base B = 2D + 1 only if they are equal: their difference has
+digits |d_i| <= 2D < B, and a nonzero vector of such digits codes to
+B^k (d_k + B q), d_k its lowest nonzero digit and q an int, which is not 0
+since 0 < |d_k| < B.  So a loop that compares only vectors with digits in
+[-D, D] may compare their codes instead.  The special pairs, the recursion,
+the writer _ad_columns and the theta chain compare sums and differences of
+two roots (b - (p+1) a = (b - p a) - a), so D is twice the largest root
+coefficient (12 on E8); _check_rep compares basis weights, each shifted by
+at most a simple root or theta (its own D).
 
 Representation matrices: every representation takes one path.  It lives on
 a basis of weight vectors, so rho(h_i) := diag(<mu, alpha_i^vee>) over its
@@ -81,7 +86,6 @@ from .linalg import SparseMatrix, _norm, graded_blocks
 from .rootdatum import Coords, RootDatum, pair
 
 MAX_RANK = 8
-_BASE = 64  # radix of the root codes
 
 
 def _vadd(a: Coords, b: Coords) -> Coords:
@@ -192,15 +196,19 @@ def _adjoint_basis(datum: RootDatum) -> tuple[list, tuple[Coords, ...]]:
             (*up, *((0,) * rank,) * rank, *map(_vneg, up)))
 
 
+def _code_powers(rank: int, digit: int) -> list[int]:
+    """B^i for i < rank, B = 2 digit + 1: codes in base B tell apart any two
+    int vectors whose digits lie in [-digit, digit] (module docstring)."""
+    base = 2 * digit + 1
+    return [base ** i for i in range(rank)]
+
+
 def _root_codes(datum: RootDatum) -> dict[int, Coords]:
-    """Every positive root by its code sum_i c_i _BASE**i, in datum order,
-    after the guard that keeps the codes injective on sums and differences
-    of two roots."""
+    """Every positive root by its code, in datum order, so the simple roots
+    lead; sums and differences of two roots have digits of at most twice
+    the largest root coefficient, and their codes are distinct."""
     positive = datum.positive_roots
-    if 4 * max(map(max, positive)) >= _BASE:
-        raise IntegrityError(f"a root of {datum.stype} has a coefficient of {_BASE // 4} or more, "
-                             f"too large for root codes in base {_BASE}")
-    powers = [_BASE ** i for i in range(datum.rank)]
+    powers = _code_powers(datum.rank, 2 * max(map(max, positive)))
     return {sum(map(operator.mul, r, powers)): r for r in positive}
 
 
@@ -409,11 +417,15 @@ def _check_derivation(basis, ad: list[SparseMatrix], column, g: int, y: int) -> 
 
 # -- representation matrices --------------------------------------------------
 
-class RepMatrices(namedtuple("RepMatrices", "datum dim basis_weights e f e_theta name",
+class RepMatrices(namedtuple("RepMatrices", "datum basis_weights e f e_theta name",
                              defaults=("rep",))):
     """e, f: tuples of the n generator matrices on a basis of weight vectors
     whose weights are basis_weights; e_theta: x_theta; name labels
-    messages.  h is derived from the weights, never passed."""
+    messages.  dim and h are derived from the weights, never passed."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_weights)
 
     @functools.cached_property
     def h(self) -> tuple[SparseMatrix, ...]:
@@ -449,24 +461,21 @@ def _check_rep(rep: RepMatrices) -> None:
     The Cartan generators are rho(h_i) := diag(<mu, alpha_i^vee>) over the
     declared basis weights mu (RepMatrices.h): defined, not passed, so no
     stored h_i is compared with the weights.  Every e_j, f_j and e_theta
-    must be dim x dim, dim the number of basis weights, with n of each e_j
-    and f_j.  Every entry of e_j (f_j) must move a weight mu to mu +
+    must be dim x dim (RepMatrices.dim, the number of basis weights), with
+    n of each e_j and f_j.  Every entry of e_j (f_j) must move a weight mu to mu +
     alpha_j (mu - alpha_j), and every entry of e_theta must move mu to mu +
     theta.  With h_i diagonal, [h_i, x] has entry (h_i[r] - h_i[c]) x[r,
     c], so this grading is exactly [h_i, e_j] = a_ji e_j and [h_i, f_j] =
     -a_ji f_j, a_ji = <alpha_j, alpha_i^vee>.
 
-    The grading runs on int codes: the basis weights (int n-tuples), the
-    alpha_j and theta each become sum_i mu_i B^i, B = 4M + 7 with M the
-    largest |mu_i|, and an entry (r, c) of e_j passes when codes[r] =
-    codes[c] + code(alpha_j).  That is the tuple test w_r = w_c + alpha_j:
-    codes are linear, and every digit d_i of w_r - w_c - alpha_j (or theta)
-    has |d_i| <= 2M + 3 < B/2, since Cartan entries lie in [-3, 2] and
-    theta's weight entries in [0, 2].  A nonzero vector of such digits has a nonzero
-    code: with d_k its lowest nonzero digit, the code is B^k (d_k + B q) for
-    an int q, and 0 < |d_k| < B rules out d_k = -B q.  In base 2M + 1 the
-    digits (-(2M + 1), 1) code to 0: w_r = (-1, 0), w_c = (0, 0) and
-    alpha_1 = (2, -1) on A2.
+    The grading runs on int codes (_code_powers): an entry (r, c) of e_j
+    passes when codes[r] = codes[c] + code(alpha_j), which is the tuple
+    test w_r = w_c + alpha_j.  With M the largest |mu_i| over the basis
+    weights, w_r has digits in [-M, M] and w_c + alpha_j in [-M - 3, M + 3],
+    since Cartan entries lie in [-3, 2] and theta's weight entries in
+    [0, 2], so the codes are in base 2M + 7.  In base 2M + 1 the digits
+    (-(2M + 1), 1) of w_r - w_c - alpha_1 code to 0: w_r = (-1, 0),
+    w_c = (0, 0) and alpha_1 = (2, -1) on A2.
 
     [e_i, N] = h_i is checked entry by entry on the commutator: each entry
     sits at some (k, k) and equals <w_k, alpha_i^vee>, and there are as many
@@ -498,17 +507,16 @@ def _check_rep(rep: RepMatrices) -> None:
     datum = rep.datum
     n = datum.rank
     weights = rep.basis_weights
-    dim = len(weights)
-    if (rep.dim, len(rep.e), len(rep.f)) != (dim, n, n):
-        raise IntegrityError(f"{rep.name}: dim {rep.dim}, {len(rep.e)} e_j and {len(rep.f)} f_j "
+    dim = rep.dim
+    if (len(rep.e), len(rep.f)) != (n, n):
+        raise IntegrityError(f"{rep.name}: {len(rep.e)} e_j and {len(rep.f)} f_j "
                              f"on {dim} basis weights of rank {n}")
     for label, mats in (("e_{}", rep.e), ("f_{}", rep.f), ("e_theta", (rep.e_theta,))):
         for j, m in enumerate(mats, 1):
             if m.dim != dim:
                 raise IntegrityError(f"{rep.name}: {label.format(j)} is {m.dim}x{m.dim} "
                                      f"on {dim} basis weights")
-    base = 4 * max(map(abs, itertools.chain.from_iterable(weights)), default=0) + 7
-    powers = [base ** i for i in range(n)]
+    powers = _code_powers(n, max(map(abs, itertools.chain.from_iterable(weights)), default=0) + 3)
     codes = [sum(map(operator.mul, w, powers)) for w in weights]
     for j, alpha in enumerate(datum.cartan):  # row j is alpha_j in weight coordinates
         a = sum(map(operator.mul, alpha, powers))
@@ -550,14 +558,14 @@ def _theta_matrix(datum: RootDatum, e: tuple[SparseMatrix, ...]) -> SparseMatrix
     fixes the scale.
     """
     positive = _root_codes(datum)
-    mats: dict[int, tuple[SparseMatrix, int]] = {_BASE ** i: (m, 1) for i, m in enumerate(e)}
+    simple = list(positive)[:datum.rank]  # the code of alpha_i is simple[i]
+    mats: dict[int, tuple[SparseMatrix, int]] = {a: (m, 1) for a, m in zip(simple, e)}
 
     def build(gamma: int) -> tuple[SparseMatrix, int]:
         got = mats.get(gamma)
         if got is not None:
             return got
-        for i in range(datum.rank):
-            alpha = _BASE ** i  # the code of alpha_i
+        for i, alpha in enumerate(simple):
             if (delta := gamma - alpha) in positive:
                 m, den = build(delta)
                 mats[gamma] = got = (e[i].commutator(m), den * (_string_length(positive, alpha, delta) + 1))
@@ -573,7 +581,7 @@ def _adjoint_generators(datum: RootDatum, basis: list, weights: tuple, ad: dict)
     alone), and x_theta from the e_i (_theta_by_tree); h_i is RepMatrices.h."""
     e = tuple(ad[("root", a)] for a in datum.simple_roots)
     return RepMatrices(
-        datum=datum, dim=len(basis), basis_weights=weights,
+        datum=datum, basis_weights=weights,
         e=e, f=tuple(ad[("root", _vneg(a))] for a in datum.simple_roots),
         e_theta=_theta_by_tree(datum, basis, e),
         name=f"adjoint({datum.stype})")
@@ -700,7 +708,7 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
             f_entries[i][(col, row)] = q * (q + mu[i] + 1)
     e = tuple(SparseMatrix(dim, ent) for ent in e_entries)
     f = tuple(SparseMatrix(dim, ent) for ent in f_entries)
-    rep = RepMatrices(datum=datum, dim=dim, basis_weights=weights, e=e, f=f,
+    rep = RepMatrices(datum=datum, basis_weights=weights, e=e, f=f,
                       e_theta=_theta_matrix(datum, e),
                       name=f"V({','.join(map(str, lam))}) of {datum.stype}")
     _check_rep(rep)
@@ -723,7 +731,10 @@ def classical_std_rep(datum: RootDatum) -> RepMatrices:
 
 # -- principal triple ---------------------------------------------------------
 
-class PrincipalTriple(namedtuple("PrincipalTriple", "datum dim N RHO E basis_weights")):
+class PrincipalTriple(namedtuple("PrincipalTriple", "datum N RHO E")):
+    """N, RHO and E of one representation of datum's type, dim x dim with
+    dim = N.dim (principal_triple)."""
+
     __slots__ = ()
 
     @property
@@ -746,8 +757,7 @@ def principal_triple(rep: RepMatrices) -> PrincipalTriple:
     datum = rep.datum
     levels = [-sum(map(operator.mul, w, datum.two_rho_covector)) for w in rep.basis_weights]
     rho = {(i, i): Fraction(k, 2) if k % 2 else k // 2 for i, k in enumerate(levels) if k}
-    return PrincipalTriple(datum=datum, dim=rep.dim, N=rep.N, RHO=SparseMatrix(rep.dim, rho),
-                           E=rep.e_theta, basis_weights=rep.basis_weights)
+    return PrincipalTriple(datum=datum, N=rep.N, RHO=SparseMatrix(rep.dim, rho), E=rep.e_theta)
 
 
 def jordan_type(matrix: SparseMatrix) -> JordanPartition:

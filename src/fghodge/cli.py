@@ -16,20 +16,9 @@ from fractions import Fraction
 
 from . import chevalley, connection, grading, kkp
 from .character import adjoint_weight, weyl_dimension
-from .errors import (
-    ConfigurationError,
-    FghodgeError,
-    IntegrityError,
-    ResourceLimitError,
-    UsageError,
-)
-from .grading import (
-    HodgeTable,
-    distinct_blocks,
-    partition_from_grading,
-    principal_grading,
-)
-from .rootdatum import RootDatum, SimpleType, build_root_datum, check_size
+from .errors import FghodgeError, IntegrityError, ResourceLimitError, UsageError
+from .grading import HodgeTable, distinct_blocks, partition_from_grading
+from .rootdatum import RootDatum, SimpleType, build_root_datum, check_size, parse_int
 
 DEFAULT_MAX_DIM = 10**6
 # Largest sum of dim V over the weights one sweep grades: the partition
@@ -50,13 +39,21 @@ def _parse_type(text: str) -> RootDatum:
 
 def _parse_weight(datum: RootDatum, text: str):
     try:
-        coords = tuple(int(x) for x in text.split(","))
+        coords = tuple(map(parse_int, text.split(",")))
     except ValueError:
         raise UsageError(f"cannot parse weight {text!r}; expected comma-separated integers")
     lam = datum.check_weight(coords)
     if not datum.is_dominant(lam):
         raise UsageError(f"weight {lam} is not dominant")
     return lam
+
+
+def _int_arg(text: str) -> int:
+    """argparse type of the integer options, under the rule of parse_int."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _guard_dim(datum: RootDatum, lam, max_dim: int) -> None:
@@ -95,7 +92,7 @@ def cmd_jordan(args) -> int:
     datum = _parse_type(args.type)
     lam = _parse_weight(datum, args.weight)
     _guard_dim(datum, lam, args.max_dim)
-    part = partition_from_grading(principal_grading(datum, lam))
+    part = partition_from_grading(grading.hodge_numbers(datum, lam))
     payload = {
         "type": str(datum.stype),
         "weight": list(lam),
@@ -237,8 +234,8 @@ def cmd_sweep(args) -> int:
     for stype, datum, weights, cases in swept:
         for lam in weights:
             label = f"{stype} weight {','.join(map(str, lam))}"
-            try:  # principal_grading checks the sum rule, partition_from_grading sl2-consistency
-                g = principal_grading(datum, lam)
+            try:  # hodge_numbers checks the sum rule, partition_from_grading sl2-consistency
+                g = grading.hodge_numbers(datum, lam)
                 ok = grading.hodge_from_partition(partition_from_grading(g)).dims == g.dims
             except IntegrityError as exc:
                 report(False, f"{label}: {exc}")
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--weight", required=True,
                            help="dominant weight in fundamental coordinates, e.g. 1,0,0")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+        p.add_argument("--max-dim", type=_int_arg, default=DEFAULT_MAX_DIM,
                        help="resource guard on dim V (default 10^6)")
         # accepted and ignored (nothing is cached on disk), so scripts passing it still run
         p.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
@@ -292,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kkp", help="minuscule Betti numbers vs shifted Hodge numbers")
     common(p)
-    p.add_argument("--node", type=int, required=True, help="Bourbaki node index")
+    p.add_argument("--node", type=_int_arg, required=True, help="Bourbaki node index")
     p.set_defaults(func=cmd_kkp)
 
     p = sub.add_parser("sweep", help="aggregate checks over all small types and weights")
-    p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--max-dim", type=int, default=200)
+    p.add_argument("--max-rank", type=_int_arg, default=4)
+    p.add_argument("--max-dim", type=_int_arg, default=200)
     p.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -321,13 +318,10 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (UsageError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except IntegrityError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except FghodgeError as exc:
+    except FghodgeError as exc:  # UsageError: bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -190,7 +190,7 @@ def rmodule_pair(triple: PrincipalTriple, h: int) -> tuple[LaurentMatrix, Lauren
     h must be the Coxeter number of the triple's type; passing anything else
     is rejected (build a faulty B by hand to study the broken case).
     """
-    if triple.dim < 1:
+    if triple.N.dim < 1:
         raise UsageError("representation must have positive dimension")
     if h != triple.coxeter:
         raise UsageError(

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto its exit-code contract: usage/configuration
-problems exit 2, failed mathematical checks exit 1, resource guards exit 3.
+The CLI maps these onto its exit-code contract: bad input (UsageError)
+exits 2, failed mathematical checks exit 1, resource guards exit 3.
 """
 
 from __future__ import annotations
@@ -11,12 +11,9 @@ class FghodgeError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigurationError(FghodgeError):
-    """Invalid type/rank combination or malformed configuration input."""
-
-
 class UsageError(FghodgeError):
-    """Operation called with arguments outside its contract."""
+    """Input outside the contract: an unknown type or rank, a malformed
+    argument, or an operation called with arguments it does not take."""
 
 
 class UnsupportedRepresentationError(UsageError):

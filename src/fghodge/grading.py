@@ -7,7 +7,7 @@ weight-mu vector is the integer <mu, 2rho^vee>; tables therefore use the
 doubled index k = 2*alpha as dictionary key and display alpha = k/2.
 Tables are centered (alpha = <mu, rho^vee>), with no global shift applied.
 
-principal_grading computes the grading of an irreducible V_lambda from
+hodge_numbers computes the grading of an irreducible V_lambda from
 Kostant's principal specialization of the Weyl character, a product over
 the positive roots, and is the only route the package uses.  rho_grading
 reads the same levels off a Freudenthal character (character.irrep_character);
@@ -107,8 +107,9 @@ def rho_grading(character: Character) -> HodgeTable:
     return HodgeTable(dims)
 
 
-def principal_grading(datum: RootDatum, lam) -> HodgeTable:
-    """Levels of V_lam from Kostant's principal specialization of its character.
+def hodge_numbers(datum: RootDatum, lam) -> HodgeTable:
+    """Irregular Hodge table of V_lam, one dominant weight: its levels from
+    Kostant's principal specialization of its character.
 
     sum_k dims[k] x^k = prod_{alpha>0} [<lam+rho, alpha^vee>]_x / [<rho, alpha^vee>]_x
     with [n]_x = (x^n - x^-n) / (x - x^-1) = x^(1-n) (1 - q^n) / (1 - q), q = x^2.
@@ -137,11 +138,6 @@ def principal_grading(datum: RootDatum, lam) -> HodgeTable:
     if g.dim != dim:
         raise IntegrityError(f"principal specialization of {lam} sums to {g.dim}, not dim {dim}")
     return g
-
-
-def hodge_numbers(datum: RootDatum, lam) -> HodgeTable:
-    """Irregular Hodge table of V_lam for one dominant weight: its principal grading."""
-    return principal_grading(datum, lam)
 
 
 def partition_from_grading(g: HodgeTable) -> JordanPartition:
@@ -178,7 +174,7 @@ def exponents(datum: RootDatum) -> list[int]:
     repeats the exponent n-1 (two adjoint strings of the same length), so no
     distinctness is enforced here; see distinct_blocks for the honest test.
     """
-    part = partition_from_grading(principal_grading(datum, adjoint_weight(datum)))
+    part = partition_from_grading(hodge_numbers(datum, adjoint_weight(datum)))
     exps = sorted((b - 1) // 2 for b in part.blocks)
     if any(b % 2 == 0 for b in part.blocks):
         raise IntegrityError("adjoint strings have odd length")

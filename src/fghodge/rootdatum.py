@@ -30,7 +30,7 @@ import functools
 import math
 import operator
 
-from .errors import ConfigurationError, IntegrityError, ResourceLimitError, UsageError
+from .errors import IntegrityError, ResourceLimitError, UsageError
 
 Coords = tuple[int, ...]
 
@@ -79,6 +79,15 @@ def check_size(stype: "SimpleType") -> None:
         )
 
 
+def parse_int(text: str) -> int:
+    """An integer typed by a user (type rank, weight entry, CLI option): what
+    int() accepts, less "_" ("1_0") and non-ASCII text such as Arabic-Indic
+    or fullwidth digits, which raise ValueError too."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 @functools.total_ordering
 class SimpleType:
     """A simple type such as E8 or B3.  C1 is normalized to A1.
@@ -94,11 +103,11 @@ class SimpleType:
         if family == "C" and rank == 1:
             family = "A"
         if family not in _RANK_RULES:
-            raise ConfigurationError(f"unknown family {family!r}; expected one of A-G")
+            raise UsageError(f"unknown family {family!r}; expected one of A-G")
         lo, hi = _RANK_RULES[family]
         if rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise ConfigurationError(f"{family}{rank}: rank for family {family} must be {bound}")
+            raise UsageError(f"{family}{rank}: rank for family {family} must be {bound}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)
 
@@ -126,15 +135,13 @@ class SimpleType:
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
-        """Parse strings like "A3", "e8", "D10" (case-insensitive)."""
+        """Parse strings like "A3", "e8", "D10" (case-insensitive); the rank
+        is read by parse_int."""
         text = text.strip()
         try:
-            # isdigit() keeps out signs, spaces and "_"; int() refuses "²" and over 4,300 digits
-            rank = int(text[1:]) if len(text) >= 2 and text[1:].isdigit() else None
+            rank = parse_int(text[1:])
         except ValueError:
-            rank = None
-        if rank is None:
-            raise ConfigurationError(f"cannot parse simple type {text!r}; expected e.g. 'A3' or 'E8'")
+            raise UsageError(f"cannot parse simple type {text!r}; expected e.g. 'A3' or 'E8'") from None
         return cls(text[0], rank)
 
     def __str__(self) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import itertools
 import operator
 import random
 from collections import Counter, defaultdict
@@ -33,7 +34,7 @@ from fghodge.errors import (
 )
 from fghodge.cli import main
 from fghodge.connection import integrability_residual, rmodule_pair
-from fghodge.grading import JordanPartition, partition_from_grading, principal_grading, rho_grading
+from fghodge.grading import JordanPartition, hodge_numbers, partition_from_grading, rho_grading
 from fghodge.kkp import minuscule_nodes
 from fghodge.linalg import SparseMatrix, graded_blocks
 from fghodge.rootdatum import pair
@@ -204,7 +205,7 @@ def test_principal_triple_a1_std():
     assert to_dense(tr.N) == [[0, 0], [1, 0]]
     assert to_dense(tr.E) == [[0, 1], [0, 0]]
     assert to_dense(tr.RHO) == [[Fraction(-1, 2), 0], [0, Fraction(1, 2)]]
-    assert tr._fields == ("datum", "dim", "N", "RHO", "E", "basis_weights")
+    assert tr._fields == ("datum", "N", "RHO", "E")
 
 
 @pytest.mark.parametrize("name,which", [
@@ -220,7 +221,7 @@ def test_principal_triple_identities(name, which):
     # 2 RHO spectrum = rho-grading level multiset
     lam = fw(d, 1) if which == "std" else adjoint_weight(d)
     g = rho_grading(irrep_character(d, lam))
-    spectrum = Counter(int(2 * tr.RHO.get(i, i)) for i in range(tr.dim))
+    spectrum = Counter(int(2 * tr.RHO.get(i, i)) for i in range(tr.N.dim))
     assert spectrum == Counter(g.dims)
 
 
@@ -274,7 +275,7 @@ def test_std_rep_from_weights_matches_kostant(name):
     rep = classical_std_rep(d)
     levels = [pair(mu, d.two_rho_covector) for mu in rep.basis_weights]
     assert levels == sorted(levels, reverse=True)
-    kostant = partition_from_grading(principal_grading(d, fw(d, 1)))
+    kostant = partition_from_grading(hodge_numbers(d, fw(d, 1)))
     assert jordan_type(principal_triple(rep).N) == kostant
 
 
@@ -288,7 +289,7 @@ def test_weight_rule_builds_every_minuscule_representation(name, node):
     d = datum(name)
     rep = _weight_rep(d, fw(d, node))
     _check_rep(rep)
-    kostant = partition_from_grading(principal_grading(d, fw(d, node)))
+    kostant = partition_from_grading(hodge_numbers(d, fw(d, node)))
     assert jordan_type(principal_triple(rep).N) == kostant
 
 
@@ -297,7 +298,7 @@ def test_weight_rule_builds_every_minuscule_representation(name, node):
 def test_weight_rule_matches_kostant_at_rank_9_and_10(name, node):
     d = datum(name)
     rep = _weight_rep(d, fw(d, node))
-    kostant = partition_from_grading(principal_grading(d, fw(d, node)))
+    kostant = partition_from_grading(hodge_numbers(d, fw(d, node)))
     assert jordan_type(principal_triple(rep).N) == kostant
 
 
@@ -310,7 +311,7 @@ def test_weight_rule_builds_g2_first_fundamental():
     d = datum("G2")
     rep = _weight_rep(d, fw(d, 1))
     assert rep.dim == 7
-    assert jordan_type(principal_triple(rep).N) == partition_from_grading(principal_grading(d, fw(d, 1)))
+    assert jordan_type(principal_triple(rep).N) == partition_from_grading(hodge_numbers(d, fw(d, 1)))
 
 
 @pytest.mark.parametrize("name,lam", [("A2", (2, 0)), ("A3", (2, 0, 0)), ("C3", (0, 0, 1))])
@@ -843,8 +844,8 @@ def test_the_weight_codes_refuse_an_entry_moved_to_a_wrong_weight_row(name, whic
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_theta_has_weight_entries_in_0_to_2(name):
-    # the premise of _check_rep's proof that base 4M + 7 grades e_theta:
-    # the digits of w_r - w_c - theta stay within 2M + 2
+    # the premise of _check_rep's proof that base 2M + 7 grades e_theta:
+    # the digits of w_c + theta stay within M + 3
     d = datum(name)
     assert all(0 <= x <= 2 for x in d.root_weights[d.theta])
 
@@ -852,11 +853,11 @@ def test_theta_has_weight_entries_in_0_to_2(name):
 def test_the_weight_codes_separate_digits_that_collide_in_base_2m_plus_1():
     # Declared weights (0, 0) and (-1, 0) on A2, M = 1: an e_1 entry from the
     # first to the second leaves w_r - w_c - alpha_1 = (-3, 1), which codes to
-    # -3 + 3 = 0 in base 2M + 1 = 3 and to -3 + 11 in base 4M + 7 = 11
+    # -3 + 3 = 0 in base 2M + 1 = 3 and to -3 + 9 in base 2M + 7 = 9
     d = datum("A2")
     weights = ((0, 0), (-1, 0))
     zero = SparseMatrix.zero(2)
-    rep = RepMatrices(datum=d, dim=2, basis_weights=weights, e=(zero, zero), f=(zero, zero),
+    rep = RepMatrices(datum=d, basis_weights=weights, e=(zero, zero), f=(zero, zero),
                       e_theta=zero, name="toy")
     moved_up = SparseMatrix.from_entries(2, {(1, 0): 1})
     with pytest.raises(IntegrityError, match="toy: e_1 breaks the weight grading"):
@@ -895,10 +896,10 @@ def test_standard_and_minuscule_reps_build_no_lie_algebra(monkeypatch):
     monkeypatch.setattr(chevalley, "_carter_constants", carter)
     for name in ["B8", "C8", "D8"]:
         d = datum(name)
-        kostant = partition_from_grading(principal_grading(d, fw(d, 1)))
+        kostant = partition_from_grading(hodge_numbers(d, fw(d, 1)))
         assert jordan_type(principal_triple(classical_std_rep(d)).N) == kostant
     e7 = datum("E7")
-    kostant = partition_from_grading(principal_grading(e7, fw(e7, 7)))
+    kostant = partition_from_grading(hodge_numbers(e7, fw(e7, 7)))
     assert jordan_type(principal_triple(_weight_rep(e7, fw(e7, 7))).N) == kostant
 
 
@@ -907,7 +908,7 @@ def _with_generator(rep, which, i, entries):
     mats = list(generators[which])
     mats[i] = SparseMatrix.from_entries(rep.dim, entries)
     generators[which] = tuple(mats)
-    return RepMatrices(datum=rep.datum, dim=rep.dim, basis_weights=rep.basis_weights,
+    return RepMatrices(datum=rep.datum, basis_weights=rep.basis_weights,
                        e_theta=rep.e_theta, name=rep.name, **generators)
 
 
@@ -1019,9 +1020,13 @@ def test_check_rep_reads_each_entry_of_e_i_n_against_the_weights(fault, monkeypa
 
 def test_check_rep_refuses_a_wrong_generator_count_or_dimension():
     rep = classical_std_rep(datum("A2"))
-    for broken in (rep._replace(e=rep.e[:1]), rep._replace(f=rep.f + rep.f[:1]), rep._replace(dim=4)):
+    for broken in (rep._replace(e=rep.e[:1]), rep._replace(f=rep.f + rep.f[:1])):
         with pytest.raises(IntegrityError, match="on 3 basis weights of rank 2"):
             _check_rep(broken)
+    # dim is the number of basis weights, not a field a rep could get wrong
+    assert "dim" not in RepMatrices._fields and rep.dim == len(rep.basis_weights) == 3
+    with pytest.raises(ValueError, match="'dim'"):
+        rep._replace(dim=4)
 
 
 def test_rep_matrices_refuse_an_h_argument():
@@ -1029,7 +1034,7 @@ def test_rep_matrices_refuse_an_h_argument():
     rep = classical_std_rep(datum("A2"))
     assert "h" not in RepMatrices._fields
     with pytest.raises(TypeError, match="'h'"):
-        RepMatrices(datum=rep.datum, dim=rep.dim, basis_weights=rep.basis_weights, e=rep.e, f=rep.f,
+        RepMatrices(datum=rep.datum, basis_weights=rep.basis_weights, e=rep.e, f=rep.f,
                     h=rep.h, e_theta=rep.e_theta)
 
 
@@ -1060,7 +1065,7 @@ def test_a_certify_op_reads_no_h(monkeypatch, capsys):
 
 def _summed(f):
     """rep.N of a representation whose f_j are f (N reads nothing else)."""
-    return RepMatrices(datum=None, dim=None, basis_weights=(), e=(), f=tuple(f), e_theta=None).N
+    return RepMatrices(datum=None, basis_weights=(), e=(), f=tuple(f), e_theta=None).N
 
 
 @pytest.mark.parametrize("f", [
@@ -1345,26 +1350,19 @@ def test_root_coded_table_is_bit_identical_to_the_tuple_recursion(name):
     assert _entries(sc) == _entries(ref)
 
 
-def test_root_codes_refuse_a_coefficient_past_a_quarter_of_the_base(monkeypatch):
-    # Sums and differences of two roots have digits of at most twice the largest
-    # coefficient, so codes in base B are injective while 4 * coefficient < B.
-    # E8's largest coefficient is 6 (theta = (2, 3, 4, 6, 5, 4, 3, 2)), so its
-    # digits reach 12: the guard refuses base 24 and admits base 25.
-    monkeypatch.setattr(chevalley, "_BASE", 24)
-    with pytest.raises(IntegrityError, match="a root of E8 has a coefficient of 6 or more"):
-        structure_constants(datum("E8"))
-    monkeypatch.setattr(chevalley, "_BASE", 25)
-    e8 = structure_constants(datum("E8"))
-    assert _entries(e8) == _entries(carter_structure_constants(e8.datum))
-    monkeypatch.setattr(chevalley, "_BASE", 16)
-    with pytest.raises(IntegrityError, match="a root of E8 has a coefficient of 4 or more"):
-        structure_constants(datum("E8"))
-    d4 = structure_constants(datum("D4"))  # coefficients up to 2 still fit
-    assert d4.n_pos == carter_structure_constants(d4.datum).n_pos
-    monkeypatch.setattr(chevalley, "_BASE", 8)
-    g2 = datum("G2")
-    with pytest.raises(IntegrityError, match="a root of G2 has a coefficient of 2 or more"):
-        _weight_rep(g2, fw(g2, 1))  # x_theta walks the codes too
+@pytest.mark.parametrize("name", ALL_TYPES_RANK8)
+def test_root_codes_separate_every_sum_and_difference_of_two_roots(name):
+    # the Carter recursion, _ad_columns and the theta chain compare codes of
+    # sums and differences of two roots (b - (p+1) a = (b - p a) - a) where
+    # they mean the vectors: distinct vectors must keep distinct codes
+    d = datum(name)
+    code = {r: c for c, r in chevalley._root_codes(d).items()}
+    code |= {tuple(-x for x in r): -c for r, c in code.items()}
+    seen = {}
+    for (a, ca), (b, cb) in itertools.product(code.items(), repeat=2):
+        for sign in (1, -1):
+            vector = tuple(x + sign * y for x, y in zip(a, b))
+            assert seen.setdefault(ca + sign * cb, vector) == vector, (a, b, sign)
 
 
 def _with_norm(d, root, value):

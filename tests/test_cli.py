@@ -91,12 +91,62 @@ def test_a_type_that_int_refuses_exits_2(capsys, text):
         2, "", f"error: cannot parse simple type {text!r}; expected e.g. 'A3' or 'E8'\n")
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["hodge", "--type", "A2", "--weight", "1_0,0"], "weight '1_0,0'"),
+    (["jordan", "--type", "A2", "--weight", "\u0661,0"], "weight '\u0661,0'"),  # Arabic-Indic 1
+    (["kkp", "--type", "E7", "--node", "\u0667"], "--node: invalid int value: '\u0667'"),
+    (["kkp", "--type", "E7", "--node", "7_0"], "--node: invalid int value: '7_0'"),
+    (["exponents", "--type", "E\u0668"], "simple type 'E\u0668'"),
+    (["exponents", "--type", "E\uff18"], "simple type 'E\uff18'"),  # fullwidth 8
+    (["exponents", "--type", "E_8"], "simple type 'E_8'"),
+    (["exponents", "--type", "E8", "--max-dim", "1_000"], "--max-dim: invalid int value: '1_000'"),
+    (["sweep", "--max-rank", "\uff13"], "--max-rank: invalid int value: '\uff13'"),
+    (["sweep", "--max-dim", "2_00"], "--max-dim: invalid int value: '2_00'"),
+])
+def test_an_integer_with_an_underscore_or_a_non_ascii_digit_exits_2(capsys, argv, text):
+    # int() reads "1_0" as 10 and "\u0667" or "\uff18" as 7 or 8: every integer
+    # on argv takes the one rule of parse_int instead
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and text in err
+
+
+@pytest.mark.parametrize("text,value", [
+    ("7", 7), ("+7", 7), (" 7 ", 7), ("-7", -7), ("007", 7),
+    ("1_0", None), ("\u0667", None), ("\uff13", None), ("\u00b2", None), ("", None), ("x", None),
+    ("1.0", None), ("1" * 4301, None),
+])
+def test_parse_int_is_int_on_ascii_text_without_underscores(text, value):
+    if value is None:
+        with pytest.raises(ValueError):
+            rootdatum.parse_int(text)
+    else:
+        assert rootdatum.parse_int(text) == int(text) == value
+
+
+def test_the_bench_cli_queries_parse_as_int_reads_them(monkeypatch):
+    # the benchmark's queries are ASCII: every integer in them reads as before
+    monkeypatch.syspath_prepend(str(Path(SRC).parent / "bench"))
+    import workloads
+
+    parser = cli.build_parser()
+    for seed in (1, 2, 3):
+        for op in workloads.cli_ops(seed):
+            argv = op["argv"]
+            args = parser.parse_args(argv)
+            for flag in ("--max-dim", "--max-rank", "--node"):
+                if flag in argv:
+                    assert getattr(args, flag[2:].replace("-", "_")) == int(argv[argv.index(flag) + 1])
+            if "--type" in argv:
+                d = cli._parse_type(args.type)
+                assert str(d.stype) == args.type
+                if "--weight" in argv:
+                    assert cli._parse_weight(d, args.weight) == tuple(map(int, args.weight.split(",")))
+
+
 def test_exponents_output(capsys):
     code, out, _ = run(capsys, "exponents", "--type", "E8")
     assert code == 0
     assert out.strip() == "1 7 11 13 17 19 23 29"
-    # a fullwidth digit passes both str.isdigit() and int()
-    assert run(capsys, "exponents", "--type", "E\uff18") == (0, "1 7 11 13 17 19 23 29\n", "")
     code, out, _ = run(capsys, "exponents", "--type", "A4", "--json")
     assert json.loads(out) == {"type": "A4", "exponents": [1, 2, 3, 4]}
 
@@ -265,7 +315,7 @@ def test_sweep_counts_a_failed_check(capsys, extra_trivial_on_b):
 def test_sweep_reports_a_failed_sum_rule_and_goes_on(capsys, monkeypatch):
     real = grading.weyl_dimension
 
-    def off_on_a2_adjoint(d, lam):  # principal_grading's sum rule then fails on A2 (1,1) only
+    def off_on_a2_adjoint(d, lam):  # hodge_numbers' sum rule then fails on A2 (1,1) only
         return real(d, lam) + (str(d.stype) == "A2" and tuple(lam) == (1, 1))
 
     monkeypatch.setattr(grading, "weyl_dimension", off_on_a2_adjoint)
@@ -295,7 +345,7 @@ def test_sweep_guards_the_dimensions_it_grades_before_printing(capsys, monkeypat
     def no_grading(datum, lam):
         raise AssertionError(f"graded {datum.stype} {lam}")
 
-    monkeypatch.setattr(cli, "principal_grading", no_grading)
+    monkeypatch.setattr(grading, "hodge_numbers", no_grading)
     # A1 alone has weights 0..99999 under --max-dim 10^5, about 5 * 10^9 vectors
     t0 = time.monotonic()
     code, out, err = run(capsys, "sweep", "--max-rank", "2", "--max-dim", "100000")

@@ -153,9 +153,8 @@ def test_rmodule_pair_rejects_wrong_coxeter():
 
 def test_rmodule_pair_rejects_zero_dimension():
     d = datum("A1")
-    degenerate = PrincipalTriple(datum=d, dim=0, N=SparseMatrix.zero(0),
-                                 RHO=SparseMatrix.zero(0), E=SparseMatrix.zero(0),
-                                 basis_weights=())
+    degenerate = PrincipalTriple(datum=d, N=SparseMatrix.zero(0),
+                                 RHO=SparseMatrix.zero(0), E=SparseMatrix.zero(0))
     with pytest.raises(UsageError):
         rmodule_pair(degenerate, 2)
 
@@ -222,8 +221,7 @@ def test_scaling_e_leaves_residual_zero():
     d = datum("B2")
     tr = principal_triple(classical_std_rep(d))
     for c in (Q(3, 7), -2, Q(-5, 3)):
-        scaled = PrincipalTriple(datum=tr.datum, dim=tr.dim, N=tr.N, RHO=tr.RHO,
-                                 E=tr.E.scale(c), basis_weights=tr.basis_weights)
+        scaled = tr._replace(E=tr.E.scale(c))
         a, b = rmodule_pair(scaled, d.coxeter)
         assert integrability_residual(a, b).is_zero()
 
@@ -358,8 +356,7 @@ def test_a_corrupted_rho_is_caught_as_by_the_oracle_products(name, which):
     tr = principal_triple(classical_std_rep(d) if which == "std" else adjoint_rep(d))
     rho = dict(tr.RHO.entries)
     rho[(1, 1)] = rho.get((1, 1), 0) + Q(1, 3)
-    bad = PrincipalTriple(datum=d, dim=tr.dim, N=tr.N, RHO=SparseMatrix.from_entries(tr.dim, rho),
-                          E=tr.E, basis_weights=tr.basis_weights)
+    bad = tr._replace(RHO=SparseMatrix.from_entries(tr.N.dim, rho))
     a, b = rmodule_pair(bad, d.coxeter)
     residual = integrability_residual(a, b)
     oracle = a.d_z() - b.d_t() - (laurent_product(a, b) - laurent_product(b, a))

@@ -21,7 +21,6 @@ from fghodge.grading import (
     hodge_from_partition,
     hodge_numbers,
     partition_from_grading,
-    principal_grading,
     rho_grading,
 )
 
@@ -87,7 +86,7 @@ def principal_string_levels(d, lam) -> list[int]:
 def test_principal_grading_matches_freudenthal(name, data):
     d = datum(name)
     lam = data.draw(st.sampled_from(_dominant_weights_up_to(d, 300)[0]))
-    g = principal_grading(d, lam)
+    g = hodge_numbers(d, lam)
     assert g.dims == rho_grading(irrep_character(d, lam)).dims
     assert sorted(g.dims) == principal_string_levels(d, lam)
 
@@ -103,7 +102,7 @@ def test_principal_grading_matches_freudenthal(name, data):
 ])
 def test_principal_grading_anchors(name, lam):
     d = datum(name)
-    g = principal_grading(d, lam)
+    g = hodge_numbers(d, lam)
     assert g.dims == rho_grading(irrep_character(d, lam)).dims
     assert g.total == weyl_dimension(d, lam)
     assert sorted(g.dims) == principal_string_levels(d, lam)
@@ -113,7 +112,7 @@ def test_principal_grading_checks_the_weyl_dimension(monkeypatch):
     real = grading.weyl_dimension
     monkeypatch.setattr(grading, "weyl_dimension", lambda d, lam: real(d, lam) + 1)
     with pytest.raises(IntegrityError):
-        principal_grading(datum("B3"), (0, 1, 1))
+        hodge_numbers(datum("B3"), (0, 1, 1))
 
 
 def test_rho_grading_basics():
@@ -244,7 +243,7 @@ def test_roundtrip_on_random_partitions():
 
 
 def test_sum_rule_helper():
-    # the sum rule the package checks inside principal_grading, from outside
+    # the sum rule the package checks inside hodge_numbers, from outside
     for d, lam in ((datum("F4"), fw(datum("F4"), 4)), (datum("A3"), (1, 1, 1))):
         assert hodge_numbers(d, lam).dim == weyl_dimension(d, lam)
 
@@ -300,14 +299,14 @@ def test_tables_compare_by_value():
 def test_a_non_integral_weight_entry_is_refused(entry):
     # int() used to truncate 1.5 and 3/2 to 1 and answer for (1, 0)
     d = datum("B2")
-    for call in (grading.hodge_numbers, grading.principal_grading, weyl_dimension, weyl_orbit):
+    for call in (grading.hodge_numbers, weyl_dimension, weyl_orbit):
         with pytest.raises(UsageError, match=r"has an entry that is not an integer"):
             call(d, (entry, 0))
 
 
 def test_integral_weight_entries_keep_their_answers():
     d = datum("B2")
-    for call in (grading.hodge_numbers, grading.principal_grading, weyl_dimension, weyl_orbit):
+    for call in (grading.hodge_numbers, weyl_dimension, weyl_orbit):
         expect = call(d, (1, 0))
         for mu in ([1, 0], (Fraction(2, 2), 0), (1.0, 0), (True, False), iter((1, 0))):
             assert call(d, mu) == expect, (call, mu)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fghodge import rootdatum
-from fghodge.errors import ConfigurationError, IntegrityError, ResourceLimitError, UsageError
+from fghodge.errors import IntegrityError, ResourceLimitError, UsageError
 from fghodge.rootdatum import (
     SimpleType,
     _symmetrizer,
@@ -134,11 +134,11 @@ def test_type_parsing_and_constraints():
     assert str(SimpleType.parse("e8")) == "E8"
     assert SimpleType("C", 1) == SimpleType("A", 1)  # C1 normalized
     for bad in ["B1", "D2", "E5", "E9", "F3", "G3", "H4"]:
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             SimpleType.parse(bad)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         SimpleType.parse("A")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         SimpleType.parse("8A")
 
 
@@ -360,9 +360,9 @@ def test_equal_types_share_one_root_datum():
 
 def test_simple_type_constructor_validates():
     assert (SimpleType("d", 4).family, SimpleType("d", 4).rank) == ("D", 4)
-    with pytest.raises(ConfigurationError, match="unknown family 'H'"):
+    with pytest.raises(UsageError, match="unknown family 'H'"):
         SimpleType("h", 3)
-    with pytest.raises(ConfigurationError, match=r"E9: rank for family E must be in \[6, 8\]"):
+    with pytest.raises(UsageError, match=r"E9: rank for family E must be in \[6, 8\]"):
         SimpleType("E", 9)
-    with pytest.raises(ConfigurationError, match="D2: rank for family D must be >= 3"):
+    with pytest.raises(UsageError, match="D2: rank for family D must be >= 3"):
         SimpleType("D", 2)
