@@ -75,12 +75,7 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .character import _weight_support, weyl_dimension
-from .errors import (
-    IntegrityError,
-    ResourceLimitError,
-    UnsupportedRepresentationError,
-    UsageError,
-)
+from .errors import IntegrityError, ResourceLimitError, UsageError
 from .grading import JordanPartition
 from .linalg import SparseMatrix, _norm, graded_blocks
 from .rootdatum import Coords, RootDatum, pair
@@ -715,31 +710,28 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
     return rep
 
 
+def std_weight(datum: RootDatum) -> Coords:
+    """omega_1, the highest weight of the standard representation of a
+    classical type; exceptional types have none here by design."""
+    if datum.stype.family not in "ABCD":
+        raise UsageError(f"no standard matrix model for {datum.stype}; only A/B/C/D are built")
+    return (1,) + (0,) * (datum.rank - 1)
+
+
 def classical_std_rep(datum: RootDatum) -> RepMatrices:
     """Standard representation V(omega_1) of a classical type, from its weights.
 
     V(omega_1) has dimension n+1 on A_n, 2n+1 on B_n, 2n on C_n and D_n;
-    its weights have multiplicity 1, so _weight_rep builds it.  Exceptional
-    types have no standard representation here by design.
+    its weights have multiplicity 1, so _weight_rep builds it.
     """
-    if datum.stype.family not in "ABCD":
-        raise UnsupportedRepresentationError(
-            f"no standard matrix model for {datum.stype}; only A/B/C/D are built"
-        )
-    return _weight_rep(datum, (1,) + (0,) * (datum.rank - 1))
+    return _weight_rep(datum, std_weight(datum))
 
 
 # -- principal triple ---------------------------------------------------------
 
-class PrincipalTriple(namedtuple("PrincipalTriple", "datum N RHO E")):
-    """N, RHO and E of one representation of datum's type, dim x dim with
-    dim = N.dim (principal_triple)."""
-
-    __slots__ = ()
-
-    @property
-    def coxeter(self) -> int:
-        return self.datum.coxeter
+# N, RHO and E of one representation of datum's type, dim x dim with
+# dim = N.dim (principal_triple).
+PrincipalTriple = namedtuple("PrincipalTriple", "datum N RHO E")
 
 
 def principal_triple(rep: RepMatrices) -> PrincipalTriple:

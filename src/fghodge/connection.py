@@ -192,10 +192,9 @@ def rmodule_pair(triple: PrincipalTriple, h: int) -> tuple[LaurentMatrix, Lauren
     """
     if triple.N.dim < 1:
         raise UsageError("representation must have positive dimension")
-    if h != triple.coxeter:
-        raise UsageError(
-            f"h = {h} does not match the Coxeter number {triple.coxeter} of {triple.datum.stype}"
-        )
+    datum = triple.datum
+    if h != datum.coxeter:
+        raise UsageError(f"h = {h} does not match the Coxeter number {datum.coxeter} of {datum.stype}")
     a = (LaurentMatrix.from_scalar_matrix(triple.N, dt=-1, dz=-1)
          + LaurentMatrix.from_scalar_matrix(triple.E, dz=-1))
     b = (LaurentMatrix.from_scalar_matrix(triple.N, dz=-2, factor=-h)

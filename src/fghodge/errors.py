@@ -13,11 +13,9 @@ class FghodgeError(Exception):
 
 class UsageError(FghodgeError):
     """Input outside the contract: an unknown type or rank, a malformed
-    argument, or an operation called with arguments it does not take."""
-
-
-class UnsupportedRepresentationError(UsageError):
-    """Requested a concrete matrix model that is deliberately not built."""
+    argument, a matrix model that is deliberately not built (the standard
+    representation of an exceptional type), or an operation called with
+    arguments it does not take."""
 
 
 class IntegrityError(FghodgeError):

@@ -61,17 +61,6 @@ class HodgeTable:
     def level(self, k: int) -> int:
         return self.dims.get(k, 0)
 
-    def sorted_items(self) -> list[tuple[int, int]]:
-        return sorted(self.dims.items())
-
-    def to_json_dict(self, type_str: str, weight) -> dict:
-        return {
-            "type": type_str,
-            "weight": list(weight),
-            "dim": self.dim,
-            "levels": [{"two_alpha": k, "h": v} for k, v in self.sorted_items()],
-        }
-
 
 class JordanPartition:
     """Multiset of Jordan block sizes, sorted descending."""
@@ -163,16 +152,12 @@ def hodge_from_partition(p: JordanPartition) -> HodgeTable:
     return HodgeTable(dims)
 
 
-def distinct_blocks(p: JordanPartition) -> bool:
-    return len(set(p.blocks)) == len(p.blocks)
-
-
 def exponents(datum: RootDatum) -> list[int]:
     """Exponents m_i of the type: adjoint sl2-strings have dimensions 2 m_i + 1.
 
     Returned sorted ascending, as a multiset: D_n with n even genuinely
     repeats the exponent n-1 (two adjoint strings of the same length), so no
-    distinctness is enforced here; see distinct_blocks for the honest test.
+    distinctness is enforced here; `fghodge jordan` reports it per weight.
     """
     part = partition_from_grading(hodge_numbers(datum, adjoint_weight(datum)))
     exps = sorted((b - 1) // 2 for b in part.blocks)

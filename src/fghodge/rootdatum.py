@@ -79,6 +79,24 @@ def check_size(stype: "SimpleType") -> None:
         )
 
 
+def simple_types(max_rank: int) -> list["SimpleType"]:
+    """Every simple type of rank <= max_rank, by family in _RANK_RULES order,
+    then by rank.
+
+    check_size runs first, on the type with the most positive roots (the
+    first on a tie), so a refused list builds nothing.  |Phi^+| grows with
+    the rank in each family, so that type is a family's top rank.  Only
+    classical types can pass MAX_POSITIVE_ROOTS, and B_r = C_r = r^2 is
+    their maximum, so a refusal names B_r.
+    """
+    tops = [(family, max_rank if hi is None else min(hi, max_rank))
+            for family, (lo, hi) in _RANK_RULES.items() if lo <= max_rank]
+    if tops:
+        check_size(SimpleType(*max(tops, key=lambda top: _POSITIVE_COUNT[top[0]](top[1]))))
+    return [SimpleType(family, rank) for family, top in tops
+            for rank in range(_RANK_RULES[family][0], top + 1)]
+
+
 def parse_int(text: str) -> int:
     """An integer typed by a user (type rank, weight entry, CLI option): what
     int() accepts, less "_" ("1_0") and non-ASCII text such as Arabic-Indic

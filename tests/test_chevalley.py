@@ -21,17 +21,13 @@ from fghodge.chevalley import (
     adjoint_rep,
     classical_std_rep,
     jordan_type,
+    std_weight,
     StructureConstants,
     principal_triple,
     structure_constants,
     verify_jacobi,
 )
-from fghodge.errors import (
-    IntegrityError,
-    ResourceLimitError,
-    UnsupportedRepresentationError,
-    UsageError,
-)
+from fghodge.errors import IntegrityError, ResourceLimitError, UsageError
 from fghodge.cli import main
 from fghodge.connection import integrability_residual, rmodule_pair
 from fghodge.grading import JordanPartition, hodge_numbers, partition_from_grading, rho_grading
@@ -188,9 +184,12 @@ def test_classical_std_reps():
     for name, dim in [("A3", 4), ("B3", 7), ("C3", 6), ("D4", 8)]:
         rep = classical_std_rep(datum(name))
         assert rep.dim == dim
+        assert rep.basis_weights[0] == std_weight(datum(name)) == (1,) + (0,) * (int(name[1]) - 1)
     for name in ["E6", "F4", "G2"]:
-        with pytest.raises(UnsupportedRepresentationError):
-            classical_std_rep(datum(name))
+        for build in (std_weight, classical_std_rep):
+            with pytest.raises(UsageError, match=f"^no standard matrix model for {name}; "
+                                                 "only A/B/C/D are built$"):
+                build(datum(name))
 
 
 def test_a_n_std_nilpotent_is_subdiagonal():

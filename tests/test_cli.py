@@ -157,6 +157,9 @@ def test_jordan_output(capsys):
     code, out, _ = run(capsys, "jordan", "--type", "E6", "--weight", "1,0,0,0,0,0", "--json")
     payload = json.loads(out)
     assert payload["blocks"] == [17, 9, 1] and payload["distinct"] is True
+    # D4 omega_2 is the adjoint: D_n with n even repeats the exponent n - 1
+    code, out, _ = run(capsys, "jordan", "--type", "D4", "--weight", "0,1,0,0", "--json")
+    assert out == '{"type":"D4","weight":[0,1,0,0],"blocks":[11,7,7,3],"distinct":false}\n'
 
 
 def test_verify_pass(capsys):
@@ -326,6 +329,38 @@ def test_sweep_reports_a_failed_sum_rule_and_goes_on(capsys, monkeypatch):
     assert lines.index(fail) < len(lines) - 2  # the sweep went on past it
     assert lines[-1] == f"sweep: {len(lines) - 2}/{len(lines) - 1} checks passed"
     assert (code, err) == (1, "")
+
+
+def test_sweep_reports_a_table_that_is_not_sl2_consistent_and_goes_on(capsys, monkeypatch):
+    real = grading.hodge_numbers
+
+    def skewed_on_a1_2(d, lam):  # symmetric and positive, but h^0 < h^1
+        if str(d.stype) == "A1" and tuple(lam) == (2,):
+            return grading.HodgeTable({-2: 2, 0: 1, 2: 2})
+        return real(d, lam)
+
+    monkeypatch.setattr(grading, "hodge_numbers", skewed_on_a1_2)
+    code, out, err = run(capsys, "sweep", "--max-rank", "2", "--max-dim", "30")
+    lines = out.splitlines()
+    fail = "FAIL A1 weight 2: grading is not sl2-consistent; cannot extract a Jordan partition"
+    assert [line for line in lines if line.startswith("FAIL")] == [fail]
+    assert lines.index(fail) < len(lines) - 2  # the sweep went on past it
+    assert lines[-1] == f"sweep: {len(lines) - 2}/{len(lines) - 1} checks passed"
+    assert (code, err) == (1, "")
+
+
+def test_sweep_root_guard_names_b_r_before_building_a_datum(capsys, monkeypatch):
+    def no_datum(stype):
+        raise AssertionError(f"built {stype}")
+
+    monkeypatch.setattr(cli, "build_root_datum", no_datum)
+    assert run(capsys, "sweep", "--max-rank", "23") == (
+        3, "", "error: B23 has 529 positive roots, above the guard of 500\n")
+    monkeypatch.undo()
+    # B22 (484) passes the root guard; A22's middle orbit is refused by the kkp guard
+    assert run(capsys, "sweep", "--max-rank", "22") == (
+        3, "", "error: the kkp check of A22 node 10 walks 1144066 weights, "
+               f"over the kkp limit of {DEFAULT_MAX_DIM}; lower --max-rank\n")
 
 
 def test_sweep_guards_every_kkp_orbit_before_building_one(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from fghodge.rootdatum import pair, weyl_orbit
 from fghodge.grading import (
     HodgeTable,
     JordanPartition,
-    distinct_blocks,
     exponents,
     functoriality_check,
     hodge_from_partition,
@@ -170,12 +169,6 @@ def test_hodge_from_partition():
     assert hodge_from_partition(JordanPartition((5,))).dims == {k: 1 for k in (-4, -2, 0, 2, 4)}
     assert hodge_from_partition(JordanPartition((1,))).dims == {0: 1}
     assert hodge_from_partition(JordanPartition((28, 18, 10))).dims == E7_W7_TABLE
-
-
-def test_distinct_blocks():
-    assert distinct_blocks(JordanPartition((28, 18, 10)))
-    assert not distinct_blocks(JordanPartition((2, 2)))
-    assert distinct_blocks(JordanPartition((17, 9, 1)))
 
 
 @pytest.mark.parametrize("name", ALL_TYPES_RANK8)

@@ -16,6 +16,7 @@ from fghodge.rootdatum import (
     build_root_datum,
     check_size,
     pair,
+    simple_types,
     weyl_orbit,
 )
 
@@ -152,6 +153,21 @@ def test_size_guard_bound():
             check_size(SimpleType.parse(name))
     with pytest.raises(ResourceLimitError):
         build_root_datum(SimpleType("A", 10**6))
+
+
+def test_simple_types_lists_every_family_by_rank_under_the_root_guard():
+    def by_hand(r):  # families A-D from their lowest rank, then the exceptional types
+        names = [f"{fam}{n}" for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                 for n in range(lo, r + 1)]
+        return names + [name for name in ("E6", "E7", "E8", "F4", "G2") if int(name[1]) <= r]
+
+    for r in range(-2, 23):
+        assert list(map(str, simple_types(r))) == by_hand(r)
+    # E7 (63) and E8 (120) outnumber B7 (49) and B8 (64), but only classical
+    # types pass the guard, and B_r = C_r = r^2 is their maximum
+    for r in (23, 24, 39, 10**5):
+        with pytest.raises(ResourceLimitError, match=f"^B{r} has {r * r} positive roots"):
+            simple_types(r)
 
 
 def test_pair_examples():
