@@ -78,7 +78,7 @@ from .character import _weight_support, weyl_dimension
 from .errors import IntegrityError, ResourceLimitError, UsageError
 from .grading import JordanPartition
 from .linalg import SparseMatrix, _norm, graded_blocks
-from .rootdatum import Coords, RootDatum, pair
+from .rootdatum import Coords, RootDatum, pair, std_weight
 
 MAX_RANK = 8
 
@@ -708,14 +708,6 @@ def _weight_rep(datum: RootDatum, lam: Coords) -> RepMatrices:
                       name=f"V({','.join(map(str, lam))}) of {datum.stype}")
     _check_rep(rep)
     return rep
-
-
-def std_weight(datum: RootDatum) -> Coords:
-    """omega_1, the highest weight of the standard representation of a
-    classical type; exceptional types have none here by design."""
-    if datum.stype.family not in "ABCD":
-        raise UsageError(f"no standard matrix model for {datum.stype}; only A/B/C/D are built")
-    return (1,) + (0,) * (datum.rank - 1)
 
 
 def classical_std_rep(datum: RootDatum) -> RepMatrices:

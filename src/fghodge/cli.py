@@ -18,7 +18,7 @@ from . import chevalley, connection, grading, kkp
 from .character import adjoint_weight, weyl_dimension
 from .errors import FghodgeError, IntegrityError, ResourceLimitError, UsageError
 from .grading import partition_from_grading
-from .rootdatum import RootDatum, SimpleType, build_root_datum, parse_int, simple_types
+from .rootdatum import RootDatum, SimpleType, build_root_datum, parse_int, simple_types, std_weight
 
 DEFAULT_MAX_DIM = 10**6
 # Largest sum of dim V over the weights one sweep grades.  Each weight costs a
@@ -122,7 +122,7 @@ def cmd_verify(args) -> int:
         _guard_dim(datum, adjoint_weight(datum), args.max_dim)
         rep = chevalley.adjoint_rep(datum)
     else:
-        _guard_dim(datum, chevalley.std_weight(datum), args.max_dim)
+        _guard_dim(datum, std_weight(datum), args.max_dim)
         rep = chevalley.classical_std_rep(datum)
     triple = chevalley.principal_triple(rep)
     a, b = connection.rmodule_pair(triple, datum.coxeter)
@@ -194,7 +194,7 @@ def cmd_sweep(args) -> int:
     hodge_numbers checks the sum rule, and HodgeTable a symmetric table of
     positive entries.  partition_from_grading checks that no count_k =
     dims[k] - dims[k+2], k >= 0, is negative.  Under those the partition maps
-    back to the table, so hodge_from_partition is not called: at a level
+    back to the table, so no table is rebuilt from it: at a level
     k >= 0 it puts one vector of each block of size k + 2j + 1, j >= 0, of
     which there are count_{k+2j}, and sum_{j>=0} count_{k+2j} telescopes to
     dims[k]; both tables are symmetric, so the negative levels agree too.

@@ -4,9 +4,10 @@ Connection coefficients are matrix-valued Laurent polynomials in t and z.
 A LaurentMatrix stores one exact scalar SparseMatrix per monomial t^a z^b
 and never stores a zero coefficient.  Sums, scalings and derivatives act
 on each coefficient; the commutator, the one product, adds exponents and
-takes the SparseMatrix commutators of the coefficients, except two on one
-monomial that cancel, (X, Y) and (aY, bX) with ab = 1 (commutator proves
-it), and the multiples that test finds; int coefficients stay ints.
+forms SparseMatrix commutators only where bilinearity leaves one: each
+coefficient is written as a multiple of the first proportional one, and the
+scalars of each commutator of two such on one monomial are summed first
+(commutator proves it); int coefficients stay ints.
 
 The Frenkel-Gross connection is d + (N + E t) dt/t on the trivial bundle
 over the punctured line; rmodule_pair returns the coefficient pair of its
@@ -19,19 +20,20 @@ Coxeter number.  Flatness is the algebraic identity dA/dz - dB/dt = [A, B],
 certified by integrability_residual returning the zero matrix; derivatives
 are formal on Laurent exponents and every coefficient is canonical, so
 "is zero" is a structural test on exact rationals.  [A, B] forms no general
-matrix product: of its six coefficient pairs, (N, -hN) and (E, -hE) are
-multiples, which the cancel test finds, the two with RHO diagonal scalings,
-and (N, -hE) and (E, -hN) the cancelling pair; only the two RHO pairs are
-formed.
+matrix product: its coefficients are N, E, -hN, -hE and RHO, so its six
+coefficient pairs reduce to [N, N], [E, E], -h[N, E] - h[E, N] and the two
+RHO pairs.  The first two are zero, the scalars of the third sum to zero,
+and only [N, RHO] and [E, RHO], diagonal scalings, are formed.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
 from .chevalley import PrincipalTriple
 from .errors import UsageError
-from .linalg import SparseMatrix, _entry, _ratio
+from .linalg import Entries, Entry, SparseMatrix, _entry
 
 Monomial = tuple[int, int]  # (t-exponent, z-exponent)
 
@@ -49,11 +51,15 @@ def _accumulate(out: dict[Monomial, SparseMatrix], mono: Monomial, m: SparseMatr
         out[mono] = s
 
 
-def _cancel(ratio, x: SparseMatrix, y: SparseMatrix, x2: SparseMatrix, y2: SparseMatrix) -> bool:
-    """(x2, y2) = (a y, b x) with ab = 1, so that [x, y] + [x2, y2] = 0;
-    ratio(u, v) is _ratio of the coefficient pair (u, v), formed once."""
-    a, b = ratio(x2, y), ratio(x, y2)
-    return a is not None and b is not None and a[0] * b[1] == a[1] * b[0]
+def _ratio(x: Entries, y: Entries) -> tuple[Entry, Entry] | None:
+    """(p, q) = (y[k0], x[k0]), k0 the first key of x, when x is not zero and
+    y = (p/q) x, else None.  y has x's keys and y[k] q = x[k] p on each: a
+    cross-multiplication, so no Fraction is formed on int entries."""
+    k0 = next(iter(x), None)
+    p, q = y.get(k0), x.get(k0)
+    if p is not None and x.keys() == y.keys() and all(y[k] * q == v * p for k, v in x.items()):
+        return p, q
+    return None
 
 
 def _term(c, a: int, b: int) -> str:
@@ -117,46 +123,44 @@ class LaurentMatrix:
         return LaurentMatrix(self.dim, {mono: m.scale(c) for mono, m in self.coeffs.items()})
 
     def commutator(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """AB - BA as the sum of the coefficient commutators [A_m, B_m'] t^(m+m'),
-        less the pairs of them that cancel.
+        """AB - BA = sum of [A_m, B_m'] t^(m+m'), by bilinearity.
 
-        Two coefficient pairs on one monomial of the form (X, Y) and
-        (aY, bX) with ab = 1 are skipped: [aY, bX] = ab [Y, X] = -ab [X, Y],
-        so [X, Y] + [aY, bX] = (1 - ab) [X, Y] = 0.  _ratio on the pair
-        (X', Y) gives Y = (p/q) X', so a = q/p, and on the pair (X, Y') gives
-        Y' = (p'/q') X, so b = p'/q'; ab = 1 is tested as q p' = p q', so no
-        Fraction is formed.  Every rmodule_pair has one such pair on t^0
-        z^-3: (N, -hE) and (E, -hN), with a = -1/h and b = -h.
-
-        The cancelling pairs are found first, and each _ratio that search
-        forms is kept by pair; a pair it found to be a multiple, [X, cX] = 0,
-        forms no commutator.  On an rmodule_pair those are (N, -hN) and
-        (E, -hE), so the pass over N against -hN is made once, not again in
-        SparseMatrix.commutator.
+        Each coefficient is written once as c R_i, R_i the first coefficient
+        (of A, then of B) that it is a multiple of, or itself as a new R_i
+        with c = 1; _ratio tests each earlier R_i in turn, and c stays an
+        int when it is one.  The commutator is bilinear and antisymmetric,
+        [cR_i, c'R_j] = cc'[R_i, R_j] = -cc'[R_j, R_i] and [R_i, R_i] = 0, so
+        the part of AB - BA on one monomial is sum_{i<j} s_ij [R_i, R_j], s_ij
+        the sum of cc' over the pairs (A_m, B_m') = (cR_i, c'R_j) that land
+        there, less that over the pairs (cR_j, c'R_i).  Only an s_ij that is
+        not zero forms a SparseMatrix commutator, once for its monomial.
+        Every rmodule_pair has R = N, E, RHO, with -hN and -hE the multiples,
+        and forms [N, RHO] and [E, RHO] only: on t^0 z^-3, (N, -hE) and
+        (E, -hN) give s_NE = -h + h = 0.
         """
         self._match(other)
-        pairs = [((t1 + t2, z1 + z2), m1, m2) for (t1, z1), m1 in self.coeffs.items()
-                 for (t2, z2), m2 in other.coeffs.items()]
-        ratios: dict[tuple[int, int], tuple | None] = {}
+        reps: list[SparseMatrix] = []
 
-        def ratio(u: SparseMatrix, v: SparseMatrix):
-            key = (id(u), id(v))
-            if key not in ratios:
-                ratios[key] = _ratio(u.entries, v.entries)
-            return ratios[key]
+        def written(m: SparseMatrix) -> tuple[Entry, int]:
+            for i, r in enumerate(reps):
+                if (pq := _ratio(r.entries, m.entries)) is not None:
+                    c, rem = divmod(*pq)
+                    return (Fraction(*pq) if rem else c), i
+            reps.append(m)
+            return 1, len(reps) - 1
 
-        kept = []
-        while pairs:
-            mono, x, y = pairs.pop(0)
-            twin = next((j for j, (m, x2, y2) in enumerate(pairs) if m == mono and _cancel(ratio, x, y, x2, y2)), None)
-            if twin is None:
-                kept.append((mono, x, y))
-            else:
-                del pairs[twin]
+        left = [(mono, *written(m)) for mono, m in self.coeffs.items()]
+        right = [(mono, *written(m)) for mono, m in other.coeffs.items()]
+        sums: dict[tuple[Monomial, int, int], Entry] = {}
+        for (t1, z1), c1, i in left:
+            for (t2, z2), c2, j in right:
+                if i != j:
+                    key = ((t1 + t2, z1 + z2), min(i, j), max(i, j))
+                    sums[key] = sums.get(key, 0) + (c1 * c2 if i < j else -c1 * c2)
         out: dict[Monomial, SparseMatrix] = {}
-        for mono, x, y in kept:
-            if ratios.get((id(x), id(y))) is None:  # not a known multiple
-                _accumulate(out, mono, x.commutator(y))
+        for (mono, i, j), s in sums.items():
+            if s:
+                _accumulate(out, mono, reps[i].commutator(reps[j]).scale(s))
         return LaurentMatrix(self.dim, out)
 
     def d_t(self) -> "LaurentMatrix":

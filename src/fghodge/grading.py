@@ -16,8 +16,8 @@ the tests keep it as the independent oracle the product is compared against.
 A grading and the Jordan partition of the principal nilpotent on the same
 representation carry the same information: an sl2-string of length r
 contributes one basis vector to each level k = r-1, r-3, ..., -(r-1).
-partition_from_grading and hodge_from_partition are the two directions of
-that dictionary and are exact inverses.
+partition_from_grading reads the partition off the table; the way back is
+needed only by the tests, which keep it as their oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import Counter
 # irrep_character is re-exported: grading.irrep_character is the oracle bench/test_bench.py reads
 from .character import Character, adjoint_weight, irrep_character, weyl_dimension  # noqa: F401
 from .errors import IntegrityError, UsageError
-from .rootdatum import RootDatum, SimpleType, build_root_datum, pair
+from .rootdatum import RootDatum, SimpleType, build_root_datum, pair, std_weight
 
 Levels = dict[int, int]
 
@@ -143,15 +143,6 @@ def partition_from_grading(g: HodgeTable) -> JordanPartition:
     return part
 
 
-def hodge_from_partition(p: JordanPartition) -> HodgeTable:
-    """Centered table: h at 2*alpha counts blocks r with |2 alpha| <= r-1, 2 alpha = r-1 (mod 2)."""
-    dims: Levels = {}
-    for r in p.blocks:
-        for k in range(-(r - 1), r, 2):
-            dims[k] = dims.get(k, 0) + 1
-    return HodgeTable(dims)
-
-
 def exponents(datum: RootDatum) -> list[int]:
     """Exponents m_i of the type: adjoint sl2-strings have dimensions 2 m_i + 1.
 
@@ -177,8 +168,8 @@ def functoriality_check(case: str, n: int | None = None) -> bool:
     if case == "so_pair":
         if n is None or n < 2:
             raise UsageError("so_pair requires n >= 2")
-        left = hodge_numbers(build_root_datum(SimpleType("D", n + 1)), (1,) + (0,) * n)
-        right = hodge_numbers(build_root_datum(SimpleType("B", n)), (1,) + (0,) * (n - 1))
+        d_n1, b_n = build_root_datum(SimpleType("D", n + 1)), build_root_datum(SimpleType("B", n))
+        left, right = hodge_numbers(d_n1, std_weight(d_n1)), hodge_numbers(b_n, std_weight(b_n))
     elif case == "f4_e6":
         left = hodge_numbers(build_root_datum(SimpleType("E", 6)), (1, 0, 0, 0, 0, 0))
         right = hodge_numbers(build_root_datum(SimpleType("F", 4)), (0, 0, 0, 1))

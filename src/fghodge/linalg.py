@@ -3,7 +3,10 @@
 Minimal square-matrix type for representation matrices, and the Jordan types
 of graded nilpotent ones: rank and graded_blocks share one fraction-free
 elimination step, _insert, with one pivot row per leading column.  The
-commutator is the one matrix product here; the package forms no other.  Its
+commutator is the one matrix product here; the package forms no other.  It
+tests no operand for proportionality: the flatness residual, the one caller
+that commutes multiples, sums their scalars by bilinearity first
+(connection), and [X, cX] = 0 still comes out of the product.  Its
 product branch walks the entries of the sparser operand only, against the
 other's row and column indexes (rows, cols), which each matrix builds once
 and keeps; the Jordan sweep reads the same two indexes for its levels and,
@@ -136,12 +139,11 @@ class SparseMatrix:
         return cols
 
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
-        """XY - YX, X = self and Y = other, by two exact identities or by one
+        """XY - YX, X = self and Y = other, by one exact identity or by one
         accumulator over the entries of the sparser operand, normalised once.
 
-        - Y = cX is zero: XY - YX = c (XX - XX).  _ratio detects it.
-        - Y = diag(d) gives (XY)[r, c] = X[r, c] d_c and (YX)[r, c] = d_r
-          X[r, c], so [X, Y][r, c] = X[r, c] (d_c - d_r), one pass over X.
+        Y = diag(d) gives (XY)[r, c] = X[r, c] d_c and (YX)[r, c] = d_r
+        X[r, c], so [X, Y][r, c] = X[r, c] (d_c - d_r), one pass over X.
         Otherwise, if Y has fewer entries than X, [X, Y] = -[Y, X]: the two
         swap and the sum is negated, so that X is the sparser.  An entry
         X[r, k] = v takes part in (XY)[r, c] = sum_k X[r, k] Y[k, c] once for
@@ -154,8 +156,6 @@ class SparseMatrix:
         if self.dim != other.dim:
             raise UsageError("matrix dimensions differ")
         x, y = self.entries, other.entries
-        if _ratio(x, y) is not None:
-            return SparseMatrix(self.dim, {})
         if all(r == c for r, c in y):
             return SparseMatrix(self.dim, {(r, c): _norm(v * s) for (r, c), v in x.items()
                                            if (s := y.get((c, c), 0) - y.get((r, r), 0))})
@@ -168,17 +168,6 @@ class SparseMatrix:
             for i, u in cols.get(r, ()):
                 acc[(i, k)] -= u * v
         return SparseMatrix(self.dim, {k: _norm(sign * v) for k, v in acc.items() if v})
-
-
-def _ratio(x: Entries, y: Entries) -> tuple[Entry, Entry] | None:
-    """(p, q) = (y[k0], x[k0]), k0 the first key of x, when x is not zero and
-    y = (p/q) x, else None.  y has x's keys and y[k] q = x[k] p on each: a
-    cross-multiplication, so no Fraction is formed on int entries."""
-    k0 = next(iter(x), None)
-    p, q = y.get(k0), x.get(k0)
-    if p is not None and x.keys() == y.keys() and all(y[k] * q == v * p for k, v in x.items()):
-        return p, q
-    return None
 
 
 def _int_rows(matrix: SparseMatrix) -> dict[int, list[tuple[int, int]]]:

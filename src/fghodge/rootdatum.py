@@ -405,6 +405,14 @@ def pair(mu: Coords, covector: Coords) -> int:
     return sum(m * c for m, c in zip(mu, covector))
 
 
+def std_weight(datum: RootDatum) -> Coords:
+    """omega_1, the highest weight of the standard representation of a
+    classical type; exceptional types have none here by design."""
+    if datum.stype.family not in "ABCD":
+        raise UsageError(f"no standard matrix model for {datum.stype}; only A/B/C/D are built")
+    return (1,) + (0,) * (datum.rank - 1)
+
+
 def weyl_orbit(datum: RootDatum, mu) -> tuple[Coords, ...]:
     """Full W-orbit of a weight, closed under simple reflections.
 

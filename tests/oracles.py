@@ -6,11 +6,12 @@ symmetrizer on Fractions), writes a matrix out for a human reader, or is a
 small formula only the tests read (the tensor-product grading, the
 connection's dt/t coefficient, the root coordinates of a weight through the
 Cartan matrix's rational inverse, the weight and the Gram norm of a root, a
-coroot pairing).  two_sided_root_datum is the reflection closure that also
-takes lowering steps, the route the package's raising-only closure must
-reproduce field for field.  carter_structure_constants is the tuple-arithmetic build
-of the bracket table that the package's int-coded one must reproduce bit
-for bit.  serre_relations_hold forms the Serre commutators that the
+coroot pairing, the Hodge table of a Jordan partition).  two_sided_root_datum
+is the reflection closure that also takes lowering steps, the route the
+package's raising-only closure must reproduce field for field.
+carter_structure_constants is the tuple-arithmetic build of the bracket table
+that the package's int-coded one must reproduce bit for bit.
+serre_relations_hold forms the Serre commutators that the
 package's Chevalley-Serre check proves implied.  The package forms no
 matrix product but the commutator and reads a Jordan type only off the
 level sweep: matrix_product and laurent_product are the products its
@@ -32,7 +33,7 @@ from fractions import Fraction
 from fghodge.character import Character
 from fghodge.chevalley import PrincipalTriple, StructureConstants
 from fghodge.connection import LaurentMatrix
-from fghodge.grading import HodgeTable
+from fghodge.grading import HodgeTable, JordanPartition
 from fghodge.errors import IntegrityError, UsageError
 from fghodge.linalg import Entry, SparseMatrix, _echelon, _insert, _int_rows, _row_times
 from fghodge.rootdatum import Coords, RootDatum, SimpleType, _cartan_matrix
@@ -47,6 +48,16 @@ def product_character_grading(c1: Character, c2: Character) -> HodgeTable:
         for mu2, m2 in c2.mult.items():
             k = k1 + sum(a * b for a, b in zip(mu2, trc))
             dims[k] = dims.get(k, 0) + m1 * m2
+    return HodgeTable(dims)
+
+
+def hodge_from_partition(p: JordanPartition) -> HodgeTable:
+    """Centered table: h at 2*alpha counts blocks r with |2 alpha| <= r-1, 2 alpha = r-1 (mod 2);
+    the inverse of grading.partition_from_grading."""
+    dims: dict[int, int] = {}
+    for r in p.blocks:
+        for k in range(-(r - 1), r, 2):
+            dims[k] = dims.get(k, 0) + 1
     return HodgeTable(dims)
 
 

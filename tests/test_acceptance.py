@@ -28,13 +28,12 @@ from fghodge.grading import (
     HodgeTable,
     exponents,
     functoriality_check,
-    hodge_from_partition,
     partition_from_grading,
     rho_grading,
 )
 from fghodge.kkp import all_minuscule_cases, kkp_check, minuscule_case, weight_graph_betti
 from conftest import ALL_TYPES_RANK8, datum, fw
-from oracles import product_character_grading, tensor_grading
+from oracles import hodge_from_partition, product_character_grading, tensor_grading
 from test_grading import expected_exponents
 
 ADJOINT_FAMILY_REPS = ["A1", "A2", "B3", "C3", "D4", "E6", "E7", "F4", "G2"]

@@ -21,7 +21,6 @@ from fghodge.chevalley import (
     adjoint_rep,
     classical_std_rep,
     jordan_type,
-    std_weight,
     StructureConstants,
     principal_triple,
     structure_constants,
@@ -33,7 +32,7 @@ from fghodge.connection import integrability_residual, rmodule_pair
 from fghodge.grading import JordanPartition, hodge_numbers, partition_from_grading, rho_grading
 from fghodge.kkp import minuscule_nodes
 from fghodge.linalg import SparseMatrix, graded_blocks
-from fghodge.rootdatum import pair
+from fghodge.rootdatum import pair, std_weight
 from conftest import ALL_TYPES, ALL_TYPES_RANK8, datum, fw
 from oracles import (
     carter_structure_constants,

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from fghodge import connection, linalg
+from fghodge import connection
 from fghodge.chevalley import (
     PrincipalTriple,
     adjoint_rep,
@@ -14,6 +14,7 @@ from fghodge.chevalley import (
 )
 from fghodge.connection import (
     LaurentMatrix,
+    _ratio,
     integrability_residual,
     rmodule_pair,
 )
@@ -22,6 +23,10 @@ from fghodge.linalg import SparseMatrix
 
 from conftest import datum
 from oracles import fg_matrix, laurent_product
+
+
+CERTIFY_CASES = [("E6", "adjoint"), ("E7", "adjoint"), ("E8", "adjoint"),
+                 ("B8", "std"), ("C8", "std"), ("D8", "std")]
 
 
 def scalar(dim, entries, dt=0, dz=0):
@@ -240,8 +245,7 @@ def test_commutator_identity_n_plus_te_with_rho():
         assert nte.commutator(rho) == rhs
 
 
-@pytest.mark.parametrize("name,which", [("E6", "adjoint"), ("E7", "adjoint"), ("E8", "adjoint"),
-                                        ("B8", "std"), ("C8", "std"), ("D8", "std")])
+@pytest.mark.parametrize("name,which", CERTIFY_CASES)
 def test_commutator_is_ab_minus_ba_on_the_certify_cases(name, which):
     # one SparseMatrix commutator per monomial pair against the two oracle
     # products, value type for value type, and the residual of a broken B with them
@@ -261,9 +265,9 @@ def test_commutator_is_ab_minus_ba_on_the_certify_cases(name, which):
 
 def test_the_e8_residual_reads_no_row_or_column_index(monkeypatch):
     # A = N/(tz) + E/z and B = -hN/z^2 - hE t/z^2 + RHO/z: [N, -hN] and
-    # [E, -hE] are multiples, the two RHO pairs Hadamard scalings, and
-    # [N, -hE] and [E, -hN] the cancelling pair that LaurentMatrix.commutator
-    # skips, so no SparseMatrix index is read and no product is formed
+    # [E, -hE] are multiples, -h[N, E] - h[E, N] sums to zero on t^0 z^-3,
+    # and the two RHO pairs are diagonal scalings, so no SparseMatrix index
+    # is read and no product is formed
     d = datum("E8")
     a, b = rmodule_pair(principal_triple(adjoint_rep(d)), d.coxeter)
     reads = []
@@ -286,9 +290,8 @@ def commutators_formed(monkeypatch) -> list:
 
 def test_a_cancelling_pair_with_ab_one_is_skipped(monkeypatch):
     # A = X t + (a Y) z and B = Y z + (b X) t with a = 2/3 and b = 3/2: on t z
-    # the pairs (X, Y) and (aY, bX) give (1 - ab)[X, Y] = 0 and are skipped;
-    # the cancel test found the two multiples (X, bX) and (aY, Y), so neither
-    # is formed: no commutator at all
+    # the pairs (X, Y) and (aY, bX) give (1 - ab)[X, Y] = 0, and (X, bX) and
+    # (aY, Y) are multiples, so no commutator is formed at all
     x = SparseMatrix.from_entries(3, {(0, 1): 1, (1, 2): 2, (2, 0): -1, (1, 1): 3})
     y = SparseMatrix.from_entries(3, {(0, 0): 1, (1, 0): Q(1, 2), (2, 1): 4})
     assert not x.commutator(y).is_zero()
@@ -302,23 +305,42 @@ def test_a_cancelling_pair_with_ab_one_is_skipped(monkeypatch):
     assert calls == []
 
 
+def test_a_three_pair_dependency_on_one_monomial_forms_no_commutator_there(monkeypatch):
+    # A = X t + (aY) z + (cY) t^2/z and B = Y z + (bX) t + (dX) z^2/t with
+    # ab = cd = 1/2: no two of the pairs (X, Y), (aY, bX), (cY, dX) on t z
+    # cancel, but the three sum to (1 - ab - cd)[X, Y] = 0 there; (aY, dX)
+    # and (cY, bX) land on t^-1 z^3 and t^3 z^-1, one commutator each
+    x = SparseMatrix.from_entries(3, {(0, 1): 1, (1, 2): 2, (2, 0): -1, (1, 1): 3})
+    y = SparseMatrix.from_entries(3, {(0, 0): 1, (1, 0): Q(1, 2), (2, 1): 4})
+    a = (LaurentMatrix.from_scalar_matrix(x, dt=1)
+         + LaurentMatrix.from_scalar_matrix(y, dz=1, factor=2)
+         + LaurentMatrix.from_scalar_matrix(y, dt=2, dz=-1, factor=3))
+    b = (LaurentMatrix.from_scalar_matrix(y, dz=1)
+         + LaurentMatrix.from_scalar_matrix(x, dt=1, factor=Q(1, 4))
+         + LaurentMatrix.from_scalar_matrix(x, dt=-1, dz=2, factor=Q(1, 6)))
+    calls = commutators_formed(monkeypatch)
+    got = a.commutator(b)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert got == laurent_product(a, b) - laurent_product(b, a)
+    assert got.coeffs.keys() == {(-1, 3), (3, -1)}
+    assert got.coeffs[(-1, 3)] == x.commutator(y).scale(-2 * Q(1, 6))
+
+
 @pytest.mark.parametrize("name,which", [("B3", "adjoint"), ("C3", "std"), ("E6", "adjoint")])
 def test_a_pair_with_ab_not_one_is_formed(monkeypatch, name, which):
-    # B's E coefficient -hE scaled by 1 - h: the pair (N, (1 - h)(-hE)),
-    # (E, -hN) has ab = 1/(1 - h), so both products are formed, and [A, B]
-    # keeps (1 - ab)[N, -(1 - h) hE] = h^2 [N, E] on t^0 z^-3, which the
-    # residual carries as -h^2 [N, E]; the multiples (N, -hN) and
-    # (E, (1 - h)(-hE)), which the cancel test found, are not formed
+    # B's E coefficient -hE scaled by 1 - h: the pairs (N, (1 - h)(-hE)) and
+    # (E, -hN) on t^0 z^-3 sum to (h^2 - h + h)[N, E] = h^2 [N, E], so [N, E]
+    # is formed once and scaled, and the residual carries -h^2 [N, E]; the
+    # multiples (N, -hN) and (E, (1 - h)(-hE)) are not formed
     d = datum(name)
     tr = principal_triple(classical_std_rep(d) if which == "std" else adjoint_rep(d))
     a, b = rmodule_pair(tr, d.coxeter)
     b = LaurentMatrix(b.dim, {**b.coeffs, (1, -2): b.coeffs[(1, -2)].scale(1 - d.coxeter)})
     calls = commutators_formed(monkeypatch)
     got = a.commutator(b)
-    n, e = a.coeffs[(-1, -1)], a.coeffs[(0, -1)]
-    rho, scaled_e = b.coeffs[(0, -1)], b.coeffs[(1, -2)]
-    assert [(id(x), id(y)) for x, y in calls] == [
-        (id(n), id(scaled_e)), (id(n), id(rho)), (id(e), id(b.coeffs[(0, -2)])), (id(e), id(rho))]
+    n, e, rho = a.coeffs[(-1, -1)], a.coeffs[(0, -1)], b.coeffs[(0, -1)]
+    assert [(id(x), id(y)) for x, y in calls] == [(id(n), id(e)), (id(n), id(rho)), (id(e), id(rho))]
     monkeypatch.undo()
     assert got == laurent_product(a, b) - laurent_product(b, a)
     residual = integrability_residual(a, b)
@@ -327,25 +349,45 @@ def test_a_pair_with_ab_not_one_is_formed(monkeypatch, name, which):
     assert residual.coeffs[(0, -3)] == nte.coeffs[(0, 0)].scale(-d.coxeter ** 2)
 
 
+@pytest.mark.parametrize("name,which", CERTIFY_CASES)
+def test_the_residual_forms_two_commutators_against_rho_in_either_order(monkeypatch, name, which):
+    # [A, B] and [B, A] both form [N, RHO] and [E, RHO] (up to a scalar) and
+    # no other commutator, each with the diagonal RHO second, so that no row
+    # or column index is read: a coefficient is written as a multiple of the
+    # first one proportional to it, and RHO comes last in either order
+    d = datum(name)
+    tr = principal_triple(classical_std_rep(d) if which == "std" else adjoint_rep(d))
+    a, b = rmodule_pair(tr, d.coxeter)
+    calls = commutators_formed(monkeypatch)
+    residual, swapped = integrability_residual(a, b), b.commutator(a)
+    assert [id(rhs) for _, rhs in calls] == [id(tr.RHO)] * 4
+    assert all(_ratio(m.entries, lhs.entries) for m, (lhs, _) in zip((tr.N, tr.E) * 2, calls))
+    monkeypatch.undo()
+    assert residual.is_zero() and swapped == a.commutator(b).scale(-1)
+
+
 def test_the_e8_residual_forms_each_proportionality_pass_once(monkeypatch):
-    # _ratio(N, -hN) serves both the multiple (N, -hN) and the cancel test of
-    # (N, -hE), (E, -hN); so do (E, -hE) and the two RHO pairs, which
-    # SparseMatrix.commutator tests itself: four passes, no pair twice, and
-    # the one over N's 478 entries against -hN's once
+    # A's N and E are the first two coefficients; -hN is tested against N,
+    # -hE against N and E, RHO against both: six tests, no pair twice, the
+    # two that find a multiple walk N and E once each, and the one over N's
+    # 478 entries against -hN's runs once
     d = datum("E8")
     a, b = rmodule_pair(principal_triple(adjoint_rep(d)), d.coxeter)
     seen = []
-    real = linalg._ratio
+    real = connection._ratio
 
     def counted(x, y):
-        seen.append((id(x), id(y), len(x), len(y)))
-        return real(x, y)
+        found = real(x, y)
+        seen.append((id(x), id(y), len(x), len(y), found is not None))
+        return found
 
-    monkeypatch.setattr(linalg, "_ratio", counted)
     monkeypatch.setattr(connection, "_ratio", counted)
     assert integrability_residual(a, b).is_zero()
-    assert len(seen) == 4 and len({(x, y) for x, y, _, _ in seen}) == 4
-    assert [(nx, ny) for _, _, nx, ny in seen].count((478, 478)) == 1
+    assert len(seen) == 6 and len({(x, y) for x, y, _, _, _ in seen}) == 6
+    n, e = a.coeffs[(-1, -1)].entries, a.coeffs[(0, -1)].entries
+    assert [(x, y) for x, y, _, _, found in seen if found] == [
+        (id(n), id(b.coeffs[(0, -2)].entries)), (id(e), id(b.coeffs[(1, -2)].entries))]
+    assert [(nx, ny) for _, _, nx, ny, _ in seen].count((478, 478)) == 1
 
 
 @pytest.mark.parametrize("name,which", [("A2", "std"), ("C3", "std"), ("G2", "adjoint"), ("E7", "adjoint")])

@@ -17,14 +17,13 @@ from fghodge.grading import (
     JordanPartition,
     exponents,
     functoriality_check,
-    hodge_from_partition,
     hodge_numbers,
     partition_from_grading,
     rho_grading,
 )
 
 from conftest import ALL_TYPES_RANK8, datum, fw
-from oracles import product_character_grading, tensor_grading
+from oracles import hodge_from_partition, product_character_grading, tensor_grading
 
 # Exponents per Bourbaki; D_{2k} genuinely repeats the exponent n-1.
 BOURBAKI_EXPONENTS = {

@@ -87,8 +87,8 @@ def test_rank_examples():
 def commuting_or_not(draw):
     """(A, B, commute) of equal size for each path of commutator: B
     unrelated to A or on the support of A; B = c A with c an int, a negative
-    int or a Fraction; A^2 plus a scalar, so that AB - BA cancels entry by
-    entry; B diagonal (general, zero, or half-integral like RHO on C_n std);
+    int or a Fraction, and A^2 plus a scalar, so that the product's AB - BA
+    cancels entry by entry; B diagonal (general, zero, or half-integral like RHO on C_n std);
     A diagonal; an empty matrix on either side or of dimension 0; and B with
     more, fewer or as many entries as A, so that the product walks A, B, or
     A on a tie."""
