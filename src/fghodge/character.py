@@ -14,16 +14,16 @@ recursion runs on arbitrary-precision ints (E-type sums overflow 64 bits).
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import IntegrityError, UsageError
 from .rootdatum import Coords, RootDatum, weyl_orbit
 
-class Character:
+
+class Character(namedtuple("Character", "datum highest mult")):
     """Finite map weight -> multiplicity of an irreducible V_lambda."""
 
-    def __init__(self, datum: RootDatum, highest: Coords, mult: dict[Coords, int]):
-        self.datum = datum
-        self.highest = highest
-        self.mult = mult
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

@@ -91,16 +91,9 @@ def _vneg(a: Coords) -> Coords:
     return tuple(map(operator.neg, a))
 
 
-class StructureConstants:
+class StructureConstants(namedtuple("StructureConstants", "datum n_pos root_set norm2")):
     """N_{a,b} for the ordered positive pairs (a, b) with a + b a root, the
     root set (both signs) and every root's squared norm, by root tuples."""
-
-    def __init__(self, datum: RootDatum, n_pos: dict[tuple[Coords, Coords], int],
-                 root_set: frozenset[Coords], norm2: dict[Coords, int]):
-        self.datum = datum
-        self.n_pos = n_pos
-        self.root_set = root_set
-        self.norm2 = norm2
 
     @functools.cached_property
     def ad(self) -> dict[tuple, SparseMatrix]:

@@ -131,12 +131,16 @@ def hodge_numbers(datum: RootDatum, lam) -> HodgeTable:
 
 def partition_from_grading(g: HodgeTable) -> JordanPartition:
     """sl2-string extraction: dims[k] - dims[k+2] strings of length k+1 for k >= 0."""
+    dims = g.dims
     blocks = []
-    for k in range(max(g.dims, default=0), -1, -1):
-        count = g.level(k) - g.level(k + 2)
+    up2 = up1 = 0  # dims[k + 2] and dims[k + 1], each level read once
+    for k in range(max(dims, default=0), -1, -1):
+        here = dims.get(k, 0)
+        count = here - up2
         if count < 0:
             raise IntegrityError("grading is not sl2-consistent; cannot extract a Jordan partition")
         blocks.extend([k + 1] * count)
+        up2, up1 = up1, here
     part = JordanPartition(tuple(blocks))
     if part.total != g.dim:
         raise IntegrityError("extracted blocks do not sum to the grading total")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import namedtuple
 
 from .errors import IntegrityError, ResourceLimitError, UsageError
 
@@ -106,17 +107,17 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-@functools.total_ordering
-class SimpleType:
+class SimpleType(namedtuple("SimpleType", "family rank")):
     """A simple type such as E8 or B3.  C1 is normalized to A1.
 
-    Immutable, and equal, hashed and ordered by (family, rank): it keys
-    build_root_datum's cache.
+    A named tuple (family, rank), validated on construction: immutable, and
+    equal, hashed and ordered as that tuple, so it keys build_root_datum's
+    cache and equals the plain tuple ("E", 8).
     """
 
-    __slots__ = ("family", "rank")
+    __slots__ = ()
 
-    def __init__(self, family: str, rank: int):
+    def __new__(cls, family: str, rank: int):
         family = family.upper()
         if family == "C" and rank == 1:
             family = "A"
@@ -126,30 +127,7 @@ class SimpleType:
         if rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
             raise UsageError(f"{family}{rank}: rank for family {family} must be {bound}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SimpleType is immutable; cannot set {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
-        return SimpleType, (self.family, self.rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not SimpleType:
-            return NotImplemented
-        return self.family == other.family and self.rank == other.rank
-
-    def __lt__(self, other):
-        if other.__class__ is not SimpleType:
-            return NotImplemented
-        return (self.family, self.rank) < (other.family, other.rank)
-
-    def __hash__(self):
-        return hash((self.family, self.rank))
-
-    def __repr__(self) -> str:
-        return f"SimpleType(family={self.family!r}, rank={self.rank})"
+        return super().__new__(cls, family, rank)
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
@@ -227,7 +205,8 @@ def _symmetrizer(cartan) -> tuple[int, ...]:
     return tuple(x // g for x in d)
 
 
-class RootDatum:
+class RootDatum(namedtuple("RootDatum", "stype cartan simple_roots positive_roots coroot_of "
+                                         "two_rho_covector theta coxeter halfnorms root_weights root_norm2")):
     """Full combinatorial data of one simple type, all on ints.
 
     positive_roots are sorted by (height, reverse-lex on coordinates), a
@@ -236,26 +215,12 @@ class RootDatum:
     coordinates <r, alpha_j^vee> and root_norm2[r] its squared length (r, r),
     as the reflection closure carried them.  two_rho_covector is 2 rho^vee in
     simple-coroot coordinates, so <mu, 2 rho^vee> is pair(mu, two_rho_covector).
-    build_root_datum makes one per type, so two data are equal only when
-    they are the same object.
+    A named tuple, so no field can be assigned: build_root_datum shares one
+    per type across the process.  Data compare by value, and the dict fields
+    make a datum unhashable; _replace gives a changed copy.
     """
 
-    def __init__(self, stype: SimpleType, cartan: tuple[Coords, ...],
-                 simple_roots: tuple[Coords, ...], positive_roots: tuple[Coords, ...],
-                 coroot_of: dict[Coords, Coords], two_rho_covector: Coords,
-                 theta: Coords, coxeter: int, halfnorms: tuple[int, ...],
-                 root_weights: dict[Coords, Coords], root_norm2: dict[Coords, int]):
-        self.stype = stype
-        self.cartan = cartan
-        self.simple_roots = simple_roots
-        self.positive_roots = positive_roots
-        self.coroot_of = coroot_of
-        self.two_rho_covector = two_rho_covector
-        self.theta = theta
-        self.coxeter = coxeter
-        self.halfnorms = halfnorms
-        self.root_weights = root_weights  # positive root -> <r, alpha_j^vee>
-        self.root_norm2 = root_norm2  # positive root -> (r, r)
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

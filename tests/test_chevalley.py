@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import itertools
@@ -533,8 +532,7 @@ def _adjoint_with_seed(name, seed):
     that adjoint_rep builds on it before its checks: x_theta from
     [x_theta, x_{-theta}] = seed (in the h_j)."""
     d = datum(name)
-    bad = copy.copy(d)
-    bad.coroot_of = {**d.coroot_of, d.theta: seed}
+    bad = d._replace(coroot_of={**d.coroot_of, d.theta: seed})
     columns = chevalley._ad_columns(bad, *chevalley._carter_constants(bad, full=False), full=False)
     return bad, chevalley._adjoint_generators(bad, *columns)
 
@@ -1364,9 +1362,7 @@ def test_root_codes_separate_every_sum_and_difference_of_two_roots(name):
 
 
 def _with_norm(d, root, value):
-    bad = copy.copy(d)
-    bad.root_norm2 = {**d.root_norm2, root: value}
-    return bad
+    return d._replace(root_norm2={**d.root_norm2, root: value})
 
 
 def test_a_corrupted_norm_is_named_by_coordinate_tuples():

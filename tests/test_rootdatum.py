@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fghodge import rootdatum
+from fghodge.character import irrep_character
+from fghodge.chevalley import structure_constants
 from fghodge.errors import IntegrityError, ResourceLimitError, UsageError
 from fghodge.rootdatum import (
     SimpleType,
@@ -312,10 +314,10 @@ def _build_on_roots(monkeypatch, name, removed, added):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_the_raising_only_closure_gives_every_field_of_the_two_sided_one(name):
-    # every field equal, and every dict field in the same order
-    got = vars(build_root_datum.__wrapped__(SimpleType.parse(name)))
+    # every field equal, in the same field order, and every dict field in the same order
+    got = build_root_datum.__wrapped__(SimpleType.parse(name))._asdict()
     want = two_sided_root_datum(SimpleType.parse(name))
-    assert got == want
+    assert list(got.items()) == list(want.items())
     for key, value in want.items():
         if isinstance(value, dict):
             assert list(got[key].items()) == list(value.items()), key
@@ -372,6 +374,27 @@ def test_simple_type_is_equal_hashed_and_ordered_by_value():
 def test_equal_types_share_one_root_datum():
     assert build_root_datum(SimpleType("c", 1)) is build_root_datum(SimpleType("A", 1))
     assert build_root_datum(SimpleType.parse("e8")) is build_root_datum(SimpleType("E", 8))
+    # the shared datum refuses assignment, so no caller can change a later caller's answer
+    d = build_root_datum(SimpleType("E", 8))
+    theta = d.theta
+    with pytest.raises(AttributeError):
+        d.theta = (0,) * 8
+    assert build_root_datum(SimpleType("E", 8)) is d and d.theta == theta
+    # _replace gives a changed copy and leaves the cached datum as it was
+    moved = d._replace(theta=(0,) * 8)
+    assert moved.theta == (0,) * 8 and moved != d
+    assert build_root_datum(SimpleType("E", 8)) is d and d.theta == theta
+    # the records built on a datum refuse assignment too
+    char = irrep_character(datum("B3"), (1, 0, 0))
+    mult = dict(char.mult)
+    with pytest.raises(AttributeError):
+        char.mult = {}
+    assert char.mult == mult and char.dim == 7
+    sc = structure_constants(datum("B3"))
+    n_pos = dict(sc.n_pos)
+    with pytest.raises(AttributeError):
+        sc.n_pos = {}
+    assert sc.n_pos == n_pos and len(n_pos) == 20
 
 
 def test_simple_type_constructor_validates():
