@@ -31,7 +31,11 @@ class Character(namedtuple("Character", "datum highest mult")):
 
 
 def weyl_dimension(datum: RootDatum, lam) -> int:
-    """dim V_lambda = prod_{alpha>0} <lambda+rho, alpha^vee> / <rho, alpha^vee>."""
+    """dim V_lambda = prod_{alpha>0} <lambda+rho, alpha^vee> / <rho, alpha^vee>.
+
+    The package's one dominance check: irrep_character, hodge_numbers and
+    the CLI's hodge and jordan call this before any other work on lambda.
+    """
     lam = datum.check_weight(lam)
     if not datum.is_dominant(lam):
         raise UsageError(f"weight {lam} is not dominant")
@@ -79,10 +83,14 @@ def _weight_support(datum: RootDatum, lam: Coords) -> dict[Coords, Coords]:
 
 
 def irrep_character(datum: RootDatum, lam) -> Character:
-    """Character of the irreducible representation of highest weight lam."""
+    """Character of the irreducible representation of highest weight lam.
+
+    weyl_dimension runs first and refuses a weight that is not dominant,
+    with the UsageError every caller sees, before any other work; its value
+    is what the character's size is compared with at the end.
+    """
+    dim = weyl_dimension(datum, lam)
     lam = datum.check_weight(lam)
-    if not datum.is_dominant(lam):
-        raise UsageError(f"weight {lam} is not dominant")
     support = _weight_support(datum, lam)
     dominants = sorted(
         (mu for mu in support if datum.is_dominant(mu)),
@@ -123,7 +131,7 @@ def irrep_character(datum: RootDatum, lam) -> Character:
             mult[w] = m
 
     char = Character(datum=datum, highest=lam, mult=mult)
-    if char.dim != weyl_dimension(datum, lam):
+    if char.dim != dim:
         raise IntegrityError("character size disagrees with the Weyl dimension")
     return char
 

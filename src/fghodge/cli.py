@@ -40,14 +40,13 @@ def _parse_type(text: str) -> RootDatum:
 
 
 def _parse_weight(datum: RootDatum, text: str):
+    """The weight as rank ints; _guard_dim's weyl_dimension, next in each
+    caller, refuses one that is not dominant."""
     try:
         coords = tuple(map(parse_int, text.split(",")))
     except ValueError:
         raise UsageError(f"cannot parse weight {text!r}; expected comma-separated integers")
-    lam = datum.check_weight(coords)
-    if not datum.is_dominant(lam):
-        raise UsageError(f"weight {lam} is not dominant")
-    return lam
+    return datum.check_weight(coords)
 
 
 def _int_arg(text: str) -> int:
@@ -193,11 +192,9 @@ def cmd_sweep(args) -> int:
 
     hodge_numbers checks the sum rule, and HodgeTable a symmetric table of
     positive entries.  partition_from_grading checks that no count_k =
-    dims[k] - dims[k+2], k >= 0, is negative.  Under those the partition maps
-    back to the table, so no table is rebuilt from it: at a level
-    k >= 0 it puts one vector of each block of size k + 2j + 1, j >= 0, of
-    which there are count_{k+2j}, and sum_{j>=0} count_{k+2j} telescopes to
-    dims[k]; both tables are symmetric, so the negative levels agree too.
+    dims[k] - dims[k+2], k >= 0, is negative, and its docstring proves that
+    under those the partition maps back to the table, so no table is rebuilt
+    from it.
     """
     types = simple_types(args.max_rank)
     if not types:  # 0/0 checks would read as a pass

@@ -130,7 +130,17 @@ def hodge_numbers(datum: RootDatum, lam) -> HodgeTable:
 
 
 def partition_from_grading(g: HodgeTable) -> JordanPartition:
-    """sl2-string extraction: dims[k] - dims[k+2] strings of length k+1 for k >= 0."""
+    """sl2-string extraction: count_k = dims[k] - dims[k+2] strings of length
+    k+1 for k >= 0; a negative count_k raises IntegrityError.
+
+    With no count negative, the partition maps back to the table, so its
+    total is g.dim and neither needs a check.  At a level k >= 0 it puts one
+    vector of each block of size k + 2j + 1, j >= 0, of which there are
+    count_{k+2j}, and sum_{j>=0} count_{k+2j} telescopes to dims[k]; both
+    tables are symmetric (HodgeTable checks that of g), so the negative
+    levels agree too.  Summed over the levels, that is
+    sum_{k>=0} (k+1)(d_k - d_{k+2}) = d_0 + 2 sum_{k>=1} d_k = g.dim.
+    """
     dims = g.dims
     blocks = []
     up2 = up1 = 0  # dims[k + 2] and dims[k + 1], each level read once
@@ -141,10 +151,7 @@ def partition_from_grading(g: HodgeTable) -> JordanPartition:
             raise IntegrityError("grading is not sl2-consistent; cannot extract a Jordan partition")
         blocks.extend([k + 1] * count)
         up2, up1 = up1, here
-    part = JordanPartition(tuple(blocks))
-    if part.total != g.dim:
-        raise IntegrityError("extracted blocks do not sum to the grading total")
-    return part
+    return JordanPartition(tuple(blocks))
 
 
 def exponents(datum: RootDatum) -> list[int]:
@@ -153,12 +160,12 @@ def exponents(datum: RootDatum) -> list[int]:
     Returned sorted ascending, as a multiset: D_n with n even genuinely
     repeats the exponent n-1 (two adjoint strings of the same length), so no
     distinctness is enforced here; `fghodge jordan` reports it per weight.
+    Every string has odd length, unchecked: the adjoint table's levels are
+    2j - <theta, 2 rho^vee> = 2j - 2(h - 1), all even, and a string at an
+    even top level k has length k + 1.
     """
     part = partition_from_grading(hodge_numbers(datum, adjoint_weight(datum)))
-    exps = sorted((b - 1) // 2 for b in part.blocks)
-    if any(b % 2 == 0 for b in part.blocks):
-        raise IntegrityError("adjoint strings have odd length")
-    return exps
+    return sorted((b - 1) // 2 for b in part.blocks)
 
 
 def functoriality_check(case: str, n: int | None = None) -> bool:

@@ -14,22 +14,27 @@ computed quantities:
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
 from .character import _weight_support, weyl_dimension
 from .errors import IntegrityError, UsageError
 from .grading import hodge_numbers
-from .rootdatum import RootDatum, pair
+from .rootdatum import Coords, RootDatum, pair
 
 
-def _is_minuscule(datum: RootDatum, node: int) -> bool:
-    """<omega_node, alpha^vee> (the node's coefficient of alpha^vee) <= 1 for all alpha > 0."""
-    return all(datum.coroot_of[r][node - 1] <= 1 for r in datum.positive_roots)
+def _is_minuscule(datum: RootDatum, lam: Coords) -> bool:
+    """<lam, alpha^vee> <= 1 for every alpha > 0: the package's one minuscule test."""
+    return all(sum(map(operator.mul, lam, co)) <= 1 for co in datum.coroot_of.values())
+
+
+def _fundamental(datum: RootDatum, node: int) -> Coords:
+    return tuple(1 if j == node - 1 else 0 for j in range(datum.rank))
 
 
 def minuscule_nodes(datum: RootDatum) -> list[int]:
     """Bourbaki indices (1-based) of the minuscule fundamental weights."""
-    return [node for node in range(1, datum.rank + 1) if _is_minuscule(datum, node)]
+    return [node for node in range(1, datum.rank + 1) if _is_minuscule(datum, _fundamental(datum, node))]
 
 
 # lam = omega_node; dim_x = dim G/P = <lam, 2 rho^vee>
@@ -44,9 +49,9 @@ def minuscule_case(datum: RootDatum, node: int) -> MinusculeCase:
     """
     if not 1 <= node <= datum.rank:
         raise UsageError(f"node {node} outside 1..{datum.rank}")
-    if not _is_minuscule(datum, node):
+    lam = _fundamental(datum, node)
+    if not _is_minuscule(datum, lam):
         raise UsageError(f"node {node} of {datum.stype} is not minuscule")
-    lam = tuple(1 if j == node - 1 else 0 for j in range(datum.rank))
     dim_x = pair(lam, datum.two_rho_covector)
     support_count = sum(1 for r in datum.positive_roots if r[node - 1] != 0)
     if dim_x != support_count:
@@ -101,7 +106,7 @@ def weight_graph_betti(case: MinusculeCase) -> BettiTable:
     multiplicity-free, and their weight counts would pass.
     """
     datum = case.datum
-    if any(pair(case.lam, datum.coroot_of[r]) > 1 for r in datum.positive_roots):
+    if not _is_minuscule(datum, datum.check_weight(case.lam)):  # a hand-built lam may have any length
         raise IntegrityError(f"{case.lam} of {datum.stype} is not minuscule")
     b = [0] * (case.dim_x + 1)
     for offset in _weight_support(datum, case.lam).values():
@@ -112,9 +117,7 @@ def weight_graph_betti(case: MinusculeCase) -> BettiTable:
     return table
 
 
-# first_mismatch: the first p with b[p] != hodge_shifted[p], or None
-KkpVerdict = namedtuple("KkpVerdict", "passed case betti hodge_shifted first_mismatch",
-                        defaults=(None,))
+KkpVerdict = namedtuple("KkpVerdict", "passed case betti hodge_shifted")
 
 
 def kkp_check(case: MinusculeCase) -> KkpVerdict:
@@ -123,14 +126,7 @@ def kkp_check(case: MinusculeCase) -> KkpVerdict:
     table = hodge_numbers(case.datum, case.lam)
     n = case.dim_x
     shifted = tuple(table.level(2 * p - n) for p in range(n + 1))
-    mismatch = next((p for p in range(n + 1) if betti.b[p] != shifted[p]), None)
-    return KkpVerdict(
-        passed=mismatch is None,
-        case=case,
-        betti=betti,
-        hodge_shifted=shifted,
-        first_mismatch=mismatch,
-    )
+    return KkpVerdict(passed=betti.b == shifted, case=case, betti=betti, hodge_shifted=shifted)
 
 
 def all_minuscule_cases(datum: RootDatum) -> list[MinusculeCase]:

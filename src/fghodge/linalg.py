@@ -81,11 +81,6 @@ class SparseMatrix:
                 clean[(r, c)] = _norm(v)
         return cls(dim, clean)
 
-    @classmethod
-    def diagonal(cls, values) -> "SparseMatrix":
-        values = list(values)
-        return cls.from_entries(len(values), {(i, i): v for i, v in enumerate(values)})
-
     def get(self, r: int, c: int) -> Entry:
         return self.entries.get((r, c), 0)
 

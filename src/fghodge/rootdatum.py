@@ -19,6 +19,10 @@ Coordinate conventions, used consistently by every module downstream:
   pairing a covector against a weight a plain dot product.
 
 The Cartan matrix convention is ``cartan[i][j] = <alpha_i, alpha_j^vee>``.
+A type of rank n and Coxeter number h has n h / 2 positive roots (Bourbaki,
+Lie Groups and Lie Algebras, VI.1.11, Prop. 33), so one table of h by
+family gives both closed forms that build_root_datum checks its closure by.
+
 Squared lengths are normalized so that short roots have (alpha, alpha) = 2;
 halfnorms[i] is half that of alpha_i.  Every stored quantity is an int, and
 rho, which is (1, ..., 1) in weight coordinates, is not stored at all.
@@ -45,16 +49,7 @@ _RANK_RULES = {
     "G": (2, 2),
 }
 
-# |Phi^+| and Coxeter number by family, as closed forms of the rank.
-_POSITIVE_COUNT = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
+# Coxeter number h by family, as a closed form of the rank.
 _COXETER = {
     "A": lambda n: n + 1,
     "B": lambda n: 2 * n,
@@ -65,15 +60,23 @@ _COXETER = {
     "G": lambda n: 6,
 }
 
-# Largest |Phi^+| = n h / 2 that build_root_datum accepts; the reflection
-# closure and every later layer grow with it, and a parsed rank is unbounded.
+
+def _positive_count(stype: "SimpleType") -> int:
+    """|Phi^+| = n h / 2 (Bourbaki, Lie Groups and Lie Algebras, VI.1.11,
+    Prop. 33: a root system of rank n has n h roots)."""
+    return stype.rank * _COXETER[stype.family](stype.rank) // 2
+
+
+# Largest |Phi^+| that build_root_datum accepts, with |Phi^+| = n h / 2 read
+# off the Coxeter number (_positive_count); the reflection closure and every
+# later layer grow with it, and a parsed rank is unbounded.
 # The largest types in the tests and the benchmark (A15, D12) have <= 132.
 MAX_POSITIVE_ROOTS = 500
 
 
 def check_size(stype: "SimpleType") -> None:
     """Refuse a type with more than MAX_POSITIVE_ROOTS positive roots."""
-    count = _POSITIVE_COUNT[stype.family](stype.rank)
+    count = _positive_count(stype)
     if count > MAX_POSITIVE_ROOTS:
         raise ResourceLimitError(
             f"{stype} has {count} positive roots, above the guard of {MAX_POSITIVE_ROOTS}"
@@ -90,12 +93,12 @@ def simple_types(max_rank: int) -> list["SimpleType"]:
     classical types can pass MAX_POSITIVE_ROOTS, and B_r = C_r = r^2 is
     their maximum, so a refusal names B_r.
     """
-    tops = [(family, max_rank if hi is None else min(hi, max_rank))
+    tops = [SimpleType(family, max_rank if hi is None else min(hi, max_rank))
             for family, (lo, hi) in _RANK_RULES.items() if lo <= max_rank]
     if tops:
-        check_size(SimpleType(*max(tops, key=lambda top: _POSITIVE_COUNT[top[0]](top[1]))))
-    return [SimpleType(family, rank) for family, top in tops
-            for rank in range(_RANK_RULES[family][0], top + 1)]
+        check_size(max(tops, key=_positive_count))
+    return [SimpleType(top.family, rank) for top in tops
+            for rank in range(_RANK_RULES[top.family][0], top.rank + 1)]
 
 
 def parse_int(text: str) -> int:
@@ -118,6 +121,10 @@ class SimpleType(namedtuple("SimpleType", "family rank")):
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int):
+        # type(), not isinstance(): True would pass as rank 1, print as "ATrue"
+        # and still key build_root_datum's cache as ("A", 1)
+        if type(rank) is not int or not isinstance(family, str):
+            raise UsageError(f"simple type ({family!r}, {rank!r}): the family must be a str and the rank an int")
         family = family.upper()
         if family == "C" and rank == 1:
             family = "A"
@@ -185,6 +192,13 @@ def _symmetrizer(cartan) -> tuple[int, ...]:
     Every ratio d[j]/d[i] = cartan[j][i]/cartan[i][j] in a simple type is 1,
     2 or 3 or the inverse of one, and at most one bond is multiple, so
     starting from d[0] = 6 every step divides exactly.
+
+    One walk checks the whole symmetry.  It pops each node i once and meets
+    every j with cartan[i][j] != 0: it sets an unset d[j] exactly symmetric
+    (a remainder raises), and tests a set one, raising "symmetrizer failed".
+    A set d never changes, so each pair with a nonzero entry on either side
+    is symmetric at the end, a pair of zeros trivially, and dividing by the
+    gcd keeps every equation; no second pass over the pairs can fail.
     """
     n = len(cartan)
     d: list[int | None] = [None] * n
@@ -193,12 +207,16 @@ def _symmetrizer(cartan) -> tuple[int, ...]:
     while todo:
         i = todo.pop()
         for j in range(n):
-            if j != i and cartan[i][j] != 0 and d[j] is None:
+            if j == i or cartan[i][j] == 0:
+                continue
+            if d[j] is None:
                 # symmetry of cartan[i][j] d[j]: d[j]/d[i] = cartan[j][i]/cartan[i][j]
                 d[j], rem = divmod(d[i] * cartan[j][i], cartan[i][j])
                 if rem:
                     raise IntegrityError("symmetrizer ratio does not divide 6")
                 todo.append(j)
+            elif cartan[i][j] * d[j] != cartan[j][i] * d[i]:
+                raise IntegrityError("symmetrizer failed")
     if any(x is None for x in d):
         raise IntegrityError("Dynkin graph must be connected")
     g = math.gcd(*d)
@@ -270,7 +288,8 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     above it.  By induction on height the closure is Phi+.
 
     The invariants are asserted on ints before returning: the root count
-    and height(theta) + 1 = h against the classical closed forms,
+    against n h / 2 and height(theta) + 1 against h, the classical closed
+    form of the Coxeter number (_COXETER),
     <alpha_i, 2 rho^vee> = 2, and the positive-root sum 2 rho = (2, ..., 2)
     in weight coordinates (Humphreys, Introduction to Lie Algebras, 10.2 and
     13.3).  <theta, 2 rho^vee> = 2 (h - 1) needs no check of its own: the
@@ -281,11 +300,7 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     check_size(stype)
     n = stype.rank
     cartan = _cartan_matrix(stype)
-    halfnorms = _symmetrizer(cartan)
-    for i in range(n):
-        for j in range(i):
-            if cartan[i][j] * halfnorms[j] != cartan[j][i] * halfnorms[i]:
-                raise IntegrityError("symmetrizer failed")
+    halfnorms = _symmetrizer(cartan)  # checks the symmetry of every pair
 
     simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
@@ -310,7 +325,7 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
                     nxt.append(s)
         frontier = nxt
     positive = sorted(pairings, key=_root_sort_key)
-    count = _POSITIVE_COUNT[stype.family](n)
+    count = _positive_count(stype)
     if len(positive) != count:
         raise IntegrityError(
             f"{stype}: reflection closure found {len(positive)} positive roots, expected {count}"

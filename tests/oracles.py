@@ -3,12 +3,13 @@
 Each one recomputes something the package ships by a second, slower road
 (a weightwise product of characters, a dense matrix for Gauss-Jordan, the
 symmetrizer on Fractions), writes a matrix out for a human reader, or is a
-small formula only the tests read (the tensor-product grading, the
-connection's dt/t coefficient, the root coordinates of a weight through the
-Cartan matrix's rational inverse, the weight and the Gram norm of a root, a
-coroot pairing, the Hodge table of a Jordan partition).  two_sided_root_datum
-is the reflection closure that also takes lowering steps, the route the
-package's raising-only closure must reproduce field for field.
+small formula only the tests read (a diagonal matrix, the tensor-product
+grading, the connection's dt/t coefficient, the root coordinates of a weight
+through the Cartan matrix's rational inverse, the weight and the Gram norm of
+a root, a coroot pairing, the Hodge table of a Jordan partition).
+two_sided_root_datum is the reflection closure that also takes lowering
+steps, the route the package's raising-only closure must reproduce field
+for field.
 carter_structure_constants is the tuple-arithmetic build of the bracket table
 that the package's int-coded one must reproduce bit for bit.
 serre_relations_hold forms the Serre commutators that the
@@ -66,6 +67,12 @@ def to_dense(m: SparseMatrix) -> list[list[Entry]]:
     for (r, c), v in m.entries.items():
         dense[r][c] = v
     return dense
+
+
+def diagonal(values) -> SparseMatrix:
+    """The diagonal matrix with the given entries; the package builds none."""
+    values = list(values)
+    return SparseMatrix.from_entries(len(values), {(i, i): v for i, v in enumerate(values)})
 
 
 def dump_triplets(m: SparseMatrix) -> str:

@@ -35,6 +35,7 @@ from fghodge.rootdatum import pair, std_weight
 from conftest import ALL_TYPES, ALL_TYPES_RANK8, datum, fw
 from oracles import (
     carter_structure_constants,
+    diagonal,
     dump_triplets,
     graded_blocks_by_setdefault,
     rank_chain_blocks,
@@ -326,7 +327,7 @@ def _rho_by_fractions(d, weights) -> SparseMatrix:
     two_rho_covector / 2; an integral pairing is an int."""
     rho_cov = [Fraction(c, 2) for c in d.two_rho_covector]
     values = [-sum(m * c for m, c in zip(mu, rho_cov)) for mu in weights]
-    return SparseMatrix.diagonal([int(v) if v.denominator == 1 else v for v in values])
+    return diagonal([int(v) if v.denominator == 1 else v for v in values])
 
 
 def _value_types(m: SparseMatrix) -> dict:
@@ -1037,7 +1038,7 @@ def test_rep_matrices_refuse_an_h_argument():
 @pytest.mark.parametrize("name,node,which", ALL_REPS_RANK8)
 def test_h_is_the_diagonal_of_the_basis_weights(name, node, which):
     rep = _rep(name, node, which)
-    expect = tuple(SparseMatrix.diagonal([w[i] for w in rep.basis_weights]) for i in range(rep.datum.rank))
+    expect = tuple(diagonal([w[i] for w in rep.basis_weights]) for i in range(rep.datum.rank))
     assert rep.h == expect and list(map(_value_types, rep.h)) == list(map(_value_types, expect))
     assert all(m.dim == rep.dim for m in rep.h)
 

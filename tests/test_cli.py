@@ -64,23 +64,35 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "hodge", "--type", "A2", "--weight", "1,x")
     assert code == 2
     code, _, err = run(capsys, "hodge", "--type", "A2", "--weight", "-1,0")
-    assert code == 2
+    assert code == 2  # argparse reads -1,0 as an option
+    # weyl_dimension, called by the --max-dim guard, is the one dominance check
+    assert run(capsys, "jordan", "--type", "B3", "--weight", "0,-1,0") == (
+        2, "", "error: weight (0, -1, 0) is not dominant\n")
+    assert run(capsys, "hodge", "--type", "A2", "--weight=-1,0", "--json") == (
+        2, "", "error: weight (-1, 0) is not dominant\n")
     code, _, err = run(capsys, "hodge", "--type", "E8", "--weight", "1,1,1,1,1,1,1,1",
                        "--max-dim", "100")
     assert code == 3 and "max-dim" in err
 
 
-@pytest.mark.parametrize("table", ["_COXETER", "_POSITIVE_COUNT"])
-def test_a_failed_root_datum_self_check_exits_1(capsys, monkeypatch, table):
+@pytest.mark.parametrize("keep_count,message", [
+    (False, "reflection closure found 6 positive roots, expected 7"),
+    (True, "Coxeter number mismatch"),
+], ids=["_COXETER", "_COXETER_and_positive_count"])
+def test_a_failed_root_datum_self_check_exits_1(capsys, monkeypatch, keep_count, message):
     # the closed-form cross-checks of build_root_datum are self-checks, not
-    # parse errors: a wrong closed form is an internal error
-    monkeypatch.setattr(rootdatum, table, {**getattr(rootdatum, table), "G": lambda n: 7})
+    # parse errors: a wrong closed form is an internal error.  A wrong h
+    # trips the count check n h / 2 first; with the count kept at the true
+    # 6, the Coxeter check is the one left to trip
+    monkeypatch.setattr(rootdatum, "_COXETER", {**rootdatum._COXETER, "G": lambda n: 7})
+    if keep_count:
+        monkeypatch.setattr(rootdatum, "_positive_count", lambda stype: 6)
     rootdatum.build_root_datum.cache_clear()
     try:
         code, out, err = run(capsys, "exponents", "--type", "G2")
     finally:
         rootdatum.build_root_datum.cache_clear()
-    assert (code, out) == (1, "") and err.startswith("internal error: G2: ")
+    assert (code, out, err) == (1, "", f"internal error: G2: {message}\n")
 
 
 @pytest.mark.parametrize("text", ["A\u00b2", "A" + "5" * 5000], ids=["superscript", "5000-digits"])

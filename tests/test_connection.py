@@ -22,7 +22,7 @@ from fghodge.errors import UsageError
 from fghodge.linalg import SparseMatrix
 
 from conftest import datum
-from oracles import fg_matrix, laurent_product
+from oracles import diagonal, fg_matrix, laurent_product
 
 
 CERTIFY_CASES = [("E6", "adjoint"), ("E7", "adjoint"), ("E8", "adjoint"),
@@ -71,9 +71,9 @@ def test_a_difference_is_the_sum_with_the_negation(name, rep):
 
 def test_laurent_matrix_never_stores_zero_coefficients():
     assert scalar(2, {}, dt=3, dz=3).coeffs == {}
-    assert LaurentMatrix.from_scalar_matrix(SparseMatrix.diagonal([1, 2]), factor=0).is_zero()
+    assert LaurentMatrix.from_scalar_matrix(diagonal([1, 2]), factor=0).is_zero()
     a = scalar(2, {(0, 0): 1}) + scalar(2, {(1, 1): 1}, dt=3, dz=3)
-    assert (a - scalar(2, {(1, 1): 1}, dt=3, dz=3)).coeffs == {(0, 0): SparseMatrix.diagonal([1, 0])}
+    assert (a - scalar(2, {(1, 1): 1}, dt=3, dz=3)).coeffs == {(0, 0): diagonal([1, 0])}
     assert (a.d_t() + a.d_z()).coeffs.keys() == {(2, 3), (3, 2)}
 
 
@@ -126,7 +126,7 @@ def test_rmodule_pair_a1_matrices():
                         (0, -1): SparseMatrix.from_entries(2, {(0, 1): 1})}
     # with RHO = diag(-1/2, 1/2), B = -2(N+tE)/z^2 + RHO/z:
     assert b.coeffs == {
-        (0, -1): SparseMatrix.diagonal([Q(-1, 2), Q(1, 2)]),
+        (0, -1): diagonal([Q(-1, 2), Q(1, 2)]),
         (1, -2): SparseMatrix.from_entries(2, {(0, 1): -2}),
         (0, -2): SparseMatrix.from_entries(2, {(1, 0): -2}),
     }

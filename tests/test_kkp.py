@@ -193,7 +193,7 @@ def test_kkp_all_minuscule_cases(name):
     d = datum(name)
     for case in all_minuscule_cases(d):
         verdict = kkp_check(case)
-        assert verdict.passed, (name, case.node, verdict.first_mismatch)
+        assert verdict.passed, (name, case.node, verdict.betti.b, verdict.hodge_shifted)
         table = verdict.betti
         # palindromic, starts at 1, sums to dim V, unimodal up to the middle
         assert table.b[0] == 1

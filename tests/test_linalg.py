@@ -12,7 +12,7 @@ from fghodge.errors import UsageError
 from fghodge.grading import JordanPartition
 from fghodge.linalg import SparseMatrix, graded_blocks, rank
 from conftest import datum
-from oracles import graded_blocks_by_setdefault, matrix_product, rank_chain_blocks, to_dense
+from oracles import diagonal, graded_blocks_by_setdefault, matrix_product, rank_chain_blocks, to_dense
 
 
 def gauss_jordan_rank(dense) -> int:
@@ -75,7 +75,7 @@ def test_rank_matches_gauss_jordan(dense):
 
 def test_rank_examples():
     assert rank(SparseMatrix.zero(4)) == 0
-    assert rank(SparseMatrix.diagonal([1, Fraction(1, 3), -2, 0])) == 3
+    assert rank(diagonal([1, Fraction(1, 3), -2, 0])) == 3
     # rows proportional over Q but not over Z-with-unit-pivots
     m = SparseMatrix.from_entries(2, {(0, 0): 2, (0, 1): 3, (1, 0): Fraction(2, 3), (1, 1): 1})
     assert rank(m) == 1
@@ -99,7 +99,7 @@ def commuting_or_not(draw):
     index = st.integers(0, dim - 1)
     other = st.dictionaries(st.tuples(index, index), entries, max_size=3 * dim).map(
         lambda e: SparseMatrix.from_entries(dim, e))
-    diagonal = st.lists(entries, min_size=dim, max_size=dim).map(SparseMatrix.diagonal)
+    diagonals = st.lists(entries, min_size=dim, max_size=dim).map(diagonal)
     kind = draw(st.sampled_from(["other", "same support", "int multiple", "negative multiple",
                                  "fraction multiple", "polynomial", "diagonal", "zero diagonal",
                                  "half diagonal", "diagonal A", "empty A", "empty B", "dimension 0",
@@ -121,16 +121,16 @@ def commuting_or_not(draw):
     if kind == "fraction multiple":
         return a, a.scale(draw(st.fractions(-6, 6, max_denominator=7).filter(lambda c: c.denominator > 1))), True
     if kind == "polynomial":
-        return a, matrix_product(a, a) + SparseMatrix.diagonal([draw(entries)] * dim), True
+        return a, matrix_product(a, a) + diagonal([draw(entries)] * dim), True
     if kind == "diagonal":
-        return a, draw(diagonal), False
+        return a, draw(diagonals), False
     if kind == "zero diagonal":
-        return a, SparseMatrix.diagonal([0] * dim), True
+        return a, diagonal([0] * dim), True
     if kind == "half diagonal":
         halves = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
-        return a, SparseMatrix.diagonal([Fraction(k, 2) for k in halves]), False
+        return a, diagonal([Fraction(k, 2) for k in halves]), False
     if kind == "diagonal A":
-        return draw(diagonal), draw(other), False
+        return draw(diagonals), draw(other), False
     if kind == "empty A":
         return SparseMatrix.zero(dim), draw(other), True
     if kind == "empty B":
@@ -169,7 +169,7 @@ def test_matrices_refuse_values_that_are_not_ints_or_fractions():
 
 def test_commutator_refuses_different_dimensions():
     with pytest.raises(UsageError, match="dimensions differ"):
-        SparseMatrix.diagonal([1, 2]).commutator(SparseMatrix.diagonal([1, 2, 3]))
+        diagonal([1, 2]).commutator(diagonal([1, 2, 3]))
 
 
 def test_the_product_walks_the_sparser_operand(monkeypatch):

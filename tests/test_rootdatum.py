@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fghodge import rootdatum
 from fghodge.character import irrep_character
 from fghodge.chevalley import structure_constants
+from fghodge.cli import main as cli_main
 from fghodge.errors import IntegrityError, ResourceLimitError, UsageError
 from fghodge.rootdatum import (
     SimpleType,
@@ -299,6 +300,10 @@ def test_an_unsymmetrizable_cartan_matrix_is_refused(monkeypatch):
     monkeypatch.setattr(rootdatum, "_cartan_matrix", lambda stype: triangle)
     with pytest.raises(IntegrityError, match="symmetrizer failed"):
         build_root_datum.__wrapped__(SimpleType("A", 3))
+    # the one walk refuses it itself: it sets d = (6, 6, 3) from node 1, then
+    # meets the set node 2 from node 3 and tests the edge 2-3
+    with pytest.raises(IntegrityError, match="symmetrizer failed"):
+        _symmetrizer(triangle)
 
 
 def _build_on_roots(monkeypatch, name, removed, added):
@@ -405,3 +410,15 @@ def test_simple_type_constructor_validates():
         SimpleType("E", 9)
     with pytest.raises(UsageError, match="D2: rank for family D must be >= 3"):
         SimpleType("D", 2)
+
+
+def test_simple_type_refuses_a_rank_that_is_not_an_int_or_a_family_that_is_not_a_str(capsys):
+    for family, rank in [("A", True), ("A", False), ("A", 2.0), ("A", "3"), (None, 3), (b"A", 3)]:
+        with pytest.raises(UsageError, match="the family must be a str and the rank an int"):
+            SimpleType(family, rank)
+    # True equals and hashes like 1, so a datum built for ("A", True) would
+    # be the cached answer to every later A1 caller
+    with pytest.raises(UsageError):
+        build_root_datum(SimpleType("A", True))
+    assert cli_main(["hodge", "--type", "A1", "--weight", "1"]) == 0
+    assert capsys.readouterr().out.startswith("type A1  weight 1  dim 2\n")
