@@ -77,7 +77,7 @@ from fractions import Fraction
 from .character import _weight_support, weyl_dimension
 from .errors import IntegrityError, ResourceLimitError, UsageError
 from .grading import JordanPartition
-from .linalg import SparseMatrix, _norm, graded_blocks
+from .linalg import SparseMatrix, _norm, _row_times, graded_blocks
 from .rootdatum import Coords, RootDatum, pair, std_weight
 
 MAX_RANK = 8
@@ -386,20 +386,11 @@ def _check_derivation(basis, ad: list[SparseMatrix], column, g: int, y: int) -> 
     """[ad b_g, ad b_y] = ad([b_g, b_y]), with [b_g, b_y] = sum_k v_k b_k read
     off column y of ad b_g (column: {y: [(k, v_k), ...]}).
 
-    ad b_g ad b_y - ad b_y ad b_g - sum_k v_k ad b_k goes into one int dict
-    through the row and column index of ad b_g, and every value must be 0.
+    Both sides are SparseMatrix operations (commutator; scale and +), which
+    normalise as they build, so they are compared as matrices.
     """
-    rows = ad[g].rows
-    acc = defaultdict(int)
-    for (r, k), v in ad[y].entries.items():
-        for i, u in column.get(r, ()):  # ad b_g ad b_y
-            acc[(i, k)] += u * v
-        for c, u in rows.get(k, ()):  # - ad b_y ad b_g
-            acc[(r, c)] -= v * u
-    for k, v in column.get(y, ()):  # - ad [b_g, b_y]
-        for key, u in ad[k].entries.items():
-            acc[key] -= v * u
-    if any(acc.values()):
+    bracket = sum((ad[k].scale(v) for k, v in column.get(y, ())), SparseMatrix.zero(len(ad)))
+    if ad[g].commutator(ad[y]) != bracket:
         raise IntegrityError(f"Jacobi identity fails for {basis[g]}, {basis[y]}")
 
 
@@ -579,9 +570,10 @@ def _theta_by_tree(datum: RootDatum, basis: list, e: tuple[SparseMatrix, ...]) -
     """X = ad x_theta on the adjoint basis, one column per basis element:
     column x_{-theta} is [x_theta, x_{-theta}] = theta^vee, and along each
     edge [e_i, w] = c b of the raising tree from x_{-theta} column b is
-    (1/c) e_i (column w), which is [X, e_i] = 0 on the edge.  So a zero
-    column w gives a zero column b, and that edge forms nothing; the tree
-    still walks every edge, so its reach check is unchanged.  adjoint_rep
+    (1/c) e_i (column w), which is [X, e_i] = 0 on the edge; e_i (column w)
+    is _row_times on the cached cols of e_i, divided exactly by c.  So a
+    zero column w gives a zero column b, and that edge forms nothing; the
+    tree still walks every edge, so its reach check is unchanged.  adjoint_rep
     certifies X.  theta, the one root of greatest height, leads the
     positive roots, so x_{-theta} follows the n Cartan elements."""
     cartan = len(datum.positive_roots)
@@ -591,11 +583,8 @@ def _theta_by_tree(datum: RootDatum, basis: list, e: tuple[SparseMatrix, ...]) -
     for i, w, b, c in _raising_tree(basis, columns, base):
         if not x.get(w):
             continue
-        acc = defaultdict(int)
-        for k, v in x[w].items():
-            for r, u in columns[i].get(k, ()):
-                acc[r] += u * v
-        x[b] = {r: v // c if not v % c else Fraction(v, c) for r, v in acc.items() if v}
+        x[b] = {r: v // c if not v % c else Fraction(v, c)
+                for r, v in _row_times(x[w], columns[i]).items()}
     return SparseMatrix(len(basis), {(r, b): v for b, col in x.items() for r, v in col.items()})
 
 

@@ -132,7 +132,7 @@ def cmd_verify(args) -> int:
         "rep": args.rep,
         "pass": entry is None,
         "residual_entry": None if entry is None else
-            {"row": entry[0], "col": entry[1], "poly": str(entry[2])},
+            {"row": entry[0], "col": entry[1], "poly": entry[2]},
     }
     text = (f"PASS {datum.stype} {args.rep}: flatness residual is the zero matrix" if entry is None
             else f"FAIL {datum.stype} {args.rep}: residual[{entry[0]}][{entry[1]}] = {entry[2]}")

@@ -22,7 +22,7 @@ needed only by the tests, which keep it as their oracle.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 # irrep_character is re-exported: grading.irrep_character is the oracle bench/test_bench.py reads
 from .character import Character, adjoint_weight, irrep_character, weyl_dimension  # noqa: F401
@@ -32,25 +32,23 @@ from .rootdatum import RootDatum, SimpleType, build_root_datum, pair, std_weight
 Levels = dict[int, int]
 
 
-class HodgeTable:
+class HodgeTable(namedtuple("HodgeTable", "dims")):
     """Irregular Hodge numbers h^alpha, the dimension of each 2rho^vee-eigenspace,
-    keyed by the doubled level k = 2*alpha."""
+    keyed by the doubled level k = 2*alpha.
 
-    def __init__(self, dims: Levels):
+    A named tuple, validated on construction: a field cannot be assigned,
+    and it compares by value and is unhashable, since it holds a dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dims: Levels):
         for k, v in dims.items():
             if v <= 0:
                 raise IntegrityError(f"HodgeTable: level {k} has non-positive dimension {v}")
             if dims.get(-k) != v:
                 raise IntegrityError(f"HodgeTable: table not symmetric at level {k}")
-        self.dims = dims
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.dims == other.dims
-
-    def __repr__(self) -> str:
-        return f"HodgeTable(dims={self.dims})"
+        return super().__new__(cls, dims)
 
     @property
     def dim(self) -> int:
@@ -62,24 +60,19 @@ class HodgeTable:
         return self.dims.get(k, 0)
 
 
-class JordanPartition:
-    """Multiset of Jordan block sizes, sorted descending."""
+class JordanPartition(namedtuple("JordanPartition", "blocks")):
+    """Multiset of Jordan block sizes, sorted descending.
 
-    def __init__(self, blocks: tuple[int, ...]):
+    A named tuple, validated on construction: a field cannot be assigned,
+    and it compares and hashes as its sorted blocks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, blocks: tuple[int, ...]):
         if any(b <= 0 for b in blocks):
             raise UsageError(f"Jordan blocks must be positive: {blocks}")
-        self.blocks = tuple(sorted(blocks, reverse=True))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __repr__(self) -> str:
-        return f"JordanPartition(blocks={self.blocks})"
+        return super().__new__(cls, tuple(sorted(blocks, reverse=True)))
 
     @property
     def total(self) -> int:

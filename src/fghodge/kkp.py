@@ -44,41 +44,37 @@ MinusculeCase = namedtuple("MinusculeCase", "datum node lam dim_x")
 def minuscule_case(datum: RootDatum, node: int) -> MinusculeCase:
     """Validate a node and package the minuscule geometry attached to it.
 
-    dim_x is computed two ways: the pairing <lambda, 2 rho^vee> and the
-    count of positive roots supported on the node; they must agree.
+    dim_x is the pairing <lambda, 2 rho^vee>.  It is the number of positive
+    roots supported on the node, with no count to check it against:
+    two_rho_covector is the sum of the positive coroots, so the pairing sums
+    their node coefficients.  Each is >= 0 (the coroot is positive) and <= 1
+    (the minuscule test has passed), and build_root_datum makes it
+    2 r_i d_i / |r|^2 (d_i = halfnorms[i]), nonzero exactly when the root's
+    r_i is.  tests/test_kkp.py keeps the count as its oracle.
     """
     if not 1 <= node <= datum.rank:
         raise UsageError(f"node {node} outside 1..{datum.rank}")
     lam = _fundamental(datum, node)
     if not _is_minuscule(datum, lam):
         raise UsageError(f"node {node} of {datum.stype} is not minuscule")
-    dim_x = pair(lam, datum.two_rho_covector)
-    support_count = sum(1 for r in datum.positive_roots if r[node - 1] != 0)
-    if dim_x != support_count:
-        raise IntegrityError("dim X disagrees between pairing and root count")
-    return MinusculeCase(datum=datum, node=node, lam=lam, dim_x=dim_x)
+    return MinusculeCase(datum=datum, node=node, lam=lam, dim_x=pair(lam, datum.two_rho_covector))
 
 
-class BettiTable:
-    """Betti numbers b[0..dim X] of a minuscule G/P."""
+class BettiTable(namedtuple("BettiTable", "b")):
+    """Betti numbers b[0..dim X] of a minuscule G/P.
 
-    def __init__(self, b: tuple[int, ...]):
+    A named tuple, validated on construction: a field cannot be assigned,
+    and it compares and hashes as its tuple b.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, b: tuple[int, ...]):
         if not b or b[0] != 1:
             raise IntegrityError("Betti table must start with b[0] = 1")
         if b != tuple(reversed(b)):
             raise IntegrityError("Betti table must be palindromic")
-        self.b = b
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.b == other.b
-
-    def __hash__(self):
-        return hash(self.b)
-
-    def __repr__(self) -> str:
-        return f"BettiTable(b={self.b})"
+        return super().__new__(cls, b)
 
     @property
     def total(self) -> int:

@@ -1,17 +1,19 @@
 """Exact sparse matrices over the rationals.
 
-Minimal square-matrix type for representation matrices, and the Jordan types
-of graded nilpotent ones: rank and graded_blocks share one fraction-free
-elimination step, _insert, with one pivot row per leading column.  The
-commutator is the one matrix product here; the package forms no other.  It
-tests no operand for proportionality: the flatness residual, the one caller
-that commutes multiples, sums their scalars by bilinearity first
-(connection), and [X, cX] = 0 still comes out of the product.  Its
-product branch walks the entries of the sparser operand only, against the
-other's row and column indexes (rows, cols), which each matrix builds once
-and keeps; the Jordan sweep reads the same two indexes for its levels and,
-on an int matrix, takes its rows as they are.  The sum and the commutator
-refuse operands of different dimensions with UsageError.
+Minimal square-matrix type for representation matrices, and the Jordan
+types of graded nilpotent ones: rank and graded_blocks share one
+fraction-free elimination step, _insert, with one pivot row per leading
+column.  The package forms every matrix product here, in two routines: the
+commutator, its one product of two matrices, and _row_times, its one
+product of a matrix and a vector, which the Jordan sweep and chevalley's
+x_theta tree call.  The commutator tests no operand for proportionality: the
+flatness residual, the one caller that commutes multiples, sums their
+scalars by bilinearity first (connection), and [X, cX] = 0 still comes out
+of the product.  Its product branch walks the entries of the sparser operand
+only, against the other's row and column indexes (rows, cols), which each
+matrix builds once and keeps; the Jordan sweep reads the same two indexes
+for its levels and, on an int matrix, takes its rows as they are.  The sum
+and the commutator refuse operands of different dimensions with UsageError.
 Entries are Python ints or Fractions, and from_entries and scale refuse any
 other value with UsageError; nothing here ever touches a float, and an
 integral matrix stays on ints.  A SparseMatrix holds no zero entry and no
@@ -209,9 +211,11 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _row_times(row: dict[int, int], rows: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
-    """The integer row times the matrix whose nonzero rows are rows (_int_rows)."""
-    out: dict[int, int] = {}
+def _row_times(row: dict[int, Entry], rows: dict[int, list[tuple[int, Entry]]]) -> dict[int, Entry]:
+    """The row times the matrix whose nonzero rows are rows ({k: [(c, y), ...]},
+    as _int_rows gives them); passed a column index (cols) instead, it is the
+    matrix times the row as a column."""
+    out: dict[int, Entry] = {}
     for k, x in row.items():
         for c, y in rows.get(k, ()):
             if v := out.get(c, 0) + x * y:

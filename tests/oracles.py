@@ -12,16 +12,18 @@ steps, the route the package's raising-only closure must reproduce field
 for field.
 carter_structure_constants is the tuple-arithmetic build of the bracket table
 that the package's int-coded one must reproduce bit for bit.
-serre_relations_hold forms the Serre commutators that the
-package's Chevalley-Serre check proves implied.  The package forms no
-matrix product but the commutator and reads a Jordan type only off the
-level sweep: matrix_product and laurent_product are the products its
-commutators are checked against, and power_ranks is the row-space rank
-chain that checks the sweep, on any nilpotent matrix.  theta_chain_by_steps
-divides x_gamma by its N at each step of the extraspecial chain, where the
-package carries one denominator to theta.  graded_blocks_by_setdefault finds
-its levels with a membership test and a setdefault per edge, the pass whose
-blocks the package's one-lookup pass must reproduce.
+serre_relations_hold forms the Serre commutators that the package's
+Chevalley-Serre check proves implied.  The package forms matrix products
+only in linalg, by the commutator of two matrices and by _row_times, a
+matrix times a vector (the Jordan sweep, the x_theta tree), and reads a
+Jordan type only off the level sweep: matrix_product and laurent_product
+are the products its commutators are checked against, and power_ranks is
+the row-space rank chain that checks the sweep, on any nilpotent matrix.
+theta_chain_by_steps divides x_gamma by its N at each step of the
+extraspecial chain, where the package carries one denominator to theta.
+graded_blocks_by_setdefault finds its levels with a membership test and a
+setdefault per edge, the pass whose blocks the package's one-lookup pass
+must reproduce.
 """
 
 from __future__ import annotations

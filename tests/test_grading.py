@@ -11,6 +11,7 @@ from fghodge import grading
 from fghodge.character import adjoint_weight, irrep_character, weyl_dimension
 from fghodge.cli import _dominant_weights_up_to
 from fghodge.errors import IntegrityError, UsageError
+from fghodge.kkp import BettiTable
 from fghodge.rootdatum import pair, weyl_orbit
 from fghodge.grading import (
     HodgeTable,
@@ -278,11 +279,26 @@ def test_jordan_partition_rejects_a_non_positive_block_and_sorts():
         JordanPartition((-2,))
     assert JordanPartition((1, 3, 2)).blocks == (3, 2, 1)
     assert JordanPartition((1, 3)) == JordanPartition((3, 1))
+    assert hash(JordanPartition((1, 3))) == hash(JordanPartition((3, 1)))
+    assert repr(JordanPartition((1, 3))) == "JordanPartition(blocks=(3, 1))"
+
+
+@pytest.mark.parametrize("record,field", [(HodgeTable({-1: 1, 1: 1}), "dims"),
+                                          (JordanPartition((1, 3)), "blocks"),
+                                          (BettiTable((1, 1, 1)), "b")])
+def test_records_refuse_field_assignment(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    assert getattr(record, field) is before
 
 
 def test_tables_compare_by_value():
     assert HodgeTable({-1: 1, 1: 1}) == HodgeTable({1: 1, -1: 1})
     assert HodgeTable({0: 1}) != HodgeTable({0: 2})
+    assert repr(HodgeTable({0: 1})) == "HodgeTable(dims={0: 1})"
+    with pytest.raises(TypeError):  # it holds a dict
+        hash(HodgeTable({0: 1}))
     d = datum("B3")
     assert hodge_numbers(d, (1, 0, 0)) == hodge_numbers(d, (1, 0, 0))
 

@@ -7,6 +7,7 @@ from fghodge.character import weyl_dimension
 from fghodge.cli import DEFAULT_MAX_DIM
 from fghodge.errors import IntegrityError, UsageError
 from fghodge.kkp import (
+    BettiTable,
     MinusculeCase,
     all_minuscule_cases,
     kkp_check,
@@ -155,6 +156,8 @@ def test_betti_numbers_are_the_closed_forms_up_to_rank_12(name, node):
     case = minuscule_case(d, node)
     assert weyl_dimension(d, case.lam) <= DEFAULT_MAX_DIM  # under the kkp guard
     assert list(weight_graph_betti(case).b) == closed_form_betti(name[0], d.rank, node)
+    # minuscule_case reads dim X off the pairing alone; the root count is the oracle
+    assert case.dim_x == sum(1 for r in d.positive_roots if r[node - 1] != 0)
 
 
 def test_kkp_walks_no_weyl_orbit(monkeypatch):
@@ -201,9 +204,22 @@ def test_kkp_all_minuscule_cases(name):
         assert table.total == weyl_dimension(d, case.lam)
         mid = len(table.b) // 2
         assert all(table.b[i] <= table.b[i + 1] for i in range(mid))
-        # dim X from the pairing equals the node-support count (checked in
-        # minuscule_case already; recompute here as the test-side oracle)
+        # dim X from the pairing equals the node-support count: minuscule_case
+        # proves it in its docstring and does not count, so the count is the oracle
         assert case.dim_x == sum(1 for r in d.positive_roots if r[case.node - 1] != 0)
+
+
+@pytest.mark.parametrize("b,message", [((), "must start with b"), ((2, 1, 2), "must start with b"),
+                                       ((1, 2), "must be palindromic")])
+def test_betti_table_refuses_a_bad_table(b, message):
+    with pytest.raises(IntegrityError, match=message):
+        BettiTable(b)
+
+
+def test_betti_tables_compare_and_hash_by_value():
+    assert BettiTable((1, 1, 1)) == BettiTable((1, 1, 1)) != BettiTable((1, 2, 1))
+    assert hash(BettiTable((1, 1, 1))) == hash(BettiTable((1, 1, 1)))
+    assert repr(BettiTable((1, 1, 1))) == "BettiTable(b=(1, 1, 1))"
 
 
 def test_kkp_detects_perturbation():

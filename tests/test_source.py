@@ -49,6 +49,19 @@ def test_the_root_datum_imports_no_fractions():
     assert not any(isinstance(node, ast.Name) and node.id == "Fraction" for node in ast.walk(tree))
 
 
+def test_only_the_matrix_types_write_their_own_equality():
+    # every other record is a named tuple, equal and hashed as its fields
+    found = {
+        f"{path.name}:{node.name}.{item.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and node.name not in ("SparseMatrix", "LaurentMatrix")
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+    }
+    assert found == set()
+
+
 def test_the_package_binds_only_its_submodules():
     # each name has one home, its submodule; bench/worker.py reads fghodge.<module>
     # after a bare `import fghodge`.  A fresh interpreter, since a test that
