@@ -14,7 +14,9 @@ recursion runs on arbitrary-precision ints (E-type sums overflow 64 bits).
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
+from math import prod
 
 from .errors import IntegrityError, UsageError
 from .rootdatum import Coords, RootDatum, weyl_orbit
@@ -30,25 +32,36 @@ class Character(namedtuple("Character", "datum highest mult")):
         return sum(self.mult.values())
 
 
-def weyl_dimension(datum: RootDatum, lam) -> int:
-    """dim V_lambda = prod_{alpha>0} <lambda+rho, alpha^vee> / <rho, alpha^vee>.
+def _kostant_factors(datum: RootDatum, lam) -> tuple[Coords, list[int], list[int]]:
+    """lam as rank ints, then <lam+rho, alpha^vee> and <rho, alpha^vee> over
+    the positive roots alpha, in one pass: the factors of Kostant's product.
 
-    The package's one dominance check: irrep_character, hodge_numbers and
-    the CLI's hodge and jordan call this before any other work on lambda.
+    The package's one dominance check: weyl_dimension and hodge_numbers call
+    this before any other work on lambda, and irrep_character and the CLI's
+    hodge and jordan reach it through weyl_dimension.
     """
     lam = datum.check_weight(lam)
     if not datum.is_dominant(lam):
         raise UsageError(f"weight {lam} is not dominant")
-    num = 1
-    den = 1
-    for root in datum.positive_roots:
-        co = datum.coroot_of[root]
-        num *= sum((l + 1) * c for l, c in zip(lam, co))
-        den *= sum(co)
-    q, r = divmod(num, den)
+    num, den = [], []
+    for co in datum.coroot_of.values():
+        den.append(sum(co))  # <rho, alpha^vee>: rho pairs to 1 with each simple coroot
+        num.append(den[-1] + sum(map(operator.mul, lam, co)))
+    return lam, num, den
+
+
+def _weyl_quotient(num: list[int], den: list[int]) -> int:
+    """prod(num) / prod(den), which must be a positive integer."""
+    q, r = divmod(prod(num), prod(den))
     if r != 0 or q <= 0:
         raise IntegrityError("Weyl dimension must be a positive integer")
     return q
+
+
+def weyl_dimension(datum: RootDatum, lam) -> int:
+    """dim V_lambda = prod_{alpha>0} <lambda+rho, alpha^vee> / <rho, alpha^vee>."""
+    _, num, den = _kostant_factors(datum, lam)
+    return _weyl_quotient(num, den)
 
 
 def _weight_support(datum: RootDatum, lam: Coords) -> dict[Coords, Coords]:

@@ -22,17 +22,17 @@ needed only by the tests, which keep it as their oracle.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 
 # irrep_character is re-exported: grading.irrep_character is the oracle bench/test_bench.py reads
-from .character import Character, adjoint_weight, irrep_character, weyl_dimension  # noqa: F401
+from .character import Character, _kostant_factors, _weyl_quotient, adjoint_weight, irrep_character  # noqa: F401
 from .errors import IntegrityError, UsageError
-from .rootdatum import RootDatum, SimpleType, build_root_datum, pair, std_weight
+from .rootdatum import RootDatum, SimpleType, _validated_record, build_root_datum, std_weight
 
 Levels = dict[int, int]
 
 
-class HodgeTable(namedtuple("HodgeTable", "dims")):
+class HodgeTable(_validated_record("HodgeTable", "dims")):
     """Irregular Hodge numbers h^alpha, the dimension of each 2rho^vee-eigenspace,
     keyed by the doubled level k = 2*alpha.
 
@@ -60,7 +60,7 @@ class HodgeTable(namedtuple("HodgeTable", "dims")):
         return self.dims.get(k, 0)
 
 
-class JordanPartition(namedtuple("JordanPartition", "blocks")):
+class JordanPartition(_validated_record("JordanPartition", "blocks")):
     """Multiset of Jordan block sizes, sorted descending.
 
     A named tuple, validated on construction: a field cannot be assigned,
@@ -98,22 +98,22 @@ def hodge_numbers(datum: RootDatum, lam) -> HodgeTable:
     The product is x^-L P(q) with L = <lam, 2rho^vee> and P a polynomial of
     degree L, so dims[2j - L] is the coefficient of q^j.  P is computed
     modulo q^(L+1), where the quotient is exact, one O(L) pass per factor.
+    The factors come from _kostant_factors, the one pass over the positive
+    roots that weyl_dimension reads too.  Counted once as signed exponents, a
+    factor that numerator and denominator share cancels; the order of the
+    rest is free, since every 1 - q^b is a unit mod q^(L+1).
     """
-    lam = datum.check_weight(lam)
-    dim = weyl_dimension(datum, lam)
-    num: Counter[int] = Counter()
-    den: Counter[int] = Counter()
-    for root in datum.positive_roots:
-        co = datum.coroot_of[root]
-        num[sum((l + 1) * c for l, c in zip(lam, co))] += 1
-        den[sum(co)] += 1
-    top = pair(lam, datum.two_rho_covector)
+    lam, num, den = _kostant_factors(datum, lam)
+    dim = _weyl_quotient(num, den)
+    top = sum(num) - sum(den)  # sum over alpha > 0 of <lam, alpha^vee> = <lam, 2rho^vee>
+    exps = Counter(num)
+    exps.subtract(den)
     coeffs = [1] + [0] * top
-    # after cancelling common factors both multisets keep the same size
-    for a, b in zip(sorted((num - den).elements()), sorted((den - num).elements())):
-        for j in range(top, a - 1, -1):  # times (1 - q^a)
+    for a in (+exps).elements():  # times (1 - q^a)
+        for j in range(top, a - 1, -1):
             coeffs[j] -= coeffs[j - a]
-        for j in range(b, top + 1):  # divided by (1 - q^b)
+    for b in (-exps).elements():  # divided by (1 - q^b)
+        for j in range(b, top + 1):
             coeffs[j] += coeffs[j - b]
     # HodgeTable rejects a table that is not palindromic or not positive
     g = HodgeTable({2 * j - top: c for j, c in enumerate(coeffs)})

@@ -20,7 +20,7 @@ from collections import namedtuple
 from .character import _weight_support, weyl_dimension
 from .errors import IntegrityError, UsageError
 from .grading import hodge_numbers
-from .rootdatum import Coords, RootDatum, pair
+from .rootdatum import Coords, RootDatum, _validated_record, pair
 
 
 def _is_minuscule(datum: RootDatum, lam: Coords) -> bool:
@@ -60,7 +60,7 @@ def minuscule_case(datum: RootDatum, node: int) -> MinusculeCase:
     return MinusculeCase(datum=datum, node=node, lam=lam, dim_x=pair(lam, datum.two_rho_covector))
 
 
-class BettiTable(namedtuple("BettiTable", "b")):
+class BettiTable(_validated_record("BettiTable", "b")):
     """Betti numbers b[0..dim X] of a minuscule G/P.
 
     A named tuple, validated on construction: a field cannot be assigned,

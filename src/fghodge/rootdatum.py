@@ -110,7 +110,18 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-class SimpleType(namedtuple("SimpleType", "family rank")):
+def _validated_record(name: str, fields: str) -> type:
+    """A namedtuple base for a record that validates in its own __new__.
+
+    namedtuple's _make calls tuple.__new__ and _replace calls _make, so both
+    would skip the check; here _make goes through the constructor.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class SimpleType(_validated_record("SimpleType", "family rank")):
     """A simple type such as E8 or B3.  C1 is normalized to A1.
 
     A named tuple (family, rank), validated on construction: immutable, and

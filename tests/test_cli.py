@@ -328,12 +328,14 @@ def test_sweep_counts_a_failed_check(capsys, extra_trivial_on_b):
 
 
 def test_sweep_reports_a_failed_sum_rule_and_goes_on(capsys, monkeypatch):
-    real = grading.weyl_dimension
+    real = grading._weyl_quotient
 
-    def off_on_a2_adjoint(d, lam):  # hodge_numbers' sum rule then fails on A2 (1,1) only
-        return real(d, lam) + (str(d.stype) == "A2" and tuple(lam) == (1, 1))
+    # hodge_numbers' sum rule then fails on A2 (1,1) only: up to rank 2 it is
+    # the one weight whose factors <lam+rho, alpha^vee> are 2, 2, 4
+    def off_on_a2_adjoint(num, den):
+        return real(num, den) + (sorted(num) == [2, 2, 4])
 
-    monkeypatch.setattr(grading, "weyl_dimension", off_on_a2_adjoint)
+    monkeypatch.setattr(grading, "_weyl_quotient", off_on_a2_adjoint)
     code, out, err = run(capsys, "sweep", "--max-rank", "2", "--max-dim", "30")
     lines = out.splitlines()
     fail = "FAIL A2 weight 1,1: principal specialization of (1, 1) sums to 8, not dim 9"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fghodge import grading
+from fghodge import character, grading
 from fghodge.character import adjoint_weight, irrep_character, weyl_dimension
 from fghodge.cli import _dominant_weights_up_to
 from fghodge.errors import IntegrityError, UsageError
@@ -108,10 +108,24 @@ def test_principal_grading_anchors(name, lam):
 
 
 def test_principal_grading_checks_the_weyl_dimension(monkeypatch):
-    real = grading.weyl_dimension
-    monkeypatch.setattr(grading, "weyl_dimension", lambda d, lam: real(d, lam) + 1)
-    with pytest.raises(IntegrityError):
+    # the dimension hodge_numbers checks its table against is the quotient
+    # of the factors it reads, made one too large
+    real = grading._weyl_quotient
+    monkeypatch.setattr(grading, "_weyl_quotient", lambda num, den: real(num, den) + 1)
+    with pytest.raises(IntegrityError, match=r"of \(0, 1, 1\) sums to 112, not dim 113"):
         hodge_numbers(datum("B3"), (0, 1, 1))
+
+
+def test_principal_grading_does_not_call_the_weyl_dimension(monkeypatch):
+    # one pass over the positive roots gives both the table and its dimension
+    def refuse(d, lam):
+        raise AssertionError("hodge_numbers called weyl_dimension")
+
+    monkeypatch.setattr(character, "weyl_dimension", refuse)
+    monkeypatch.setattr(grading, "weyl_dimension", refuse, raising=False)
+    assert hodge_numbers(datum("B3"), (0, 1, 1)).dims == {
+        -16: 1, -14: 2, -12: 3, -10: 5, -8: 7, -6: 9, -4: 11, -2: 12, 0: 12,
+        2: 12, 4: 11, 6: 9, 8: 7, 10: 5, 12: 3, 14: 2, 16: 1}
 
 
 def test_rho_grading_basics():
@@ -291,6 +305,20 @@ def test_records_refuse_field_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, before)
     assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("record,field,bad,error", [
+    (HodgeTable({-1: 1, 1: 1}), "dims", {0: -3}, IntegrityError),
+    (JordanPartition((1, 3)), "blocks", (0, -1), UsageError),
+    (BettiTable((1, 1, 1)), "b", (2,), IntegrityError),
+], ids=["HodgeTable", "JordanPartition", "BettiTable"])
+def test_records_validate_through_make_and_replace(record, field, bad, error):
+    # namedtuple's own _make and _replace would build these without a check
+    with pytest.raises(error):
+        type(record)._make([bad])
+    with pytest.raises(error):
+        record._replace(**{field: bad})
+    assert record._replace(**{field: getattr(record, field)}) == record
 
 
 def test_tables_compare_by_value():

@@ -402,6 +402,16 @@ def test_equal_types_share_one_root_datum():
     assert sc.n_pos == n_pos and len(n_pos) == 20
 
 
+def test_simple_type_validates_through_make_and_replace():
+    # namedtuple's own _make built the rank-True type that the constructor refuses
+    with pytest.raises(UsageError, match="the rank an int"):
+        SimpleType._make(("A", True))
+    with pytest.raises(UsageError, match=r"E9: rank for family E"):
+        SimpleType("E", 8)._replace(rank=9)
+    assert SimpleType._make(("c", 1)) == SimpleType("A", 1)
+    assert SimpleType("E", 8)._replace(rank=7) == SimpleType("E", 7)
+
+
 def test_simple_type_constructor_validates():
     assert (SimpleType("d", 4).family, SimpleType("d", 4).rank) == ("D", 4)
     with pytest.raises(UsageError, match="unknown family 'H'"):
