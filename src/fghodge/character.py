@@ -36,8 +36,8 @@ def _kostant_factors(datum: RootDatum, lam) -> tuple[Coords, list[int], list[int
     """lam as rank ints, then <lam+rho, alpha^vee> and <rho, alpha^vee> over
     the positive roots alpha, in one pass: the factors of Kostant's product.
 
-    The package's one dominance check: weyl_dimension and hodge_numbers call
-    this before any other work on lambda, and irrep_character and the CLI's
+    The package's one dominance check: weyl_dimension, hodge_numbers and
+    irrep_character call this before any other work on lambda, and the CLI's
     hodge and jordan reach it through weyl_dimension.
     """
     lam = datum.check_weight(lam)
@@ -98,12 +98,17 @@ def _weight_support(datum: RootDatum, lam: Coords) -> dict[Coords, Coords]:
 def irrep_character(datum: RootDatum, lam) -> Character:
     """Character of the irreducible representation of highest weight lam.
 
-    weyl_dimension runs first and refuses a weight that is not dominant,
-    with the UsageError every caller sees, before any other work; its value
-    is what the character's size is compared with at the end.
+    One _kostant_factors pass runs first and refuses a weight that is not
+    dominant, with the UsageError every caller sees, before any other work;
+    _weyl_quotient of its factors is what the character's size is compared
+    with at the end.  That pass is the only check of lam, and it covers
+    what a second check_weight(lam) after it would: check_weight depends only
+    on the entries of lam and the rank, so once it has passed and returned
+    them as a tuple of rank ints, it would pass again on the same lam and
+    return an equal tuple.  The dominance check runs on that tuple.
     """
-    dim = weyl_dimension(datum, lam)
-    lam = datum.check_weight(lam)
+    lam, factors, rho_factors = _kostant_factors(datum, lam)
+    dim = _weyl_quotient(factors, rho_factors)
     support = _weight_support(datum, lam)
     dominants = sorted(
         (mu for mu in support if datum.is_dominant(mu)),
@@ -118,7 +123,7 @@ def irrep_character(datum: RootDatum, lam) -> Character:
         if mu == lam:
             m = 1
         else:
-            num = 0
+            total = 0
             for co, d_alpha, rw in roots:
                 base = sum(a * b for a, b in zip(mu, co))
                 nu = mu
@@ -128,16 +133,16 @@ def irrep_character(datum: RootDatum, lam) -> Character:
                     mn = mult.get(nu)
                     if mn is None:
                         break  # strings through the support are unbroken
-                    num += mn * (base + 2 * k) * d_alpha
+                    total += mn * (base + 2 * k) * d_alpha
                     k += 1
             off = support[mu]
-            den = sum(
+            gap = sum(
                 c * (lam[i] + mu[i] + 2) * datum.halfnorms[i]
                 for i, c in enumerate(off)
             )
-            if den <= 0:
+            if gap <= 0:
                 raise IntegrityError("Freudenthal denominator vanishes only at the highest weight")
-            m, rem = divmod(2 * num, den)
+            m, rem = divmod(2 * total, gap)
             if rem != 0 or m <= 0:
                 raise IntegrityError("Freudenthal recursion must yield positive integers")
         for w in weyl_orbit(datum, mu):

@@ -368,14 +368,15 @@ def _raising_tree(basis: list, columns: dict, base: int):
     by ascending height; every basis element must be reached."""
     reached = {base}
     order = [base]
+    generators = list(columns.items())
     for w in order:
-        for g, column in columns.items():
-            edge = column.get(w)
-            if edge is not None and len(edge) == 1 and edge[0][0] not in reached:
-                b, c = edge[0]
-                reached.add(b)
-                order.append(b)
-                yield g, w, b, c
+        for g, column in generators:
+            if w in column and len(edge := column[w]) == 1:
+                b, = edge
+                if b not in reached:
+                    reached.add(b)
+                    order.append(b)
+                    yield g, w, b, edge[b]
     if len(order) != len(basis):
         raise IntegrityError(
             f"the raising generators reach {len(order)} of {len(basis)} basis elements "
@@ -384,12 +385,12 @@ def _raising_tree(basis: list, columns: dict, base: int):
 
 def _check_derivation(basis, ad: list[SparseMatrix], column, g: int, y: int) -> None:
     """[ad b_g, ad b_y] = ad([b_g, b_y]), with [b_g, b_y] = sum_k v_k b_k read
-    off column y of ad b_g (column: {y: [(k, v_k), ...]}).
+    off column y of ad b_g (column: {y: {k: v_k}}).
 
     Both sides are SparseMatrix operations (commutator; scale and +), which
     normalise as they build, so they are compared as matrices.
     """
-    bracket = sum((ad[k].scale(v) for k, v in column.get(y, ())), SparseMatrix.zero(len(ad)))
+    bracket = sum((ad[k].scale(v) for k, v in column.get(y, {}).items()), SparseMatrix.zero(len(ad)))
     if ad[g].commutator(ad[y]) != bracket:
         raise IntegrityError(f"Jacobi identity fails for {basis[g]}, {basis[y]}")
 
@@ -596,8 +597,8 @@ def _check_theta_cartan_columns(rep: RepMatrices) -> None:
     k = next(j for j, w in enumerate(pairing) if w)
     cols = rep.e_theta.cols
     for j, w in enumerate(pairing):
-        if ({r: pairing[k] * v for r, v in cols.get(cartan + j, ())}
-                != {r: w * v for r, v in cols.get(cartan + k, ()) if w}):
+        if ({r: pairing[k] * v for r, v in cols.get(cartan + j, {}).items()}
+                != {r: w * v for r, v in cols.get(cartan + k, {}).items() if w}):
             raise IntegrityError(f"{rep.name}: e_theta h_{j+1} is not "
                                  f"-<theta, alpha_{j+1}^vee> times one vector")
 

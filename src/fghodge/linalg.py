@@ -12,22 +12,25 @@ scalars by bilinearity first (connection), and [X, cX] = 0 still comes out
 of the product.  Its product branch walks the entries of the sparser operand
 only, against the other's row and column indexes (rows, cols), which each
 matrix builds once and keeps; the Jordan sweep reads the same two indexes
-for its levels and, on an int matrix, takes its rows as they are.  The sum
-and the commutator refuse operands of different dimensions with UsageError.
-Entries are Python ints or Fractions, and from_entries and scale refuse any
-other value with UsageError; nothing here ever touches a float, and an
-integral matrix stays on ints.  A SparseMatrix holds no zero entry and no
-Fraction with denominator 1: from_entries, the sum, the scaling and the
-commutator drop zeros and normalise as they build.  Elimination rows hold
-no zero either: _insert and the row product _row_times drop each zero as it
-arises, and _insert divides a row by its content only when it is not 1.
+for its levels and, on an int matrix, takes its rows as they are.  An index
+is a dict of dicts, {row: {col: value}} and {col: {row: value}}, so it holds
+no list or tuple per entry, and an inner dict of ints is never tracked by
+the cyclic garbage collector.  The commutator normalises only the sums that
+are not ints.  The sum and the commutator refuse operands of different
+dimensions with UsageError.  Entries are Python ints or Fractions, and
+from_entries and scale refuse any other value with UsageError; nothing here
+ever touches a float, and an integral matrix stays on ints.  A SparseMatrix
+holds no zero entry and no Fraction with denominator 1: from_entries, the
+sum, the scaling and the commutator drop zeros and normalise as they build.
+Elimination rows hold no zero either: _insert and the row product _row_times
+drop each zero as it arises, and _insert divides a row by its content only
+when it is not 1.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from collections import defaultdict
 from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
@@ -120,19 +123,19 @@ class SparseMatrix:
         return SparseMatrix(self.dim, {k: _norm(v * c) for k, v in self.entries.items()})
 
     @functools.cached_property
-    def rows(self) -> dict[int, list[tuple[int, Entry]]]:
-        """Row index {row: [(col, value), ...]}, built once per matrix."""
-        rows: dict[int, list[tuple[int, Entry]]] = {}
+    def rows(self) -> dict[int, dict[int, Entry]]:
+        """Row index {row: {col: value}}, built once per matrix."""
+        rows: dict[int, dict[int, Entry]] = {}
         for (r, c), v in self.entries.items():
-            rows.setdefault(r, []).append((c, v))
+            rows.setdefault(r, {})[c] = v
         return rows
 
     @functools.cached_property
-    def cols(self) -> dict[int, list[tuple[int, Entry]]]:
-        """Column index {col: [(row, value), ...]}, built once per matrix."""
-        cols: dict[int, list[tuple[int, Entry]]] = {}
+    def cols(self) -> dict[int, dict[int, Entry]]:
+        """Column index {col: {row: value}}, built once per matrix."""
+        cols: dict[int, dict[int, Entry]] = {}
         for (r, c), v in self.entries.items():
-            cols.setdefault(c, []).append((r, v))
+            cols.setdefault(c, {})[r] = v
         return cols
 
     def commutator(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -154,26 +157,33 @@ class SparseMatrix:
             raise UsageError("matrix dimensions differ")
         x, y = self.entries, other.entries
         if all(r == c for r, c in y):
-            return SparseMatrix(self.dim, {(r, c): _norm(v * s) for (r, c), v in x.items()
-                                           if (s := y.get((c, c), 0) - y.get((r, r), 0))})
+            d = {r: v for (r, _), v in y.items()}
+            return SparseMatrix(self.dim, {key: _norm(v * s) for key, v in x.items()
+                                           if (s := d.get(key[1], 0) - d.get(key[0], 0))})
         x, other, sign = (y, self, -1) if len(y) < len(x) else (x, other, 1)
         rows, cols = other.rows, other.cols
-        acc: Entries = defaultdict(int)
+        acc: Entries = {}
+        get = acc.get
         for (r, k), v in x.items():
-            for c, u in rows.get(k, ()):
-                acc[(r, c)] += v * u
-            for i, u in cols.get(r, ()):
-                acc[(i, k)] -= u * v
-        return SparseMatrix(self.dim, {k: _norm(sign * v) for k, v in acc.items() if v})
+            if (row := rows.get(k)) is not None:
+                for c in row:
+                    key = (r, c)
+                    acc[key] = get(key, 0) + v * row[c]
+            if (col := cols.get(r)) is not None:
+                for i in col:
+                    key = (i, k)
+                    acc[key] = get(key, 0) - col[i] * v
+        return SparseMatrix(self.dim, {key: s if type(s := sign * v) is int else _norm(s)
+                                       for key, v in acc.items() if v})
 
 
-def _int_rows(matrix: SparseMatrix) -> dict[int, list[tuple[int, int]]]:
-    """The nonzero rows of den * matrix as [(col, int), ...], den the lcm of
-    all denominators: the cached rows themselves when every entry is an int."""
+def _int_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
+    """The nonzero rows of den * matrix as {col: int}, den the lcm of all
+    denominators: the cached rows themselves when every entry is an int."""
     if all(type(v) is int for v in matrix.entries.values()):
         return matrix.rows
     den = lcm(*(v.denominator for v in matrix.entries.values()))
-    return {r: [(c, v.numerator * (den // v.denominator)) for c, v in row]
+    return {r: {c: v.numerator * (den // v.denominator) for c, v in row.items()}
             for r, row in matrix.rows.items()}
 
 
@@ -211,14 +221,16 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _row_times(row: dict[int, Entry], rows: dict[int, list[tuple[int, Entry]]]) -> dict[int, Entry]:
-    """The row times the matrix whose nonzero rows are rows ({k: [(c, y), ...]},
-    as _int_rows gives them); passed a column index (cols) instead, it is the
+def _row_times(row: dict[int, Entry], rows: dict[int, dict[int, Entry]]) -> dict[int, Entry]:
+    """The row times the matrix whose nonzero rows are rows ({k: {c: y}}, as
+    _int_rows gives them); passed a column index (cols) instead, it is the
     matrix times the row as a column."""
     out: dict[int, Entry] = {}
     for k, x in row.items():
-        for c, y in rows.get(k, ()):
-            if v := out.get(c, 0) + x * y:
+        if (targets := rows.get(k)) is None:
+            continue
+        for c in targets:
+            if v := out.get(c, 0) + x * targets[c]:
                 out[c] = v
             else:
                 del out[c]
@@ -257,7 +269,7 @@ def graded_blocks(matrix: SparseMatrix) -> list[int] | None:
         for u in queue:
             k = level[u]
             for index, want in ((above, k + 1), (below, k - 1)):
-                for v, _ in index.get(u, ()):
+                for v in index.get(u, ()):
                     got = level.get(v)
                     if got is None:
                         level[v] = want

@@ -145,7 +145,7 @@ def graded_blocks_by_setdefault(matrix: SparseMatrix) -> list[int] | None:
         level.setdefault(start, 0)
         for u in queue:
             for index, step in ((matrix.rows, 1), (matrix.cols, -1)):
-                for v, _ in index.get(u, ()):
+                for v in index.get(u, ()):
                     if v not in level:
                         queue.append(v)
                     if level.setdefault(v, level[u] + step) != level[u] + step:

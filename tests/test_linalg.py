@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -327,12 +328,23 @@ def test_the_level_sweep_reads_the_cached_rows_of_an_int_matrix_unchanged():
     # an int matrix gives its cached rows to the sweep as they are, with no
     # lcm pass; the sweep must leave them as built
     n = principal_triple(adjoint_rep(datum("E6"))).N
-    before = {r: list(row) for r, row in n.rows.items()}
+    before = {r: dict(row) for r, row in n.rows.items()}
     assert linalg._int_rows(n) is n.rows
     assert jordan_type(n).blocks == (23, 17, 15, 11, 9, 3)
     assert n.rows == before == SparseMatrix(n.dim, dict(n.entries)).rows
     half = n.scale(Fraction(1, 2))
     assert linalg._int_rows(half) == n.rows and jordan_type(half) == jordan_type(n)
+
+
+def test_the_e8_indexes_hold_no_per_entry_container():
+    # each row of an index is a dict of int keys and int values, which the
+    # cyclic collector never tracks; only the outer dict of an index, which
+    # holds dicts, is tracked
+    triple = principal_triple(adjoint_rep(datum("E8")))
+    indexes = [getattr(m, name) for m in (triple.N, triple.E) for name in ("rows", "cols")]
+    indexes.append(linalg._int_rows(triple.N.scale(Fraction(1, 2))))
+    for index in indexes:
+        assert index and [o for o in (index, *index.values()) if gc.is_tracked(o)] == [index]
 
 
 def test_jordan_type_sweeps_e8_adjoint_in_dim_row_products(monkeypatch):
